@@ -345,11 +345,20 @@ def _stabilizer_verdict(rep, algebra, v) -> tuple[int, str]:
     return stab.dim, report.verdict
 
 
-def _flow_trial(scenario: Scenario, config: ExperimentConfig, index: int) -> dict:
-    """One closedness trial at a random ambient translate of the base point."""
-    seed = trial_seed(config.seed, index)
+def _start_vector(scenario: Scenario, config: ExperimentConfig, seed: int):
+    """A Gaussian point of the space for cor5, else a random ambient
+    translate of the base point."""
+    if config.kind == COR5_DIRECT_SUM:
+        rng = np.random.default_rng(seed)
+        return reps.random_vector(scenario.representation, rng, config.spread)
     g = random_group_element(scenario.group, seed, config.spread)
-    x = reps.act(scenario.representation, g, scenario.base_point)
+    return reps.act(scenario.representation, g, scenario.base_point)
+
+
+def _flow_trial(scenario: Scenario, config: ExperimentConfig, index: int) -> dict:
+    """One closedness trial, with the stabilizer verdict at the same point."""
+    seed = trial_seed(config.seed, index)
+    x = _start_vector(scenario, config, seed)
     h_algebra = lie_algebra_basis(scenario.subgroup)
     verdict = closedness_verdict(scenario.representation, scenario.subgroup,
                                  x, config.flow)
@@ -371,37 +380,10 @@ def _flow_trial(scenario: Scenario, config: ExperimentConfig, index: int) -> dic
     }
 
 
-def _cor5_trial(scenario: Scenario, config: ExperimentConfig, index: int) -> dict:
-    """One closedness trial at a Gaussian random point of the direct sum."""
-    seed = trial_seed(config.seed, index)
-    rng = np.random.default_rng(seed)
-    v = reps.random_vector(scenario.representation, rng, config.spread)
-    h_algebra = lie_algebra_basis(scenario.subgroup)
-    verdict = closedness_verdict(scenario.representation, scenario.subgroup,
-                                 v, config.flow)
-    stab_dim, stab_verdict = _stabilizer_verdict(scenario.representation,
-                                                 h_algebra, v)
-    return {
-        "index": index,
-        "seed": seed,
-        "status": verdict.status,
-        "start_orbit_dim": verdict.start_orbit_dim,
-        "limit_orbit_dim": verdict.limit_orbit_dim,
-        "start_norm": verdict.start_norm,
-        "limit_norm": verdict.limit_norm,
-        "iterations": verdict.trace.iterations_used,
-        "flow_reason": verdict.trace.reason,
-        "relative_moment_norm": float(verdict.trace.moment_norms[-1]),
-        "stabilizer_dim": stab_dim,
-        "stabilizer_verdict": stab_verdict,
-    }
-
-
 def _cor3_trial(scenario: Scenario, config: ExperimentConfig, index: int) -> dict:
     """One stabilizer-reductivity trial at a random ambient translate."""
     seed = trial_seed(config.seed, index)
-    g = random_group_element(scenario.group, seed, config.spread)
-    x = reps.act(scenario.representation, g, scenario.base_point)
+    x = _start_vector(scenario, config, seed)
     h_algebra = lie_algebra_basis(scenario.subgroup)
     stab = reps.stabilizer_subalgebra(scenario.representation, h_algebra, x)
     report = subalgebra.reductivity_verdict(stab)
@@ -535,7 +517,7 @@ _TRIAL_RUNNERS = {
     THEOREM1: _flow_trial,
     COR2_NORMAL: _flow_trial,
     COR3_INTERSECTION: _cor3_trial,
-    COR5_DIRECT_SUM: _cor5_trial,
+    COR5_DIRECT_SUM: _flow_trial,
     REAL_COMPLEX: _real_complex_trial,
 }
 
@@ -551,6 +533,10 @@ def _summarize_flow(records: list, require_all_closed: bool) -> tuple[dict, bool
     counts = {CLOSED: 0, NON_CLOSED: 0, INCONCLUSIVE: 0}
     for r in records:
         counts[r["status"]] += 1
+    # a closed orbit never has a non-reductive stabilizer
+    closed_but_not_reductive = sum(
+        1 for r in records if r["status"] == CLOSED
+        and r["stabilizer_verdict"] == subalgebra.NOT_REDUCTIVE)
     converged = counts[CLOSED] + counts[NON_CLOSED]
     prevalence = counts[CLOSED] / converged if converged else 0.0
     inconclusive_rate = counts[INCONCLUSIVE] / len(records)
@@ -562,7 +548,10 @@ def _summarize_flow(records: list, require_all_closed: bool) -> tuple[dict, bool
         "closed_prevalence": prevalence,
         "inconclusive_rate": inconclusive_rate,
         "max_iterations_used": max(r["iterations"] for r in records),
+        "closed_but_not_reductive": closed_but_not_reductive,
     }
+    if closed_but_not_reductive:
+        return summary, False, "math"
     if inconclusive_rate > INCONCLUSIVE_CAP:
         return summary, False, "inconclusive"
     if require_all_closed:

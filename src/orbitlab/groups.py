@@ -342,12 +342,6 @@ def bracket_closure_residual(basis: LieAlgebraBasis) -> float:
     return _linalg.span_projection_residual(brackets, mats)
 
 
-def is_independent(basis: LieAlgebraBasis) -> bool:
-    if basis.dim == 0:
-        return True
-    return _linalg.matrix_rank(_linalg.stack_flat(basis.matrices)).rank == basis.dim
-
-
 def cartan_decompose(basis: LieAlgebraBasis) -> CartanDecomposition:
     """Split the algebra into X* = -X and X* = X parts.
 

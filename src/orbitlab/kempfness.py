@@ -13,6 +13,19 @@ previously accepted step).  Every iterate stays exactly on the starting
 orbit, so the limit of the flow lies in the unique closed orbit inside
 the orbit closure.
 
+The moment map mu(v)_i = <X_i . v, v> is a quadratic form in v: each
+representation supplies a Hermitian m(v) with <X . v, v> = Re tr(X m(v)*)
+for every matrix X, so mu(v) is one contraction of the p-basis against
+m(v) (Kempf-Ness):
+
+    defining                   m(v) = v v*
+    sym2, alt_bilinear         m(M) = 2 M M*
+    external tensor            m(M) = blockdiag(M M*, M^t conj(M))
+    direct sum                 m(v) = sum of the components' m
+
+``norm_flow`` validates its vector once on entry; the line search runs
+on the unchecked cores of the action and the inner product.
+
 The closedness verdict compares orbit dimensions at the start and at the
 flow limit.  A subtlety: the final iterate is only within about
 sqrt(residual) of the true limit, so singular values of that size at the
@@ -154,14 +167,19 @@ def moment_vector(rep: reps.Representation, p_basis: LieAlgebraBasis, v,
     """Coefficients <X_i . v, v> over the orthonormal Hermitian basis.
 
     This is the gradient of t -> |exp(tX) . v|^2 / 2 at t = 0 in the
-    direction X; it vanishes exactly at minimal vectors.
+    direction X; it vanishes exactly at minimal vectors.  It is computed
+    in closed form as Re tr(X_i m(v)*), one contraction of the basis
+    against the Hermitian matrix m(v) of the representation.
+    ``check=False`` skips validating the basis and the vector, for
+    callers that have done both already.
     """
     if check:
         _check_orthonormal(p_basis)
+        v = reps._check_vector(rep, v)
     if p_basis.dim == 0:
         return np.zeros(0)
-    return np.array([reps.inner_product(rep, reps.differential_act(rep, x, v), v)
-                     for x in p_basis.matrices])
+    m = reps._moment_matrix(rep, v)
+    return np.real(_linalg.stack_flat(p_basis.matrices) @ np.conj(m).ravel())
 
 
 def relative_moment_norm(rep: reps.Representation, p_basis: LieAlgebraBasis,
@@ -201,14 +219,16 @@ def norm_flow(rep: reps.Representation, group, v,
     _, cartan = _resolve_algebra(group)
     p_basis = cartan.p_basis
     _check_orthonormal(p_basis)
+    v = reps._check_vector(rep, v)
 
     start_norm = reps.norm(rep, v)
     if start_norm == 0.0 or p_basis.dim == 0:
         return FlowTrace(np.array([start_norm]), np.array([0.0]), 0, v,
                          True, False, "moment")
 
-    w = reps.scale(rep, 1.0 / start_norm, v)
-    norm2 = reps.inner_product(rep, w, w)
+    # v is validated once above; the loop runs on the unchecked cores
+    w = reps._scale(rep, 1.0 / start_norm, v)
+    norm2 = reps._inner_product(rep, w, w)
     norms = [np.sqrt(norm2)]
     moment_norms = []
     eps = config.initial_step
@@ -231,8 +251,8 @@ def norm_flow(rep: reps.Representation, group, v,
         step = eps
         accepted = False
         while step >= config.min_step:
-            candidate = reps.act(rep, matrix_exp(-step * mu), w)
-            cand2 = reps.inner_product(rep, candidate, candidate)
+            candidate = reps._act(rep, matrix_exp(-step * mu), w)
+            cand2 = reps._inner_product(rep, candidate, candidate)
             if cand2 <= norm2 - SUFFICIENT_DECREASE * step * mom * mom:
                 accepted = True
                 break
@@ -254,7 +274,7 @@ def norm_flow(rep: reps.Representation, group, v,
     else:
         moment_norms.append(relative_moment_norm(rep, p_basis, w))
 
-    limit = reps.zero_vector(rep) if collapsed else reps.scale(rep, start_norm, w)
+    limit = reps.zero_vector(rep) if collapsed else reps._scale(rep, start_norm, w)
     return FlowTrace(start_norm * np.array(norms),
                      np.array(moment_norms if moment_norms else [0.0]),
                      iterations, limit, converged, collapsed, reason)

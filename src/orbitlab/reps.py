@@ -6,6 +6,11 @@ differential X . M = X M + M X^t read exactly like the formulas.
 Symmetry classes (symmetric / antisymmetric) are re-enforced after each
 action to keep rounding from drifting off the subspace.
 
+Each public operation validates its arguments and then calls an
+unchecked core of the same name with a leading underscore (``act`` and
+``_act``).  Package code that has validated a vector once, such as the
+norm flow, calls the cores directly.
+
 Dimensions over the complex field are complex dimensions throughout;
 report layers multiply by two where a real count is wanted.
 """
@@ -113,11 +118,8 @@ def direct_sum(*components: Representation) -> Representation:
 
 
 def _blocks(rep: Representation, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a, b = rep.group.members
-    g = np.asarray(g)
-    if isinstance(g, np.ndarray) and g.shape == (rep.group.size, rep.group.size):
-        return g[:a.size, :a.size], g[a.size:, a.size:]
-    raise InvalidArgumentError("group element has the wrong shape")
+    a = rep.group.members[0].size
+    return g[:a, :a], g[a:, a:]
 
 
 def _coerce_element(rep: Representation, g) -> np.ndarray:
@@ -192,8 +194,10 @@ def point(rep: Representation, v, tol: float = SYMMETRY_TOL):
 
 def act(rep: Representation, g, v):
     """Apply the group action of g to the vector v."""
-    g = _coerce_element(rep, g)
-    v = _check_vector(rep, v)
+    return _act(rep, _coerce_element(rep, g), _check_vector(rep, v))
+
+
+def _act(rep: Representation, g: np.ndarray, v):
     if rep.kind == DEFINING:
         return g @ v
     if rep.kind in (SYM2, ALT_BILINEAR):
@@ -201,13 +205,15 @@ def act(rep: Representation, g, v):
     if rep.kind == EXTERNAL_TENSOR:
         ga, gb = _blocks(rep, g)
         return ga @ v @ gb.T
-    return tuple(act(c, g, vc) for c, vc in zip(rep.components, v))
+    return tuple(_act(c, g, vc) for c, vc in zip(rep.components, v))
 
 
 def differential_act(rep: Representation, x: np.ndarray, v):
     """Infinitesimal action: d/dt act(exp(tX), v) at t = 0."""
-    x = _coerce_element(rep, x)
-    v = _check_vector(rep, v)
+    return _differential_act(rep, _coerce_element(rep, x), _check_vector(rep, v))
+
+
+def _differential_act(rep: Representation, x: np.ndarray, v):
     if rep.kind == DEFINING:
         return x @ v
     if rep.kind in (SYM2, ALT_BILINEAR):
@@ -215,17 +221,42 @@ def differential_act(rep: Representation, x: np.ndarray, v):
     if rep.kind == EXTERNAL_TENSOR:
         xa, xb = _blocks(rep, x)
         return xa @ v + v @ xb.T
-    return tuple(differential_act(c, x, vc) for c, vc in zip(rep.components, v))
+    return tuple(_differential_act(c, x, vc) for c, vc in zip(rep.components, v))
 
 
 def inner_product(rep: Representation, v, w) -> float:
     """Real trace-form inner product; positive definite on every kind."""
-    v = _check_vector(rep, v)
-    w = _check_vector(rep, w)
+    return _inner_product(rep, _check_vector(rep, v), _check_vector(rep, w))
+
+
+def _inner_product(rep: Representation, v, w) -> float:
     if rep.kind == DIRECT_SUM:
-        return sum(inner_product(c, vc, wc)
+        return sum(_inner_product(c, vc, wc)
                    for c, vc, wc in zip(rep.components, v, w))
-    return float(np.real(np.sum(np.asarray(v) * np.conj(np.asarray(w)))))
+    return float((v * np.conj(w)).sum().real)
+
+
+def _moment_matrix(rep: Representation, v) -> np.ndarray:
+    """Hermitian m(v) with <X . v, v> = Re tr(X m(v)*) for every X.
+
+    X ranges over all ambient matrices (block diagonal ones for a
+    product group), so the moment map over any algebra basis is one
+    contraction against m(v) instead of one differential per element.
+    """
+    if rep.kind == DEFINING:
+        return np.outer(v, v.conj())
+    if rep.kind in (SYM2, ALT_BILINEAR):
+        # <XM + MX^t, M> = Re tr(X MM*) + Re tr(X M^t conj(M)), and
+        # M^t conj(M) = MM* for symmetric and antisymmetric M alike
+        return 2.0 * (v @ v.conj().T)
+    if rep.kind == EXTERNAL_TENSOR:
+        a = rep.group.members[0].size
+        m = np.zeros((rep.group.size, rep.group.size),
+                     dtype=np.result_type(v, rep.group.dtype))
+        m[:a, :a] = v @ v.conj().T
+        m[a:, a:] = v.T @ v.conj()
+        return m
+    return sum(_moment_matrix(c, vc) for c, vc in zip(rep.components, v))
 
 
 def norm(rep: Representation, v) -> float:
@@ -233,19 +264,25 @@ def norm(rep: Representation, v) -> float:
 
 
 def scale(rep: Representation, c, v):
-    v = _check_vector(rep, v)
+    return _scale(rep, c, _check_vector(rep, v))
+
+
+def _scale(rep: Representation, c, v):
     if rep.kind == DIRECT_SUM:
-        return tuple(scale(comp, c, vc) for comp, vc in zip(rep.components, v))
-    return c * np.asarray(v)
+        return tuple(_scale(comp, c, vc) for comp, vc in zip(rep.components, v))
+    return c * v
 
 
 def flatten(rep: Representation, v) -> np.ndarray:
     """Vector as one flat coordinate array (direct sums concatenated)."""
-    v = _check_vector(rep, v)
+    return _flatten(rep, _check_vector(rep, v))
+
+
+def _flatten(rep: Representation, v) -> np.ndarray:
     if rep.kind == DIRECT_SUM:
-        return np.concatenate([flatten(c, vc)
+        return np.concatenate([_flatten(c, vc)
                                for c, vc in zip(rep.components, v)])
-    return np.asarray(v).ravel()
+    return v.ravel()
 
 
 def zero_vector(rep: Representation):
@@ -306,9 +343,11 @@ def vector_from_json(rep: Representation, data):
 
 def _differential_matrix(rep: Representation, algebra: LieAlgebraBasis, v) -> np.ndarray:
     """Columns are the flattened images X_i . v over the algebra basis."""
+    v = _check_vector(rep, v)
     if algebra.dim == 0:
-        return np.zeros((len(flatten(rep, v)), 0), dtype=rep.group.dtype)
-    cols = [flatten(rep, differential_act(rep, x, v)) for x in algebra.matrices]
+        return np.zeros((len(_flatten(rep, v)), 0), dtype=rep.group.dtype)
+    cols = [_flatten(rep, _differential_act(rep, _coerce_element(rep, x), v))
+            for x in algebra.matrices]
     return np.array(cols).T
 
 

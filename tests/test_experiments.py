@@ -5,9 +5,9 @@ import pytest
 
 import orbitlab as ol
 from orbitlab.errors import ConfigurationError
-from orbitlab.experiments import (ExperimentConfig, get_scenario,
-                                  run_experiment, scenario_catalog,
-                                  trial_seed)
+from orbitlab.experiments import (ExperimentConfig, _summarize_flow,
+                                  get_scenario, run_experiment,
+                                  scenario_catalog, trial_seed)
 from orbitlab.kempfness import CLOSED
 
 
@@ -130,6 +130,19 @@ class TestStatisticalExperiments:
         assert report.passed
         assert report.summary["non_closed"] == 0
 
+    def test_closed_orbit_with_nonreductive_stabilizer_fails_report(self):
+        record = {"status": CLOSED, "iterations": 3,
+                  "stabilizer_verdict": "not_reductive"}
+        summary, passed, failure = _summarize_flow([record],
+                                                   require_all_closed=False)
+        assert summary["closed_but_not_reductive"] == 1
+        assert (passed, failure) == (False, "math")
+        record["stabilizer_verdict"] = "reductive"
+        summary, passed, failure = _summarize_flow([record],
+                                                   require_all_closed=False)
+        assert summary["closed_but_not_reductive"] == 0
+        assert (passed, failure) == (True, None)
+
     def test_real_complex_small_run(self):
         config = ExperimentConfig(kind="real-complex-agreement",
                                   scenario="sl2-real-complex", trials=5, seed=0)
@@ -148,11 +161,16 @@ class TestDeterminism:
         b = run_experiment(config).to_json_str(include_wall_time=False)
         assert a == b
 
-    def test_worker_count_does_not_change_report(self):
-        config = ExperimentConfig(kind="cor3-intersection", scenario="sl4-block",
-                                  trials=6, seed=5)
+    @pytest.mark.parametrize("kind,scenario,trials,workers", [
+        ("cor3-intersection", "sl4-block", 6, 3),
+        ("theorem1", "example1", 4, 2),
+    ], ids=["cor3-intersection", "theorem1"])
+    def test_worker_count_does_not_change_report(self, kind, scenario,
+                                                 trials, workers):
+        config = ExperimentConfig(kind=kind, scenario=scenario, trials=trials,
+                                  seed=5)
         serial = run_experiment(config, workers=1)
-        parallel = run_experiment(config, workers=3)
+        parallel = run_experiment(config, workers=workers)
         assert (serial.to_json_str(include_wall_time=False)
                 == parallel.to_json_str(include_wall_time=False))
 

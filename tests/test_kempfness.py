@@ -42,6 +42,59 @@ class TestMomentVector:
             ol.moment_vector(alt6, algebra, v0)
 
 
+def _closed_form_cases():
+    cases = []
+    for field in ("real", "complex"):
+        sl2 = ol.special_linear(2, field)
+        sl3 = ol.special_linear(3, field)
+        sl4 = ol.special_linear(4, field)
+        prod = ol.product(sl2, sl3)
+        cases += [
+            (ol.defining(sl3), sl3),
+            (ol.sym2(sl3), sl3),
+            (ol.alt_bilinear(sl4), sl4),
+            (ol.external_tensor(prod), prod),
+            (ol.direct_sum(ol.sym2(sl2), ol.defining(sl2),
+                           ol.alt_bilinear(sl2)), sl2),
+        ]
+    # a proper subgroup: the block SL(2) inside SL(4)
+    block = ol.block_embedding(ol.special_linear(2, "complex"), 4, 0)
+    cases.append((ol.alt_bilinear(ol.special_linear(4, "complex")), block))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "rep,group", _closed_form_cases(),
+    ids=lambda x: (f"{x.kind}-{x.group.field}"
+                   if isinstance(x, ol.Representation) else x.family))
+def test_closed_form_moment_matches_differential_loop(rep, group):
+    # reference: one differential and one inner product per basis element
+    p_basis = ol.cartan_decomposition_for(group).p_basis
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        v = ol.random_vector(rep, rng)
+        if rep.kind == "direct_sum":
+            v = list(v)
+        loop = np.array([ol.inner_product(rep, ol.differential_act(rep, x, v), v)
+                         for x in p_basis.matrices])
+        closed = ol.moment_vector(rep, p_basis, v)
+        assert closed.shape == loop.shape == (p_basis.dim,)
+        assert np.linalg.norm(closed - loop) <= 1e-12 * np.linalg.norm(loop)
+
+
+@pytest.mark.parametrize("entry", [ol.norm_flow, ol.closedness_verdict],
+                         ids=["norm_flow", "closedness_verdict"])
+def test_flow_entry_rejects_malformed_vectors(entry, alt6, sl6):
+    with pytest.raises(InvalidArgumentError):
+        entry(alt6, sl6, np.ones((5, 5), dtype=complex))
+    sl2 = ol.special_linear(2, "complex")
+    pair = ol.direct_sum(ol.sym2(sl2), ol.sym2(sl2))
+    m = np.array([[1.0, 0.5], [0.5, -2.0]], dtype=complex)
+    for wrong in ((m,), (m, m, m)):
+        with pytest.raises(InvalidArgumentError):
+            entry(pair, sl2, wrong)
+
+
 class TestIsMinimal:
     def test_base_form_minimal(self, alt6, cartan6, v0):
         assert ol.is_minimal(alt6, cartan6.p_basis, v0)
