@@ -496,7 +496,7 @@ def run_example1_pipeline(config: ExperimentConfig) -> tuple[list, dict]:
     return assertions, summary
 
 
-def run_counterexample_trial(scenario: Scenario, config: ExperimentConfig) -> dict:
+def run_counterexample_trial(scenario: Scenario) -> dict:
     """Deterministic stabilizer trial at the scenario's fixed element,
     using the counterexample subgroup (the block SL(2))."""
     rep = scenario.representation
@@ -513,20 +513,12 @@ def run_counterexample_trial(scenario: Scenario, config: ExperimentConfig) -> di
     }
 
 
-_TRIAL_RUNNERS = {
-    THEOREM1: _flow_trial,
-    COR2_NORMAL: _flow_trial,
-    COR3_INTERSECTION: _cor3_trial,
-    COR5_DIRECT_SUM: _flow_trial,
-    REAL_COMPLEX: _real_complex_trial,
-}
-
-
 def _run_one(config_json: str, index: int) -> dict:
     """Top-level trial entry point (picklable for process pools)."""
     config = ExperimentConfig.from_json(json.loads(config_json))
     scenario = get_scenario(config.scenario)
-    return _TRIAL_RUNNERS[config.kind](scenario, config, index)
+    run_trial, _ = _KINDS[config.kind]
+    return run_trial(scenario, config, index)
 
 
 def _summarize_flow(records: list, require_all_closed: bool) -> tuple[dict, bool, str | None]:
@@ -587,22 +579,13 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
         records = [_run_one(config_json, i) for i in indices]
     records.sort(key=lambda r: r["index"])
 
-    failure: str | None = None
-    if config.kind in (THEOREM1, COR2_NORMAL, COR5_DIRECT_SUM):
-        summary, passed, failure = _summarize_flow(
-            records, require_all_closed=config.kind == COR2_NORMAL)
-    elif config.kind == COR3_INTERSECTION:
-        summary, passed, failure = _summarize_cor3(scenario, config, records)
-    elif config.kind == REAL_COMPLEX:
-        summary, passed, failure = _summarize_real_complex(records)
-    else:  # pragma: no cover
-        raise ConfigurationError(f"unhandled kind {config.kind!r}")
-
+    _, summarize = _KINDS[config.kind]
+    summary, passed, failure = summarize(scenario, records)
     wall = (time.perf_counter() - start) * 1000.0
     return ExperimentReport(config, records, summary, passed, failure, wall)
 
 
-def _summarize_cor3(scenario: Scenario, config: ExperimentConfig,
+def _summarize_cor3(scenario: Scenario,
                     records: list) -> tuple[dict, bool, str | None]:
     counts = {subalgebra.REDUCTIVE: 0, subalgebra.NOT_REDUCTIVE: 0,
               subalgebra.INCONCLUSIVE: 0}
@@ -626,7 +609,7 @@ def _summarize_cor3(scenario: Scenario, config: ExperimentConfig,
         "dim1_generators_semisimple": dim1_semisimple,
     }
     if scenario.fixed_element is not None and scenario.counterexample_subgroup is not None:
-        summary["counterexample"] = run_counterexample_trial(scenario, config)
+        summary["counterexample"] = run_counterexample_trial(scenario)
     if inconclusive_rate > INCONCLUSIVE_CAP:
         return summary, False, "inconclusive"
     ok = (decided > 0 and prevalence >= PREVALENCE_BAR and dim1_semisimple)
@@ -643,7 +626,8 @@ def _dim_histogram(records: list) -> dict:
     return hist
 
 
-def _summarize_real_complex(records: list) -> tuple[dict, bool, str | None]:
+def _summarize_real_complex(scenario: Scenario,
+                            records: list) -> tuple[dict, bool, str | None]:
     agreements = sum(1 for r in records if r["agree"] is True)
     disagreements = sum(1 for r in records if r["agree"] is False)
     inconclusive_pairs = sum(1 for r in records if r["agree"] is None)
@@ -658,3 +642,17 @@ def _summarize_real_complex(records: list) -> tuple[dict, bool, str | None]:
         return summary, False, "inconclusive"
     ok = disagreements == 0 and agreements > 0
     return summary, ok, None if ok else "math"
+
+
+# Each trial-based kind: (trial runner, summarizer of its records).  The
+# example1 kind is one deterministic pipeline and has no entry.
+_KINDS = {
+    THEOREM1: (_flow_trial, lambda scenario, records: _summarize_flow(
+        records, require_all_closed=False)),
+    COR2_NORMAL: (_flow_trial, lambda scenario, records: _summarize_flow(
+        records, require_all_closed=True)),
+    COR3_INTERSECTION: (_cor3_trial, _summarize_cor3),
+    COR5_DIRECT_SUM: (_flow_trial, lambda scenario, records: _summarize_flow(
+        records, require_all_closed=False)),
+    REAL_COMPLEX: (_real_complex_trial, _summarize_real_complex),
+}

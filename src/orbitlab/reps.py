@@ -1,10 +1,14 @@
 """Linear representations: actions, differentials, inner products, stabilizers.
 
-Matrix-space representations keep their vectors as full square (or
-rectangular) matrices, so the action g . M = g M g^t and its
-differential X . M = X M + M X^t read exactly like the formulas.
-Symmetry classes (symmetric / antisymmetric) are re-enforced after each
-action to keep rounding from drifting off the subspace.
+Every kind except the direct sum is one layout: a vector v of a fixed
+shape, moved by v -> g_L v g_R^t, where g_L and g_R are diagonal blocks
+of g (g_R is absent for column vectors), followed by the projection onto
+the symmetry class (symmetric, antisymmetric or none).  The
+differential is X . v = X_L v + v X_R^t, projected the same way.
+Vectors are kept as full square (or rectangular) matrices, so the
+formulas read as written; re-projecting after each action keeps
+rounding from drifting off the subspace.  A direct sum acts
+componentwise on a tuple of component vectors.
 
 Each public operation validates its arguments and then calls an
 unchecked core of the same name with a leading underscore (``act`` and
@@ -17,7 +21,8 @@ report layers multiply by two where a real count is wanted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,42 +49,56 @@ class Representation:
     kind = alt_bilinear    g . M = g M g^t           on antisymmetric matrices
     kind = external_tensor (A, B) . M = A M B^t      for a two-factor product
     kind = direct_sum      componentwise             on tuples of vectors
+
+    Every kind but the direct sum is one layout, set from the kind here
+    and read by every operation below: ``shape`` of a vector, the
+    ``left`` and ``right`` diagonal blocks of g (``right`` is None for
+    column vectors), and the symmetry ``sign`` of the projection applied
+    after each action (+1 symmetric, -1 antisymmetric, 0 none).
     """
 
     kind: str
     group: GroupSpec
     components: tuple["Representation", ...] = ()
+    shape: tuple[int, ...] | None = field(init=False, repr=False)
+    left: slice | None = field(init=False, repr=False)
+    right: slice | None = field(init=False, repr=False)
+    sign: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.kind not in (DEFINING, SYM2, ALT_BILINEAR, EXTERNAL_TENSOR,
-                             DIRECT_SUM):
-            raise ConfigurationError(f"unknown representation kind {self.kind!r}")
-        if self.kind == EXTERNAL_TENSOR:
+        n = self.group.size
+        whole = slice(None)
+        if self.kind == DEFINING:
+            layout = ((n,), whole, None, 0)
+        elif self.kind in (SYM2, ALT_BILINEAR):
+            layout = ((n, n), whole, whole, 1 if self.kind == SYM2 else -1)
+        elif self.kind == EXTERNAL_TENSOR:
             if self.group.family != PRODUCT or len(self.group.members) != 2:
                 raise ConfigurationError(
                     "external tensor needs a two-factor product group")
-        if self.kind == DIRECT_SUM:
+            a, b = (m.size for m in self.group.members)
+            layout = ((a, b), slice(0, a), slice(a, n), 0)
+        elif self.kind == DIRECT_SUM:
             if not self.components:
                 raise ConfigurationError("direct sum needs components")
             for c in self.components:
                 if c.group.cache_key() != self.group.cache_key():
                     raise ConfigurationError(
                         "direct sum components must share the group")
+            layout = (None, None, None, 0)
+        else:
+            raise ConfigurationError(f"unknown representation kind {self.kind!r}")
+        for name, value in zip(("shape", "left", "right", "sign"), layout):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
         """Dimension of the vector space over the group's field."""
-        n = self.group.size
-        if self.kind == DEFINING:
-            return n
-        if self.kind == SYM2:
-            return n * (n + 1) // 2
-        if self.kind == ALT_BILINEAR:
-            return n * (n - 1) // 2
-        if self.kind == EXTERNAL_TENSOR:
-            a, b = self.group.members
-            return a.size * b.size
-        return sum(c.dim for c in self.components)
+        if self.kind == DIRECT_SUM:
+            return sum(c.dim for c in self.components)
+        size = math.prod(self.shape)
+        # n(n +- 1)/2 for the symmetry classes
+        return (size + self.sign * self.shape[0]) // 2 if self.sign else size
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "group": self.group.to_json()}
@@ -117,11 +136,6 @@ def direct_sum(*components: Representation) -> Representation:
     return Representation(DIRECT_SUM, components[0].group, tuple(components))
 
 
-def _blocks(rep: Representation, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = rep.group.members[0].size
-    return g[:a, :a], g[a:, a:]
-
-
 def _coerce_element(rep: Representation, g) -> np.ndarray:
     """Accept a tuple of factor matrices for product groups."""
     if isinstance(g, (tuple, list)):
@@ -144,34 +158,23 @@ def _coerce_element(rep: Representation, g) -> np.ndarray:
 
 
 def _check_vector(rep: Representation, v):
-    n = rep.group.size
-    if rep.kind == DEFINING:
-        v = np.asarray(v)
-        if v.shape != (n,):
-            raise InvalidArgumentError(f"vector must have shape ({n},)")
-        return v
-    if rep.kind in (SYM2, ALT_BILINEAR):
-        v = np.asarray(v)
-        if v.shape != (n, n):
-            raise InvalidArgumentError(f"vector must be a {n}x{n} matrix")
-        return v
-    if rep.kind == EXTERNAL_TENSOR:
-        a, b = rep.group.members
-        v = np.asarray(v)
-        if v.shape != (a.size, b.size):
-            raise InvalidArgumentError(f"vector must be {a.size}x{b.size}")
-        return v
-    if not isinstance(v, (tuple, list)) or len(v) != len(rep.components):
-        raise InvalidArgumentError("direct-sum vector must be a tuple of components")
-    return tuple(_check_vector(c, vc) for c, vc in zip(rep.components, v))
+    if rep.kind == DIRECT_SUM:
+        if not isinstance(v, (tuple, list)) or len(v) != len(rep.components):
+            raise InvalidArgumentError(
+                "direct-sum vector must be a tuple of components")
+        return tuple(_check_vector(c, vc) for c, vc in zip(rep.components, v))
+    v = np.asarray(v)
+    if v.shape != rep.shape:
+        raise InvalidArgumentError(f"vector must have shape {rep.shape}")
+    return v
 
 
 def _resymmetrize(rep: Representation, m: np.ndarray) -> np.ndarray:
-    if rep.kind == SYM2:
-        return (m + m.T) / 2.0
-    if rep.kind == ALT_BILINEAR:
-        return (m - m.T) / 2.0
-    return m
+    """Project (a stack of) matrices onto the symmetry class."""
+    if not rep.sign:
+        return m
+    mt = m.swapaxes(-1, -2)
+    return (m + mt) / 2.0 if rep.sign > 0 else (m - mt) / 2.0
 
 
 def point(rep: Representation, v, tol: float = SYMMETRY_TOL):
@@ -182,7 +185,7 @@ def point(rep: Representation, v, tol: float = SYMMETRY_TOL):
     arr = np.asarray(v)
     if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
         raise InvalidArgumentError("vector has non-finite entries")
-    if rep.kind in (SYM2, ALT_BILINEAR):
+    if rep.sign:
         sym = _resymmetrize(rep, v)
         scale = max(np.linalg.norm(v), 1.0)
         if np.linalg.norm(v - sym) > tol * scale:
@@ -198,14 +201,12 @@ def act(rep: Representation, g, v):
 
 
 def _act(rep: Representation, g: np.ndarray, v):
-    if rep.kind == DEFINING:
-        return g @ v
-    if rep.kind in (SYM2, ALT_BILINEAR):
-        return _resymmetrize(rep, g @ v @ g.T)
-    if rep.kind == EXTERNAL_TENSOR:
-        ga, gb = _blocks(rep, g)
-        return ga @ v @ gb.T
-    return tuple(_act(c, g, vc) for c, vc in zip(rep.components, v))
+    if rep.kind == DIRECT_SUM:
+        return tuple(_act(c, g, vc) for c, vc in zip(rep.components, v))
+    out = g[rep.left, rep.left] @ v
+    if rep.right is None:
+        return out
+    return _resymmetrize(rep, out @ g[rep.right, rep.right].T)
 
 
 def differential_act(rep: Representation, x: np.ndarray, v):
@@ -214,14 +215,15 @@ def differential_act(rep: Representation, x: np.ndarray, v):
 
 
 def _differential_act(rep: Representation, x: np.ndarray, v):
-    if rep.kind == DEFINING:
-        return x @ v
-    if rep.kind in (SYM2, ALT_BILINEAR):
-        return _resymmetrize(rep, x @ v + v @ x.T)
-    if rep.kind == EXTERNAL_TENSOR:
-        xa, xb = _blocks(rep, x)
-        return xa @ v + v @ xb.T
-    return tuple(_differential_act(c, x, vc) for c, vc in zip(rep.components, v))
+    """Also maps a stack of algebra elements to the stack of images."""
+    if rep.kind == DIRECT_SUM:
+        return tuple(_differential_act(c, x, vc)
+                     for c, vc in zip(rep.components, v))
+    out = x[..., rep.left, rep.left] @ v
+    if rep.right is None:
+        return out
+    return _resymmetrize(
+        rep, out + v @ x[..., rep.right, rep.right].swapaxes(-1, -2))
 
 
 def inner_product(rep: Representation, v, w) -> float:
@@ -243,20 +245,19 @@ def _moment_matrix(rep: Representation, v) -> np.ndarray:
     product group), so the moment map over any algebra basis is one
     contraction against m(v) instead of one differential per element.
     """
-    if rep.kind == DEFINING:
+    if rep.kind == DIRECT_SUM:
+        return sum(_moment_matrix(c, vc) for c, vc in zip(rep.components, v))
+    if rep.right is None:
         return np.outer(v, v.conj())
-    if rep.kind in (SYM2, ALT_BILINEAR):
+    if rep.sign:
         # <XM + MX^t, M> = Re tr(X MM*) + Re tr(X M^t conj(M)), and
         # M^t conj(M) = MM* for symmetric and antisymmetric M alike
         return 2.0 * (v @ v.conj().T)
-    if rep.kind == EXTERNAL_TENSOR:
-        a = rep.group.members[0].size
-        m = np.zeros((rep.group.size, rep.group.size),
-                     dtype=np.result_type(v, rep.group.dtype))
-        m[:a, :a] = v @ v.conj().T
-        m[a:, a:] = v.T @ v.conj()
-        return m
-    return sum(_moment_matrix(c, vc) for c, vc in zip(rep.components, v))
+    m = np.zeros((rep.group.size, rep.group.size),
+                 dtype=np.result_type(v, rep.group.dtype))
+    m[rep.left, rep.left] = v @ v.conj().T
+    m[rep.right, rep.right] = v.T @ v.conj()
+    return m
 
 
 def norm(rep: Representation, v) -> float:
@@ -278,47 +279,29 @@ def flatten(rep: Representation, v) -> np.ndarray:
     return _flatten(rep, _check_vector(rep, v))
 
 
-def _flatten(rep: Representation, v) -> np.ndarray:
+def _flatten(rep: Representation, v, stack: int | None = None) -> np.ndarray:
+    """``stack`` flattens a stack of that many vectors into rows."""
     if rep.kind == DIRECT_SUM:
-        return np.concatenate([_flatten(c, vc)
-                               for c, vc in zip(rep.components, v)])
-    return v.ravel()
+        return np.concatenate([_flatten(c, vc, stack)
+                               for c, vc in zip(rep.components, v)], axis=-1)
+    return v.ravel() if stack is None else v.reshape(stack, -1)
 
 
 def zero_vector(rep: Representation):
-    n = rep.group.size
-    dtype = rep.group.dtype
-    if rep.kind == DEFINING:
-        return np.zeros(n, dtype=dtype)
-    if rep.kind in (SYM2, ALT_BILINEAR):
-        return np.zeros((n, n), dtype=dtype)
-    if rep.kind == EXTERNAL_TENSOR:
-        a, b = rep.group.members
-        return np.zeros((a.size, b.size), dtype=dtype)
-    return tuple(zero_vector(c) for c in rep.components)
+    if rep.kind == DIRECT_SUM:
+        return tuple(zero_vector(c) for c in rep.components)
+    return np.zeros(rep.shape, dtype=rep.group.dtype)
 
 
 def random_vector(rep: Representation, rng: np.random.Generator,
                   spread: float = 1.0):
     """Gaussian sample from the representation space (symmetry respected)."""
-    dtype = rep.group.dtype
-    complex_field = dtype == np.complex128
-
-    def gauss(shape):
-        if complex_field:
-            return spread * (rng.standard_normal(shape)
-                             + 1j * rng.standard_normal(shape))
-        return spread * rng.standard_normal(shape)
-
-    n = rep.group.size
-    if rep.kind == DEFINING:
-        return gauss((n,))
-    if rep.kind in (SYM2, ALT_BILINEAR):
-        return _resymmetrize(rep, gauss((n, n)))
-    if rep.kind == EXTERNAL_TENSOR:
-        a, b = rep.group.members
-        return gauss((a.size, b.size))
-    return tuple(random_vector(c, rng, spread) for c in rep.components)
+    if rep.kind == DIRECT_SUM:
+        return tuple(random_vector(c, rng, spread) for c in rep.components)
+    sample = rng.standard_normal(rep.shape)
+    if rep.group.field == COMPLEX:
+        sample = sample + 1j * rng.standard_normal(rep.shape)
+    return _resymmetrize(rep, spread * sample)
 
 
 def vector_to_json(rep: Representation, v):
@@ -344,11 +327,13 @@ def vector_from_json(rep: Representation, data):
 def _differential_matrix(rep: Representation, algebra: LieAlgebraBasis, v) -> np.ndarray:
     """Columns are the flattened images X_i . v over the algebra basis."""
     v = _check_vector(rep, v)
+    n = rep.group.size
+    if algebra.ambient_size != n:
+        raise InvalidArgumentError(f"algebra elements must be {n}x{n}")
     if algebra.dim == 0:
         return np.zeros((len(_flatten(rep, v)), 0), dtype=rep.group.dtype)
-    cols = [_flatten(rep, _differential_act(rep, _coerce_element(rep, x), v))
-            for x in algebra.matrices]
-    return np.array(cols).T
+    images = _differential_act(rep, algebra.matrices, v)
+    return _flatten(rep, images, algebra.dim).T
 
 
 def orbit_dimension(rep: Representation, algebra: LieAlgebraBasis, v) -> int:

@@ -10,20 +10,67 @@ def random_point(rep, seed, spread=1.0):
 
 
 def all_reps():
+    """One case per layout, nesting included."""
     sl2c = ol.special_linear(2, "complex")
     sl2r = ol.special_linear(2, "real")
+    sl3c = ol.special_linear(3, "complex")
     prod = ol.product(sl2c, sl2c)
     return [
-        ol.defining(ol.special_linear(3, "complex")),
+        ol.defining(sl3c),
         ol.sym2(sl2c),
         ol.sym2(sl2r),
         ol.alt_bilinear(ol.special_linear(4, "complex")),
         ol.external_tensor(prod),
+        ol.external_tensor(ol.product(sl2r, ol.special_linear(3, "real"))),
         ol.direct_sum(ol.sym2(sl2c), ol.sym2(sl2c)),
+        ol.direct_sum(ol.direct_sum(ol.sym2(sl3c), ol.defining(sl3c)),
+                      ol.alt_bilinear(sl3c)),
     ]
 
 
-@pytest.mark.parametrize("rep", all_reps(), ids=lambda r: f"{r.kind}-{r.group.field}")
+def rep_id(rep):
+    nested = any(c.kind == "direct_sum" for c in rep.components)
+    return f"{'nested_' if nested else ''}{rep.kind}-{rep.group.field}"
+
+
+def every_kind(field):
+    """Each kind once over the given field, rectangular tensor included."""
+    sl2 = ol.special_linear(2, field)
+    sl3 = ol.special_linear(3, field)
+    return [
+        ol.defining(sl3),
+        ol.sym2(sl3),
+        ol.alt_bilinear(ol.special_linear(4, field)),
+        ol.external_tensor(ol.product(sl2, sl3)),
+        ol.direct_sum(ol.sym2(sl2), ol.defining(sl2), ol.alt_bilinear(sl2)),
+    ]
+
+
+@pytest.mark.parametrize("rep", every_kind("real") + every_kind("complex"),
+                         ids=rep_id)
+def test_dim_is_the_rank_of_random_draws(rep):
+    rng = np.random.default_rng(30)
+    draws = [ol.reps.flatten(rep, ol.random_vector(rep, rng))
+             for _ in range(rep.dim + 3)]
+    assert np.linalg.matrix_rank(np.array(draws)) == rep.dim
+
+
+@pytest.mark.parametrize("rep, group", (
+    [(r, r.group) for r in all_reps()]
+    + [(ol.alt_bilinear(ol.special_linear(4, "complex")),
+        ol.block_embedding(ol.special_linear(2, "complex"), 4, 0))]),
+    ids=lambda x: rep_id(x) if isinstance(x, ol.Representation) else x.family)
+def test_differential_matrix_matches_elementwise_loop(rep, group):
+    algebra = ol.lie_algebra_basis(group)
+    v = random_point(rep, 31)
+    reference = np.array([ol.reps.flatten(rep, ol.differential_act(rep, x, v))
+                          for x in algebra.matrices]).T
+    batched = ol.reps._differential_matrix(rep, algebra, v)
+    assert batched.shape == reference.shape
+    assert np.linalg.norm(batched - reference) <= 1e-14 * np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize("rep", all_reps(), ids=rep_id)
 class TestActionAxioms:
     def test_identity_acts_trivially(self, rep):
         v = random_point(rep, 0)
@@ -208,6 +255,13 @@ class TestValidation:
         with pytest.raises(InvalidArgumentError):
             ol.act(alt6, np.eye(6, dtype=complex), np.zeros((5, 5), dtype=complex))
 
+    def test_algebra_of_another_size_rejected(self, alt6, v0):
+        sl4 = ol.lie_algebra_basis(ol.special_linear(4, "complex"))
+        with pytest.raises(InvalidArgumentError):
+            ol.orbit_dimension(alt6, sl4, v0)
+        with pytest.raises(InvalidArgumentError):
+            ol.stabilizer_subalgebra(alt6, sl4, v0)
+
     def test_symmetry_class_enforced(self):
         rep = ol.sym2(ol.special_linear(2, "complex"))
         bad = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
@@ -220,10 +274,40 @@ class TestValidation:
         with pytest.raises(InvalidArgumentError):
             ol.reps.point(rep, bad)
 
-    def test_vector_json_round_trip(self):
-        sl2 = ol.special_linear(2, "complex")
-        rep = ol.direct_sum(ol.sym2(sl2), ol.sym2(sl2))
+    @pytest.mark.parametrize("rep", all_reps(), ids=rep_id)
+    def test_vector_json_round_trip(self, rep):
         v = random_point(rep, 17)
         data = ol.reps.vector_to_json(rep, v)
         back = ol.reps.vector_from_json(rep, data)
         assert np.allclose(ol.reps.flatten(rep, back), ol.reps.flatten(rep, v))
+
+    @pytest.mark.parametrize("rep", all_reps(), ids=rep_id)
+    def test_point_accepts_its_own_random_vector(self, rep):
+        v = random_point(rep, 18)
+        np.testing.assert_array_equal(ol.reps.flatten(rep, ol.reps.point(rep, v)),
+                                      ol.reps.flatten(rep, v))
+
+    @pytest.mark.parametrize("rep", all_reps(), ids=rep_id)
+    def test_zero_vector_has_the_random_vector_shape(self, rep):
+        zero = ol.reps.zero_vector(rep)
+        assert _shapes(zero) == _shapes(random_point(rep, 19))
+        assert not np.any(ol.reps.flatten(rep, zero))
+
+    @pytest.mark.parametrize("rep", all_reps(), ids=rep_id)
+    def test_act_rejects_a_wrong_shape_vector(self, rep):
+        eye = np.eye(rep.group.size, dtype=rep.group.dtype)
+        with pytest.raises(InvalidArgumentError):
+            ol.act(rep, eye, _one_column_short(random_point(rep, 20)))
+
+
+def _shapes(v):
+    if isinstance(v, tuple):
+        return tuple(_shapes(part) for part in v)
+    return v.shape
+
+
+def _one_column_short(v):
+    """v with the last array of a (nested) direct-sum vector truncated."""
+    if isinstance(v, tuple):
+        return v[:-1] + (_one_column_short(v[-1]),)
+    return v[..., :-1]
