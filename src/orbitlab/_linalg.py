@@ -1,14 +1,19 @@
 """Shared numerical linear algebra: the package-wide rank policy.
 
 Every rank / span / null-space decision in the package funnels through
-this module so that a single singular-value threshold (relative
-``RANK_RTOL``) governs all of them.  Decisions that land too close to
-the cutoff are flagged ambiguous instead of silently guessed; callers
-turn that flag into an "inconclusive" outcome.
+this module, and every one of them counts singular values against the
+same cutoff, written once in :func:`rank_from_singular_values`
+(relative ``RANK_RTOL``).  Only :func:`matrix_rank` and
+:func:`rank_from_singular_values` return the ambiguity flag: a decision
+that lands too close to the cutoff is flagged instead of silently
+guessed, and callers turn that flag into an "inconclusive" outcome.
+:func:`null_space`, :func:`orthonormal_span` and
+:func:`subspace_distance` use the cutoff but drop the flag.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,11 +32,6 @@ class RankDecision:
     ambiguous: bool
 
 
-def resolve_rtol(rtol: float | None) -> float:
-    """None means the package-wide policy (a CLI flag may override it)."""
-    return RANK_RTOL if rtol is None else rtol
-
-
 def rank_from_singular_values(s: np.ndarray, rtol: float | None = None,
                               floor: float = 0.0,
                               one_sided: bool = False) -> RankDecision:
@@ -42,9 +42,10 @@ def rank_from_singular_values(s: np.ndarray, rtol: float | None = None,
     ``[cutoff / AMBIGUITY_BAND, cutoff * AMBIGUITY_BAND]``.  With
     ``one_sided=True`` only the upper half of the band counts: values
     just below the cutoff are expected there (they are the residual of
-    a converging flow) and do not taint the decision.
+    a converging flow) and do not taint the decision.  ``rtol=None``
+    means the package-wide ``RANK_RTOL`` (a CLI flag may override it).
     """
-    rtol = resolve_rtol(rtol)
+    rtol = RANK_RTOL if rtol is None else rtol
     s = np.asarray(s, dtype=float)
     if s.size == 0 or s.max() == 0.0:
         return RankDecision(0, False)
@@ -57,28 +58,25 @@ def rank_from_singular_values(s: np.ndarray, rtol: float | None = None,
 
 
 def matrix_rank(a: np.ndarray, rtol: float | None = None) -> RankDecision:
-    s = np.linalg.svd(a, compute_uv=False) if min(a.shape) else np.zeros(0)
-    return rank_from_singular_values(s, rtol)
+    return rank_from_singular_values(np.linalg.svd(a, compute_uv=False), rtol)
 
 
 def null_space(a: np.ndarray, rtol: float | None = None) -> np.ndarray:
-    """Orthonormal basis of the (right) null space, columns of the result."""
-    rtol = resolve_rtol(rtol)
+    """Orthonormal basis of the (right) null space, columns of the result.
+
+    Only ``vh`` is read, so the full square factor is requested only when
+    ``a`` is wide and the thin one would miss kernel directions.
+    """
     m, k = a.shape
-    if k == 0:
-        return np.zeros((0, 0), dtype=a.dtype)
-    if m == 0:
-        return np.eye(k, dtype=a.dtype)
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
-    cutoff = rtol * s.max() if s.size and s.max() > 0 else 0.0
-    rank = int((s > cutoff).sum())
+    _, s, vh = np.linalg.svd(a, full_matrices=m < k)
+    rank = rank_from_singular_values(s, rtol).rank
     return vh[rank:].conj().T
 
 
 def stack_flat(mats: np.ndarray) -> np.ndarray:
     """Flatten a (k, n, m) stack to a (k, n*m) coefficient matrix."""
     mats = np.asarray(mats)
-    return mats.reshape(mats.shape[0], -1)
+    return mats.reshape(mats.shape[0], math.prod(mats.shape[1:]))
 
 
 def realify_flat(mats: np.ndarray) -> np.ndarray:
@@ -102,28 +100,20 @@ def unrealify(rows: np.ndarray, shape: tuple[int, ...], complex_field: bool) -> 
     return rows.reshape((k,) + shape)
 
 
-def orthonormal_real_span(mats: np.ndarray, rtol: float | None = None) -> np.ndarray:
-    """Extract an Re-tr-orthonormal basis of the real span of a matrix stack."""
-    rtol = resolve_rtol(rtol)
-    mats = np.asarray(mats)
-    if mats.shape[0] == 0:
-        return mats
-    rows = realify_flat(mats)
-    u, s, vh = np.linalg.svd(rows, full_matrices=False)
-    keep = s > rtol * s.max() if s.size and s.max() > 0 else np.zeros(0, bool)
-    return unrealify(vh[keep], mats.shape[1:], np.iscomplexobj(mats))
+def orthonormal_span(mats: np.ndarray, rtol: float | None = None,
+                     real_span: bool = False) -> np.ndarray:
+    """Orthonormal basis of the span of a matrix stack.
 
-
-def orthonormal_complex_span(mats: np.ndarray, rtol: float | None = None) -> np.ndarray:
-    """Extract a tr(AB*)-orthonormal basis of the complex span of a matrix stack."""
-    rtol = resolve_rtol(rtol)
+    ``real_span`` spans over the reals, orthonormal for Re tr(A B*)
+    (realified coordinates); otherwise the span is over the matrices'
+    own field, orthonormal for tr(A B*).
+    """
     mats = np.asarray(mats)
-    if mats.shape[0] == 0:
-        return mats
-    flat = stack_flat(mats)
-    u, s, vh = np.linalg.svd(flat, full_matrices=False)
-    keep = s > rtol * s.max() if s.size and s.max() > 0 else np.zeros(0, bool)
-    return vh[keep].reshape((-1,) + mats.shape[1:])
+    rows = realify_flat(mats) if real_span else stack_flat(mats)
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    rank = rank_from_singular_values(s, rtol).rank
+    return unrealify(vh[:rank], mats.shape[1:],
+                     real_span and np.iscomplexobj(mats))
 
 
 def span_projection_residual(targets: np.ndarray, span: np.ndarray,
@@ -156,10 +146,8 @@ def span_projection_residual(targets: np.ndarray, span: np.ndarray,
 
 
 def _orth_columns(rows: np.ndarray, rtol: float | None = None) -> np.ndarray:
-    rtol = resolve_rtol(rtol)
-    u, s, vh = np.linalg.svd(rows.conj().T, full_matrices=False)
-    keep = s > rtol * s.max() if s.size and s.max() > 0 else np.zeros(0, bool)
-    return u[:, keep]
+    u, s, _ = np.linalg.svd(rows.conj().T, full_matrices=False)
+    return u[:, :rank_from_singular_values(s, rtol).rank]
 
 
 def subspace_distance(a: np.ndarray, b: np.ndarray, real_span: bool = False) -> float:

@@ -215,6 +215,10 @@ class LieAlgebraBasis:
         field = data["field"]
         n = int(data["size"])
         mats = [matrix_from_json(m, field == COMPLEX) for m in data["matrices"]]
+        if any(m.shape != (n, n) for m in mats):
+            raise InvalidArgumentError(
+                f"every algebra matrix must be {n} x {n}, got shapes "
+                f"{sorted({m.shape for m in mats})}")
         dtype = np.complex128 if field == COMPLEX else np.float64
         arr = np.array(mats, dtype=dtype) if mats else np.zeros((0, n, n), dtype=dtype)
         return LieAlgebraBasis(arr, field, n)
@@ -325,21 +329,23 @@ def bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y - y @ x
 
 
-def bracket_closure_residual(basis: LieAlgebraBasis) -> float:
-    """Largest relative residual of any [X_i, X_j] against the span."""
+def bracket_table(basis: LieAlgebraBasis) -> np.ndarray:
+    """Every bracket at once: ``table[i, j] = [X_i, X_j]``, shape (k, k, n, n)."""
     mats = basis.matrices
-    k = basis.dim
-    if k == 0:
-        return 0.0
-    brackets = np.array([bracket(mats[i], mats[j])
-                         for i in range(k) for j in range(i + 1, k)])
-    if brackets.size == 0:
-        return 0.0
-    scale = max(np.linalg.norm(_linalg.stack_flat(brackets), axis=1).max(),
-                np.linalg.norm(_linalg.stack_flat(mats), axis=1).max())
-    if scale == 0:
-        return 0.0
-    return _linalg.span_projection_residual(brackets, mats)
+    return mats[:, None] @ mats[None] - mats[None] @ mats[:, None]
+
+
+def bracket_closure_residual(basis: LieAlgebraBasis,
+                             table: np.ndarray | None = None) -> float:
+    """Largest relative residual of any [X_i, X_j] against the span.
+
+    ``table`` is the basis's :func:`bracket_table` when the caller
+    already holds it; only its upper triangle i < j is read.
+    """
+    if table is None:
+        table = bracket_table(basis)
+    upper = table[np.triu_indices(basis.dim, 1)]
+    return _linalg.span_projection_residual(upper, basis.matrices)
 
 
 def cartan_decompose(basis: LieAlgebraBasis) -> CartanDecomposition:
@@ -364,8 +370,8 @@ def cartan_decompose(basis: LieAlgebraBasis) -> CartanDecomposition:
                 "conjugate the group into a theta-stable position first")
         k_parts = (gens - adjoints) / 2.0
         p_parts = (gens + adjoints) / 2.0
-        k_mats = _linalg.orthonormal_real_span(k_parts)
-        p_mats = _linalg.orthonormal_real_span(p_parts)
+        k_mats = _linalg.orthonormal_span(k_parts, real_span=True)
+        p_mats = _linalg.orthonormal_span(p_parts, real_span=True)
     else:
         k_mats = gens
         p_mats = gens

@@ -289,13 +289,11 @@ def _limit_orbit_dimension(rep: reps.Representation, algebra: LieAlgebraBasis,
     in the true limit; they are floored to zero.  Only singular values
     just *above* the floor make the decision ambiguous.
     """
-    if algebra.field == COMPLEX:
-        onb = _linalg.orthonormal_complex_span(algebra.matrices)
-    else:
-        onb = _linalg.orthonormal_real_span(algebra.matrices)
+    onb = _linalg.orthonormal_span(algebra.matrices,
+                                   real_span=algebra.field != COMPLEX)
     onb_basis = LieAlgebraBasis(onb, algebra.field, algebra.ambient_size)
     a = reps._differential_matrix(rep, onb_basis, limit)
-    s = np.linalg.svd(a, compute_uv=False) if min(a.shape) else np.zeros(0)
+    s = np.linalg.svd(a, compute_uv=False)
     floor = (LIMIT_RANK_FLOOR * np.sqrt(max(achieved_rel_moment, 1e-15))
              * reps.norm(rep, limit))
     decision = _linalg.rank_from_singular_values(s, floor=floor, one_sided=True)

@@ -5,8 +5,10 @@ the algebra must split as center + derived algebra, the Killing form
 tr(ad X ad Y) must be nondegenerate on the derived part (Cartan's
 criterion for semisimplicity), and every center element must be a
 semisimple matrix.  Example witnesses are attached whenever a check
-definitively fails; decisions too close to a threshold degrade to an
-inconclusive verdict instead of guessing.
+definitively fails.  Of the rank decisions, the decomposition rank and
+the Killing rank degrade to an inconclusive verdict when they land too
+close to the cutoff; the center and derived-algebra dimensions use the
+same cutoff but are decided without that flag.
 
 Everything here is decided at the Lie-algebra level, i.e. for the
 identity component of the corresponding group.
@@ -20,8 +22,8 @@ import numpy as np
 
 from . import _linalg
 from .errors import InvalidArgumentError
-from .groups import (BRACKET_CLOSURE_TOL, COMPLEX, LieAlgebraBasis, bracket,
-                     bracket_closure_residual)
+from .groups import (BRACKET_CLOSURE_TOL, COMPLEX, LieAlgebraBasis,
+                     bracket_closure_residual, bracket_table)
 from .serialize import matrix_to_json
 
 REDUCTIVE = "reductive"
@@ -84,62 +86,38 @@ def _coordinates(basis: LieAlgebraBasis, targets: np.ndarray) -> np.ndarray:
     return coords
 
 
-def adjoint_matrices(basis: LieAlgebraBasis) -> np.ndarray:
-    """ad X_i as a matrix in basis coordinates, stacked over i."""
-    k = basis.dim
-    if k == 0:
-        return np.zeros((0, 0, 0))
-    brackets = np.array([[bracket(basis.matrices[i], basis.matrices[j])
-                          for j in range(k)] for i in range(k)])
-    # coordinates of [X_i, X_j] for all pairs at once
-    coords = _coordinates(basis, brackets.reshape(k * k, *basis.matrices.shape[1:]))
-    return coords.T.reshape(k, k, k).transpose(0, 2, 1)
-
-
 def structure_report(basis: LieAlgebraBasis) -> StructureData:
-    """Derived algebra, center and Killing form of a bracket-closed basis."""
-    residual = bracket_closure_residual(basis)
+    """Derived algebra, center and Killing form of a bracket-closed basis.
+
+    All three come from one bracket table ``[X_i, X_j]``: the derived
+    algebra is the span of its upper triangle, the center is the kernel
+    of c -> ([sum_i c_i X_i, X_j])_j, and ``ad X_i`` holds the
+    coordinates of row i of the table.
+    """
+    table = bracket_table(basis)
+    residual = bracket_closure_residual(basis, table)
     if residual > BRACKET_CLOSURE_TOL:
         raise InvalidArgumentError(
             f"basis is not bracket-closed (residual {residual:.2e})")
     k = basis.dim
     n = basis.ambient_size
-    dtype = basis.matrices.dtype if k else np.float64
-    if k == 0:
-        return StructureData(basis, basis, basis, np.zeros((0, 0)))
 
-    all_brackets = np.array([bracket(basis.matrices[i], basis.matrices[j])
-                             for i in range(k) for j in range(i + 1, k)])
-    if all_brackets.size == 0:
-        all_brackets = np.zeros((0, n, n), dtype=dtype)
-    if basis.field == COMPLEX:
-        derived_mats = _linalg.orthonormal_complex_span(all_brackets)
-    else:
-        derived_mats = _linalg.orthonormal_real_span(all_brackets)
+    derived_mats = _linalg.orthonormal_span(table[np.triu_indices(k, 1)],
+                                            real_span=basis.field != COMPLEX)
     derived = LieAlgebraBasis(derived_mats, basis.field, n)
 
     # Center: coefficient vectors c with [sum_i c_i X_i, X_j] = 0 for all j.
-    columns = []
-    for i in range(k):
-        images = np.array([bracket(basis.matrices[i], basis.matrices[j]).ravel()
-                           for j in range(k)]).ravel()
-        columns.append(images)
-    center_kernel = _linalg.null_space(np.array(columns).T)
-    if center_kernel.shape[1]:
-        center_mats = np.einsum("ik,ijl->kjl", center_kernel, basis.matrices)
-    else:
-        center_mats = np.zeros((0, n, n), dtype=dtype)
+    center_kernel = _linalg.null_space(table.reshape(k, k * n * n).T)
+    center_mats = np.einsum("ik,ijl->kjl", center_kernel, basis.matrices)
     center = LieAlgebraBasis(center_mats, basis.field, n)
 
-    # Killing form on the derived algebra, via ad of the full algebra.
-    d = derived.dim
-    if d:
-        ad = adjoint_matrices(basis)
-        derived_coords = _coordinates(basis, derived.matrices)  # (k, d)
-        ad_derived = np.einsum("ikl,id->dkl", ad, derived_coords)
-        killing = np.einsum("akl,blk->ab", ad_derived, ad_derived)
-    else:
-        killing = np.zeros((0, 0))
+    # Killing form on the derived algebra, via ad of the full algebra;
+    # column j of ad X_i holds the coordinates of [X_i, X_j].
+    coords = _coordinates(basis, table.reshape(k * k, n, n))
+    ad = coords.T.reshape(k, k, k).transpose(0, 2, 1)
+    derived_coords = _coordinates(basis, derived.matrices)  # (k, d)
+    ad_derived = np.einsum("ikl,id->dkl", ad, derived_coords)
+    killing = np.einsum("akl,blk->ab", ad_derived, ad_derived)
     return StructureData(basis, derived, center, killing)
 
 
@@ -200,11 +178,11 @@ def reductivity_verdict(basis: LieAlgebraBasis,
                         tol: float = NILPOTENT_TOL) -> SubalgebraReport:
     """Algebraic reductivity: center + derived split, Cartan criterion,
     semisimple center.  The zero algebra is reductive."""
-    data = structure_report(basis)
     k = basis.dim
     if k == 0:
         return SubalgebraReport(0, 0, 0, 0, True, True, REDUCTIVE, [])
 
+    data = structure_report(basis)
     witnesses = []
     ambiguous = False
 

@@ -121,6 +121,17 @@ def test_malformed_input_is_config_error(tmp_path):
     assert result.returncode == 2
 
 
+def test_algebra_of_the_wrong_matrix_size_is_config_error():
+    # size says 3, the one matrix is 2x2 (complex [re, im] leaves)
+    payload = json.dumps({"algebra": {
+        "field": "complex", "size": 3,
+        "matrices": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]]}})
+    result = run_cli("reductive", "--in", "-", input_text=payload)
+    assert result.returncode == 2
+    error = json.loads(result.stderr.strip().splitlines()[-1])
+    assert error["error"] == "configuration"
+
+
 def test_non_theta_stable_group_is_config_error():
     # this form is not compatible with conjugate transpose, so no Cartan
     # split exists and the flow cannot run

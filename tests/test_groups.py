@@ -95,6 +95,29 @@ def test_groupspec_json_round_trip(v0):
             assert back.form.dtype == spec.form.dtype
 
 
+@pytest.mark.parametrize("spec", [ol.special_linear(2, "complex"),
+                                  ol.symplectic(size=4, field="real"),
+                                  ol.torus(3, "complex")],
+                         ids=lambda spec: f"{spec.family}-{spec.field}")
+def test_lie_algebra_basis_json_round_trip(spec):
+    basis = ol.lie_algebra_basis(spec)
+    back = ol.LieAlgebraBasis.from_json(basis.to_json())
+    assert (back.field, back.ambient_size) == (basis.field, basis.ambient_size)
+    assert back.matrices.dtype == basis.matrices.dtype
+    assert np.array_equal(back.matrices, basis.matrices)
+
+
+@pytest.mark.parametrize("matrices", [
+    [[[1.0, 0.0], [0.0, -1.0]]],                      # one 2x2 matrix, size 3
+    [np.eye(3).tolist(), [[1.0, 0.0], [0.0, -1.0]]],  # one of two is 2x2
+    [[1.0, 0.0, 0.0]],                                # a vector, not a matrix
+], ids=["all-wrong", "one-wrong", "vector"])
+def test_lie_algebra_basis_json_rejects_wrong_matrix_shape(matrices):
+    with pytest.raises(InvalidArgumentError):
+        ol.LieAlgebraBasis.from_json(
+            {"field": "real", "size": 3, "matrices": matrices})
+
+
 class TestCartan:
     def test_sl2_real_split(self):
         cartan = ol.cartan_decompose(ol.lie_algebra_basis(ol.special_linear(2, "real")))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import orbitlab as ol
+from orbitlab import _linalg, experiments
 from orbitlab.errors import InvalidArgumentError
 from orbitlab.subalgebra import (AMBIGUOUS, MIXED, NILPOTENT, NOT_REDUCTIVE,
                                  REDUCTIVE, SEMISIMPLE, element_type,
@@ -59,6 +60,110 @@ class TestStructureReport:
         e21[1, 0] = 1.0
         with pytest.raises(InvalidArgumentError):
             structure_report(span([e12, e21]))
+
+
+def loop_structure(basis):
+    """Reference structure from per-pair bracket loops.
+
+    Returns the derived span, the center, the closure residual and a
+    function giving the Killing Gram matrix of any stack of algebra
+    elements, with ad D computed column by column as the coordinates of
+    [D, X_j].
+    """
+    mats = basis.matrices
+    k, n = basis.dim, basis.ambient_size
+    pairs = [ol.bracket(mats[i], mats[j])
+             for i in range(k) for j in range(i + 1, k)]
+    upper = np.array(pairs).reshape(len(pairs), n, n)
+    derived = _linalg.orthonormal_span(upper, real_span=basis.field == "real")
+    residual = _linalg.span_projection_residual(upper, mats)
+    columns = [np.concatenate([ol.bracket(mats[i], mats[j]).ravel()
+                               for j in range(k)]) for i in range(k)]
+    kernel = _linalg.null_space(np.array(columns).reshape(k, k * n * n).T)
+    center = np.einsum("ik,ijl->kjl", kernel, mats)
+    flat_basis = mats.reshape(k, n * n).T
+
+    def ad(d):
+        return np.array([np.linalg.lstsq(flat_basis, ol.bracket(d, x).ravel(),
+                                         rcond=None)[0] for x in mats]).T
+
+    def killing(elements):
+        ads = [ad(d) for d in elements]
+        gram = [[np.trace(a @ b) for b in ads] for a in ads]
+        return np.array(gram).reshape(len(ads), len(ads))
+
+    return derived, center, residual, killing
+
+
+def sl2_plus_scalars():
+    sl2 = ol.lie_algebra_basis(ol.special_linear(2, "complex")).matrices
+    return ol.LieAlgebraBasis(np.concatenate([sl2, np.eye(2)[None] + 0j]),
+                              "complex", 2)
+
+
+def borel_of_sl2():
+    return span([np.diag([1.0, -1.0]), [[0.0, 1.0], [0.0, 0.0]]])
+
+
+def block_stabilizer_at_x():
+    """The example1 SL(2)-block stabilizer at the unipotent translate x."""
+    scenario = experiments.get_scenario("example1")
+    x = ol.act(scenario.representation, scenario.fixed_element,
+               scenario.base_point)
+    return ol.stabilizer_subalgebra(
+        scenario.representation,
+        ol.lie_algebra_basis(scenario.counterexample_subgroup), x)
+
+
+def seed0_cor3_intersection():
+    """The stabilizer intersection of trial 0 of a seed-0 cor3 run."""
+    scenario = experiments.get_scenario("sl4-block")
+    g = ol.random_group_element(scenario.group, experiments.trial_seed(0, 0),
+                                0.5)
+    x = ol.act(scenario.representation, g, scenario.base_point)
+    return ol.stabilizer_subalgebra(scenario.representation,
+                                    ol.lie_algebra_basis(scenario.subgroup), x)
+
+
+REFERENCE_ALGEBRAS = {
+    "sl2-complex": lambda: ol.lie_algebra_basis(ol.special_linear(2, "complex")),
+    "sl2-real": lambda: ol.lie_algebra_basis(ol.special_linear(2, "real")),
+    "torus3": lambda: ol.lie_algebra_basis(ol.torus(3, "complex")),
+    "sl2-plus-scalars": sl2_plus_scalars,
+    "borel-sl2": borel_of_sl2,
+    "example1-block-stabilizer": block_stabilizer_at_x,
+    "cor3-seed0-intersection": seed0_cor3_intersection,
+}
+
+# (dim, derived dim, center dim) of each reference algebra
+REFERENCE_DIMS = {
+    "sl2-complex": (3, 3, 0),
+    "sl2-real": (3, 3, 0),
+    "torus3": (3, 0, 3),
+    "sl2-plus-scalars": (4, 3, 1),
+    "borel-sl2": (2, 1, 0),
+    "example1-block-stabilizer": (1, 0, 1),
+    "cor3-seed0-intersection": (3, 3, 0),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_ALGEBRAS)
+def test_structure_report_matches_pairwise_bracket_loops(name):
+    basis = REFERENCE_ALGEBRAS[name]()
+    data = structure_report(basis)
+    derived, center, residual, killing = loop_structure(basis)
+    real_span = basis.field == "real"
+
+    assert (basis.dim, data.derived.dim, data.center.dim) == REFERENCE_DIMS[name]
+    assert _linalg.subspace_distance(data.derived.matrices, derived,
+                                     real_span) <= 1e-12
+    assert _linalg.subspace_distance(data.center.matrices, center,
+                                     real_span) <= 1e-12
+    reference = killing(data.derived.matrices)
+    assert data.killing_on_derived.shape == reference.shape
+    assert (np.linalg.norm(data.killing_on_derived - reference)
+            <= 1e-12 * max(np.linalg.norm(reference), 1.0))
+    assert abs(ol.bracket_closure_residual(basis) - residual) <= 1e-12
 
 
 class TestElementType:

@@ -1,0 +1,47 @@
+"""The benchmark's tracer wraps package functions by module attribute.
+
+``perfbench/spans.py`` skips an attribute that no longer exists, so a
+renamed or inlined layer would silently read as unused in the next
+traced run.  These tests load the tracer read-only and fail instead.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import orbitlab as ol
+from orbitlab import subalgebra
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_span_point_resolves(spans):
+    missing = [f"{module.__name__}.{attr}"
+               for module, attr, _ in spans._SPAN_POINTS
+               if not callable(getattr(module, attr, None))]
+    assert missing == []
+
+
+def test_structure_layers_are_called_through_their_modules(spans):
+    # sl(2) + scalars has a center and a derived part, so every layer of
+    # the reductivity analysis runs once
+    sl2 = ol.lie_algebra_basis(ol.special_linear(2, "complex")).matrices
+    basis = ol.LieAlgebraBasis(np.concatenate([sl2, np.eye(2)[None] + 0j]),
+                               "complex", 2)
+    tracer = spans.Tracer()
+    with tracer.installed():
+        subalgebra.reductivity_verdict(basis)
+    called = {span[0] for span in tracer.spans}
+    assert {"subalgebra.reductivity_verdict", "subalgebra.structure_report",
+            "subalgebra.bracket_closure_residual", "subalgebra.element_type",
+            "linalg.null_space", "linalg.matrix_rank"} <= called
