@@ -1,9 +1,10 @@
 """Shared numerical linear algebra: the package-wide rank policy.
 
 Every rank / span / null-space decision in the package funnels through
-this module, and every one of them counts singular values against the
-same cutoff, written once in :func:`rank_from_singular_values`
-(relative ``RANK_RTOL``).  Only :func:`matrix_rank` and
+this module, and every one of them counts singular values against a
+cutoff written once, in :func:`rank_from_singular_values`.  The relative
+threshold is passed by value as ``rtol`` and defaults to ``RANK_RTOL``,
+a constant.  Only :func:`matrix_rank` and
 :func:`rank_from_singular_values` return the ambiguity flag: a decision
 that lands too close to the cutoff is flagged instead of silently
 guessed, and callers turn that flag into an "inconclusive" outcome.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Relative singular-value threshold used for every rank decision.
+# Default relative singular-value threshold for rank decisions.
 RANK_RTOL = 1e-9
 
 # A singular value within this factor of the cutoff (on either side)
@@ -32,7 +33,7 @@ class RankDecision:
     ambiguous: bool
 
 
-def rank_from_singular_values(s: np.ndarray, rtol: float | None = None,
+def rank_from_singular_values(s: np.ndarray, rtol: float = RANK_RTOL,
                               floor: float = 0.0,
                               one_sided: bool = False) -> RankDecision:
     """Count singular values above the cutoff.
@@ -42,10 +43,8 @@ def rank_from_singular_values(s: np.ndarray, rtol: float | None = None,
     ``[cutoff / AMBIGUITY_BAND, cutoff * AMBIGUITY_BAND]``.  With
     ``one_sided=True`` only the upper half of the band counts: values
     just below the cutoff are expected there (they are the residual of
-    a converging flow) and do not taint the decision.  ``rtol=None``
-    means the package-wide ``RANK_RTOL`` (a CLI flag may override it).
+    a converging flow) and do not taint the decision.
     """
-    rtol = RANK_RTOL if rtol is None else rtol
     s = np.asarray(s, dtype=float)
     if s.size == 0 or s.max() == 0.0:
         return RankDecision(0, False)
@@ -57,11 +56,11 @@ def rank_from_singular_values(s: np.ndarray, rtol: float | None = None,
     return RankDecision(rank, ambiguous)
 
 
-def matrix_rank(a: np.ndarray, rtol: float | None = None) -> RankDecision:
+def matrix_rank(a: np.ndarray, rtol: float = RANK_RTOL) -> RankDecision:
     return rank_from_singular_values(np.linalg.svd(a, compute_uv=False), rtol)
 
 
-def null_space(a: np.ndarray, rtol: float | None = None) -> np.ndarray:
+def null_space(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     """Orthonormal basis of the (right) null space, columns of the result.
 
     Only ``vh`` is read, so the full square factor is requested only when
@@ -100,7 +99,7 @@ def unrealify(rows: np.ndarray, shape: tuple[int, ...], complex_field: bool) -> 
     return rows.reshape((k,) + shape)
 
 
-def orthonormal_span(mats: np.ndarray, rtol: float | None = None,
+def orthonormal_span(mats: np.ndarray, rtol: float = RANK_RTOL,
                      real_span: bool = False) -> np.ndarray:
     """Orthonormal basis of the span of a matrix stack.
 
@@ -127,27 +126,24 @@ def span_projection_residual(targets: np.ndarray, span: np.ndarray,
     targets = np.asarray(targets)
     if targets.shape[0] == 0:
         return 0.0
-    if real_span:
-        t = realify_flat(targets)
-        sp = realify_flat(span)
-    else:
-        t = stack_flat(targets)
-        sp = stack_flat(span)
+    flat = realify_flat if real_span else stack_flat
+    t = flat(targets)
+    sp = flat(span)
     if span.shape[0] == 0:
         norms = np.linalg.norm(t, axis=1)
         scale = norms.max()
         return 1.0 if scale > 0 else 0.0
-    q = np.linalg.qr(sp.conj().T)[0] if not real_span else np.linalg.qr(sp.T)[0]
-    proj = (q @ (q.conj().T @ t.conj().T)).conj().T if not real_span else (q @ (q.T @ t.T)).T
+    q = np.linalg.qr(sp.conj().T)[0]
+    proj = (q @ (q.conj().T @ t.conj().T)).conj().T
     res = np.linalg.norm(t - proj, axis=1)
     norms = np.linalg.norm(t, axis=1)
     scale = max(norms.max(), 1e-300)
     return float(res.max() / scale)
 
 
-def _orth_columns(rows: np.ndarray, rtol: float | None = None) -> np.ndarray:
+def _orth_columns(rows: np.ndarray) -> np.ndarray:
     u, s, _ = np.linalg.svd(rows.conj().T, full_matrices=False)
-    return u[:, :rank_from_singular_values(s, rtol).rank]
+    return u[:, :rank_from_singular_values(s).rank]
 
 
 def subspace_distance(a: np.ndarray, b: np.ndarray, real_span: bool = False) -> float:

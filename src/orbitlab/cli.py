@@ -15,7 +15,6 @@ import sys
 from dataclasses import replace
 
 import click
-import numpy as np
 
 from . import _linalg, experiments, kempfness, reps, subalgebra
 from .errors import OrbitLabError, ConfigurationError
@@ -45,13 +44,16 @@ def _load_json(path: str) -> dict:
         _fail_config(f"cannot read JSON input: {exc}")
 
 
-def _emit(payload: dict, out: str | None):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _write(text: str, out: str | None):
     if out:
         with open(out, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        click.echo(text)
+        click.echo(text, nl=False)
+
+
+def _emit(payload: dict, out: str | None):
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
 def _problem_from_json(data: dict):
@@ -61,6 +63,17 @@ def _problem_from_json(data: dict):
     except (KeyError, OrbitLabError, ValueError, TypeError) as exc:
         _fail_config(f"bad problem input: {exc}")
     return rep, vector
+
+
+def _problem_algebra(data: dict, rep) -> LieAlgebraBasis:
+    """Algebra of the input's optional subgroup, else of the rep's group."""
+    group = rep.group
+    if "subgroup" in data:
+        try:
+            group = GroupSpec.from_json(data["subgroup"])
+        except (OrbitLabError, KeyError) as exc:
+            _fail_config(f"bad subgroup: {exc}")
+    return lie_algebra_basis(group)
 
 
 def _flow_config(moment_tol: float | None, max_iters: int | None) -> FlowConfig:
@@ -84,11 +97,10 @@ def _domain_errors_exit_2(fn):
     return wrapper
 
 
-def _apply_rank_tol(rank_tol: float | None):
-    if rank_tol is not None:
-        if rank_tol <= 0:
-            _fail_config("--rank-tol must be positive")
-        _linalg.RANK_RTOL = rank_tol
+def _positive_rank_tol(ctx, param, value: float) -> float:
+    if not value > 0:
+        _fail_config("--rank-tol must be positive")
+    return value
 
 
 input_option = click.option("--in", "input_path", default="-", show_default=True,
@@ -98,9 +110,11 @@ moment_tol_option = click.option("--moment-tol", type=float, default=None,
                                  help="override the flow's moment tolerance")
 max_iters_option = click.option("--max-iters", type=int, default=None,
                                 help="override the flow's iteration budget")
-rank_tol_option = click.option("--rank-tol", type=float, default=None,
-                               help="override the relative singular-value "
-                                    "threshold for rank decisions")
+rank_tol_option = click.option("--rank-tol", type=float,
+                               default=_linalg.RANK_RTOL, show_default=True,
+                               callback=_positive_rank_tol,
+                               help="relative singular-value threshold for "
+                                    "rank decisions")
 
 
 @click.group()
@@ -120,10 +134,10 @@ def closedness(input_path, out, moment_tol, max_iters, rank_tol):
 
     Input: {"representation": {...}, "vector": ...}
     """
-    _apply_rank_tol(rank_tol)
     rep, vector = _problem_from_json(_load_json(input_path))
     config = _flow_config(moment_tol, max_iters)
-    verdict = kempfness.closedness_verdict(rep, rep.group, vector, config)
+    verdict = kempfness.closedness_verdict(rep, rep.group, vector, config,
+                                           rtol=rank_tol)
     _emit(verdict.to_json(rep), out)
     sys.exit(EXIT_OK if verdict.status != kempfness.INCONCLUSIVE
              else EXIT_INCONCLUSIVE)
@@ -139,13 +153,10 @@ def minimal(input_path, out, tolerance):
     """Test whether a vector is a minimal vector of its orbit."""
     rep, vector = _problem_from_json(_load_json(input_path))
     decomposition = cartan_decomposition_for(rep.group)
-    norm2 = reps.inner_product(rep, vector, vector)
-    mom = float(np.linalg.norm(
-        kempfness.moment_vector(rep, decomposition.p_basis, vector)))
-    is_min = kempfness.is_minimal(rep, decomposition.p_basis, vector, tolerance)
+    rel = kempfness.relative_moment_norm(rep, decomposition.p_basis, vector)
     _emit({
-        "minimal": is_min,
-        "relative_moment_norm": mom / norm2 if norm2 else 0.0,
+        "minimal": rel <= tolerance,
+        "relative_moment_norm": rel,
         "tolerance": tolerance,
     }, out)
     sys.exit(EXIT_OK)
@@ -161,17 +172,10 @@ def stabilizer(input_path, out, rank_tol):
 
     Input: {"representation": {...}, "vector": ..., "subgroup": {...}?}
     """
-    _apply_rank_tol(rank_tol)
     data = _load_json(input_path)
     rep, vector = _problem_from_json(data)
-    group = rep.group
-    if "subgroup" in data:
-        try:
-            group = GroupSpec.from_json(data["subgroup"])
-        except (OrbitLabError, KeyError) as exc:
-            _fail_config(f"bad subgroup: {exc}")
-    algebra = lie_algebra_basis(group)
-    stab = reps.stabilizer_subalgebra(rep, algebra, vector)
+    algebra = _problem_algebra(data, rep)
+    stab = reps.stabilizer_subalgebra(rep, algebra, vector, rank_tol)
     _emit({"dimension": stab.dim, "basis": stab.to_json()}, out)
     sys.exit(EXIT_OK)
 
@@ -186,11 +190,10 @@ def reductive(input_path, out, rank_tol):
 
     Input: {"algebra": {"field": ..., "size": n, "matrices": [...]}}
     """
-    _apply_rank_tol(rank_tol)
     data = _load_json(input_path)
     try:
         basis = LieAlgebraBasis.from_json(data["algebra"])
-        report = subalgebra.reductivity_verdict(basis)
+        report = subalgebra.reductivity_verdict(basis, rtol=rank_tol)
     except (OrbitLabError, KeyError, ValueError) as exc:
         _fail_config(f"bad algebra input: {exc}")
     _emit(report.to_json(), out)
@@ -206,19 +209,12 @@ def reductive(input_path, out, rank_tol):
 @_domain_errors_exit_2
 def orbit_dim(input_path, out, rank_tol):
     """Orbit dimension of a vector (over the group's field)."""
-    _apply_rank_tol(rank_tol)
     data = _load_json(input_path)
     rep, vector = _problem_from_json(data)
-    group = rep.group
-    if "subgroup" in data:
-        try:
-            group = GroupSpec.from_json(data["subgroup"])
-        except (OrbitLabError, KeyError) as exc:
-            _fail_config(f"bad subgroup: {exc}")
-    algebra = lie_algebra_basis(group)
-    dim, ambiguous = reps.orbit_dimension_info(rep, algebra, vector)
+    algebra = _problem_algebra(data, rep)
+    dim, ambiguous = reps.orbit_dimension_info(rep, algebra, vector, rank_tol)
     _emit({"orbit_dim": dim, "rank_ambiguous": ambiguous,
-           "field": group.field}, out)
+           "field": algebra.field}, out)
     sys.exit(EXIT_INCONCLUSIVE if ambiguous else EXIT_OK)
 
 
@@ -242,7 +238,6 @@ def orbit_dim(input_path, out, rank_tol):
 def experiment(scenario, kind, trials, seed, spread, workers, fmt, out,
                moment_tol, max_iters, rank_tol):
     """Run a named experiment and report per-trial records plus a summary."""
-    _apply_rank_tol(rank_tol)
     try:
         sc = experiments.get_scenario(scenario)
         config = experiments.ExperimentConfig(
@@ -252,23 +247,15 @@ def experiment(scenario, kind, trials, seed, spread, workers, fmt, out,
             seed=seed,
             spread=spread,
             flow=_flow_config(moment_tol, max_iters),
+            rank_rtol=rank_tol,
         )
     except (ConfigurationError, OrbitLabError) as exc:
         _fail_config(str(exc))
     report = experiments.run_experiment(config, workers=workers)
     if fmt == "csv":
-        text = report.to_csv_str()
-        if out:
-            with open(out, "w") as fh:
-                fh.write(text)
-        else:
-            click.echo(text, nl=False)
+        _write(report.to_csv_str(), out)
     else:
-        if out:
-            with open(out, "w") as fh:
-                fh.write(report.to_json_str() + "\n")
-        else:
-            click.echo(report.to_json_str())
+        _emit(report.to_json(), out)
     if report.passed:
         sys.exit(EXIT_OK)
     sys.exit(EXIT_INCONCLUSIVE if report.failure == "inconclusive" else EXIT_MATH)

@@ -44,7 +44,7 @@ from . import _linalg, groups, kempfness, reps, subalgebra
 from .errors import ConfigurationError
 from .groups import GroupSpec, lie_algebra_basis, random_group_element
 from .kempfness import (CLOSED, INCONCLUSIVE, NON_CLOSED, FlowConfig,
-                        closedness_verdict, moment_vector)
+                        closedness_verdict, relative_moment_norm)
 from .serialize import matrix_to_json
 
 THEOREM1 = "theorem1"
@@ -228,6 +228,7 @@ class ExperimentConfig:
     seed: int = 0
     spread: float = 0.5
     flow: FlowConfig = field(default_factory=FlowConfig)
+    rank_rtol: float = _linalg.RANK_RTOL
 
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
@@ -236,6 +237,8 @@ class ExperimentConfig:
             raise ConfigurationError("trials must be >= 1")
         if self.spread <= 0:
             raise ConfigurationError("spread must be positive")
+        if not self.rank_rtol > 0:
+            raise ConfigurationError("rank_rtol must be positive")
         sc = get_scenario(self.scenario)
         if self.kind not in sc.kinds:
             raise ConfigurationError(
@@ -249,6 +252,7 @@ class ExperimentConfig:
             "seed": self.seed,
             "spread": self.spread,
             "flow": self.flow.to_json(),
+            "rank_rtol": self.rank_rtol,
         }
 
     @staticmethod
@@ -257,7 +261,8 @@ class ExperimentConfig:
         return ExperimentConfig(
             kind=data["kind"], scenario=data["scenario"],
             trials=int(data.get("trials", 100)), seed=int(data.get("seed", 0)),
-            spread=float(data.get("spread", 0.5)), flow=flow)
+            spread=float(data.get("spread", 0.5)), flow=flow,
+            rank_rtol=float(data.get("rank_rtol", _linalg.RANK_RTOL)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,7 +279,7 @@ class ExperimentReport:
             "kind": self.config.kind,
             "scenario": self.config.scenario,
             "config": self.config.to_json(),
-            "tolerances": tolerance_echo(self.config.flow),
+            "tolerances": tolerance_echo(self.config),
             "trials": _jsonable(self.trials),
             "summary": _jsonable(self.summary),
             "passed": self.passed,
@@ -320,11 +325,11 @@ def _jsonable(value):
     return value
 
 
-def tolerance_echo(flow: FlowConfig) -> dict:
+def tolerance_echo(config: ExperimentConfig) -> dict:
     return {
-        "rank_rtol": _linalg.RANK_RTOL,
+        "rank_rtol": config.rank_rtol,
         "bracket_closure_tol": groups.BRACKET_CLOSURE_TOL,
-        "moment_tolerance": flow.moment_tolerance,
+        "moment_tolerance": config.flow.moment_tolerance,
         "limit_rank_floor_factor": kempfness.LIMIT_RANK_FLOOR,
         "eigen_merge_rtol": subalgebra.EIGEN_MERGE_RTOL,
         "nilpotent_tol": subalgebra.NILPOTENT_TOL,
@@ -339,10 +344,20 @@ def trial_seed(base_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _stabilizer_verdict(rep, algebra, v) -> tuple[int, str]:
-    stab = reps.stabilizer_subalgebra(rep, algebra, v)
-    report = subalgebra.reductivity_verdict(stab)
-    return stab.dim, report.verdict
+def _stabilizer_verdict(rep, algebra, v, rtol: float):
+    stab = reps.stabilizer_subalgebra(rep, algebra, v, rtol)
+    return stab, subalgebra.reductivity_verdict(stab, rtol=rtol)
+
+
+def _intersection(rep, algebra, v,
+                  rtol: float) -> tuple[dict, subalgebra.SubalgebraReport]:
+    """The stabilizer of v in the algebra as a record: its dimension, its
+    reductivity verdict and, for a line, the type of its generator."""
+    stab, report = _stabilizer_verdict(rep, algebra, v, rtol)
+    generator_type = (subalgebra.element_type(stab.matrices[0])
+                      if stab.dim == 1 else None)
+    return {"intersection_dim": stab.dim, "verdict": report.verdict,
+            "generator_type": generator_type}, report
 
 
 def _start_vector(scenario: Scenario, config: ExperimentConfig, seed: int):
@@ -361,9 +376,9 @@ def _flow_trial(scenario: Scenario, config: ExperimentConfig, index: int) -> dic
     x = _start_vector(scenario, config, seed)
     h_algebra = lie_algebra_basis(scenario.subgroup)
     verdict = closedness_verdict(scenario.representation, scenario.subgroup,
-                                 x, config.flow)
-    stab_dim, stab_verdict = _stabilizer_verdict(scenario.representation,
-                                                 h_algebra, x)
+                                 x, config.flow, rtol=config.rank_rtol)
+    stab, stab_report = _stabilizer_verdict(scenario.representation,
+                                            h_algebra, x, config.rank_rtol)
     return {
         "index": index,
         "seed": seed,
@@ -375,8 +390,8 @@ def _flow_trial(scenario: Scenario, config: ExperimentConfig, index: int) -> dic
         "iterations": verdict.trace.iterations_used,
         "flow_reason": verdict.trace.reason,
         "relative_moment_norm": float(verdict.trace.moment_norms[-1]),
-        "stabilizer_dim": stab_dim,
-        "stabilizer_verdict": stab_verdict,
+        "stabilizer_dim": stab.dim,
+        "stabilizer_verdict": stab_report.verdict,
     }
 
 
@@ -385,17 +400,12 @@ def _cor3_trial(scenario: Scenario, config: ExperimentConfig, index: int) -> dic
     seed = trial_seed(config.seed, index)
     x = _start_vector(scenario, config, seed)
     h_algebra = lie_algebra_basis(scenario.subgroup)
-    stab = reps.stabilizer_subalgebra(scenario.representation, h_algebra, x)
-    report = subalgebra.reductivity_verdict(stab)
-    generator_type = None
-    if stab.dim == 1:
-        generator_type = subalgebra.element_type(stab.matrices[0])
+    record, report = _intersection(scenario.representation, h_algebra, x,
+                                   config.rank_rtol)
     return {
         "index": index,
         "seed": seed,
-        "intersection_dim": stab.dim,
-        "verdict": report.verdict,
-        "generator_type": generator_type,
+        **record,
         "derived_dim": report.derived_dim,
         "center_dim": report.center_dim,
         "killing_rank": report.killing_rank_on_derived,
@@ -409,10 +419,12 @@ def _real_complex_trial(scenario: Scenario, config: ExperimentConfig,
     rng = np.random.default_rng(seed)
     m_real = reps.random_vector(scenario.real_representation, rng, config.spread)
     real_verdict = closedness_verdict(scenario.real_representation,
-                                      scenario.real_group, m_real, config.flow)
+                                      scenario.real_group, m_real, config.flow,
+                                      rtol=config.rank_rtol)
     complex_verdict = closedness_verdict(scenario.representation,
                                          scenario.group,
-                                         m_real.astype(complex), config.flow)
+                                         m_real.astype(complex), config.flow,
+                                         rtol=config.rank_rtol)
     agree = None
     if INCONCLUSIVE not in (real_verdict.status, complex_verdict.status):
         agree = real_verdict.status == complex_verdict.status
@@ -437,6 +449,7 @@ def run_example1_pipeline(config: ExperimentConfig) -> tuple[list, dict]:
     h_algebra = lie_algebra_basis(scenario.subgroup)
     v0 = scenario.base_point
     cartan = groups.cartan_decomposition_for(scenario.group)
+    rtol = config.rank_rtol
 
     assertions = []
 
@@ -444,18 +457,17 @@ def run_example1_pipeline(config: ExperimentConfig) -> tuple[list, dict]:
         assertions.append({"name": name, "passed": bool(passed),
                            "detail": detail})
 
-    mom = np.linalg.norm(moment_vector(rep, cartan.p_basis, v0))
-    rel = float(mom) / reps.inner_product(rep, v0, v0)
+    rel = relative_moment_norm(rep, cartan.p_basis, v0)
     check("base_point_minimal", rel <= 1e-8, {"relative_moment_norm": rel})
 
-    dim_orbit = reps.orbit_dimension(rep, g_algebra, v0)
+    dim_orbit, _ = reps.orbit_dimension_info(rep, g_algebra, v0, rtol)
     check("ambient_orbit_dim_14", dim_orbit == 14, {"orbit_dim": dim_orbit})
 
-    stab_g = reps.stabilizer_subalgebra(rep, g_algebra, v0)
+    stab_g = reps.stabilizer_subalgebra(rep, g_algebra, v0, rtol)
     check("base_stabilizer_dim_21", stab_g.dim == 21, {"dim": stab_g.dim})
 
     x = reps.act(rep, scenario.fixed_element, v0)
-    stab_h = reps.stabilizer_subalgebra(rep, h_algebra, x)
+    stab_h = reps.stabilizer_subalgebra(rep, h_algebra, x, rtol)
     check("block_stabilizer_dim_1", stab_h.dim == 1, {"dim": stab_h.dim})
 
     generator_type = (subalgebra.element_type(stab_h.matrices[0])
@@ -463,18 +475,20 @@ def run_example1_pipeline(config: ExperimentConfig) -> tuple[list, dict]:
     check("block_stabilizer_nilpotent", generator_type == subalgebra.NILPOTENT,
           {"generator_type": generator_type})
 
-    report = subalgebra.reductivity_verdict(stab_h)
+    report = subalgebra.reductivity_verdict(stab_h, rtol=rtol)
     check("block_stabilizer_not_reductive",
           report.verdict == subalgebra.NOT_REDUCTIVE,
           {"verdict": report.verdict})
 
-    h_verdict = closedness_verdict(rep, scenario.subgroup, x, config.flow)
+    h_verdict = closedness_verdict(rep, scenario.subgroup, x, config.flow,
+                                   rtol=rtol)
     check("block_orbit_non_closed", h_verdict.status == NON_CLOSED,
           {"status": h_verdict.status,
            "start_orbit_dim": h_verdict.start_orbit_dim,
            "limit_orbit_dim": h_verdict.limit_orbit_dim})
 
-    g_verdict = closedness_verdict(rep, scenario.group, x, config.flow)
+    g_verdict = closedness_verdict(rep, scenario.group, x, config.flow,
+                                   rtol=rtol)
     check("ambient_orbit_closed", g_verdict.status == CLOSED,
           {"status": g_verdict.status,
            "start_orbit_dim": g_verdict.start_orbit_dim,
@@ -496,21 +510,14 @@ def run_example1_pipeline(config: ExperimentConfig) -> tuple[list, dict]:
     return assertions, summary
 
 
-def run_counterexample_trial(scenario: Scenario) -> dict:
+def run_counterexample_trial(scenario: Scenario,
+                             rtol: float = _linalg.RANK_RTOL) -> dict:
     """Deterministic stabilizer trial at the scenario's fixed element,
     using the counterexample subgroup (the block SL(2))."""
     rep = scenario.representation
     h_algebra = lie_algebra_basis(scenario.counterexample_subgroup)
     x = reps.act(rep, scenario.fixed_element, scenario.base_point)
-    stab = reps.stabilizer_subalgebra(rep, h_algebra, x)
-    report = subalgebra.reductivity_verdict(stab)
-    generator_type = (subalgebra.element_type(stab.matrices[0])
-                      if stab.dim == 1 else None)
-    return {
-        "intersection_dim": stab.dim,
-        "verdict": report.verdict,
-        "generator_type": generator_type,
-    }
+    return _intersection(rep, h_algebra, x, rtol)[0]
 
 
 def _run_one(config_json: str, index: int) -> dict:
@@ -560,7 +567,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     parallelizes independent trials.
     """
     start = time.perf_counter()
-    scenario = get_scenario(config.scenario)  # validates the scenario exists
 
     if config.kind == EXAMPLE1:
         assertions, summary = run_example1_pipeline(config)
@@ -580,12 +586,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     records.sort(key=lambda r: r["index"])
 
     _, summarize = _KINDS[config.kind]
-    summary, passed, failure = summarize(scenario, records)
+    summary, passed, failure = summarize(config, records)
     wall = (time.perf_counter() - start) * 1000.0
     return ExperimentReport(config, records, summary, passed, failure, wall)
 
 
-def _summarize_cor3(scenario: Scenario,
+def _summarize_cor3(config: ExperimentConfig,
                     records: list) -> tuple[dict, bool, str | None]:
     counts = {subalgebra.REDUCTIVE: 0, subalgebra.NOT_REDUCTIVE: 0,
               subalgebra.INCONCLUSIVE: 0}
@@ -608,8 +614,10 @@ def _summarize_cor3(scenario: Scenario,
         "dimension_histogram": _dim_histogram(records),
         "dim1_generators_semisimple": dim1_semisimple,
     }
+    scenario = get_scenario(config.scenario)
     if scenario.fixed_element is not None and scenario.counterexample_subgroup is not None:
-        summary["counterexample"] = run_counterexample_trial(scenario)
+        summary["counterexample"] = run_counterexample_trial(scenario,
+                                                             config.rank_rtol)
     if inconclusive_rate > INCONCLUSIVE_CAP:
         return summary, False, "inconclusive"
     ok = (decided > 0 and prevalence >= PREVALENCE_BAR and dim1_semisimple)
@@ -626,7 +634,7 @@ def _dim_histogram(records: list) -> dict:
     return hist
 
 
-def _summarize_real_complex(scenario: Scenario,
+def _summarize_real_complex(config: ExperimentConfig,
                             records: list) -> tuple[dict, bool, str | None]:
     agreements = sum(1 for r in records if r["agree"] is True)
     disagreements = sum(1 for r in records if r["agree"] is False)
@@ -647,12 +655,12 @@ def _summarize_real_complex(scenario: Scenario,
 # Each trial-based kind: (trial runner, summarizer of its records).  The
 # example1 kind is one deterministic pipeline and has no entry.
 _KINDS = {
-    THEOREM1: (_flow_trial, lambda scenario, records: _summarize_flow(
+    THEOREM1: (_flow_trial, lambda config, records: _summarize_flow(
         records, require_all_closed=False)),
-    COR2_NORMAL: (_flow_trial, lambda scenario, records: _summarize_flow(
+    COR2_NORMAL: (_flow_trial, lambda config, records: _summarize_flow(
         records, require_all_closed=True)),
     COR3_INTERSECTION: (_cor3_trial, _summarize_cor3),
-    COR5_DIRECT_SUM: (_flow_trial, lambda scenario, records: _summarize_flow(
+    COR5_DIRECT_SUM: (_flow_trial, lambda config, records: _summarize_flow(
         records, require_all_closed=False)),
     REAL_COMPLEX: (_real_complex_trial, _summarize_real_complex),
 }

@@ -193,11 +193,7 @@ def relative_moment_norm(rep: reps.Representation, p_basis: LieAlgebraBasis,
 def is_minimal(rep: reps.Representation, p_basis: LieAlgebraBasis, v,
                tol: float = 1e-8) -> bool:
     """True when the moment vector vanishes to scale-invariant tolerance."""
-    norm2 = reps.inner_product(rep, v, v)
-    if norm2 == 0.0:
-        return True
-    mom = np.linalg.norm(moment_vector(rep, p_basis, v))
-    return bool(mom <= tol * norm2)
+    return relative_moment_norm(rep, p_basis, v) <= tol
 
 
 def _resolve_algebra(group) -> tuple[LieAlgebraBasis, CartanDecomposition]:
@@ -281,13 +277,16 @@ def norm_flow(rep: reps.Representation, group, v,
 
 
 def _limit_orbit_dimension(rep: reps.Representation, algebra: LieAlgebraBasis,
-                           limit, achieved_rel_moment: float) -> tuple[int, bool]:
+                           limit, achieved_rel_moment: float,
+                           rtol: float) -> tuple[int, bool]:
     """Orbit dimension at the flow limit, resolved to the flow's accuracy.
 
     Directions whose singular value is below the position uncertainty of
     the limit point (about sqrt(residual) * |limit|) are the ones dying
     in the true limit; they are floored to zero.  Only singular values
-    just *above* the floor make the decision ambiguous.
+    just *above* the floor make the decision ambiguous.  The algebra
+    basis itself is orthonormalized at the default cutoff: its singular
+    values are O(1), so any sane ``rtol`` keeps all of it.
     """
     onb = _linalg.orthonormal_span(algebra.matrices,
                                    real_span=algebra.field != COMPLEX)
@@ -296,18 +295,21 @@ def _limit_orbit_dimension(rep: reps.Representation, algebra: LieAlgebraBasis,
     s = np.linalg.svd(a, compute_uv=False)
     floor = (LIMIT_RANK_FLOOR * np.sqrt(max(achieved_rel_moment, 1e-15))
              * reps.norm(rep, limit))
-    decision = _linalg.rank_from_singular_values(s, floor=floor, one_sided=True)
+    decision = _linalg.rank_from_singular_values(s, rtol, floor=floor,
+                                                 one_sided=True)
     return decision.rank, decision.ambiguous
 
 
 def closedness_verdict(rep: reps.Representation, group, v,
-                       config: FlowConfig = FlowConfig()) -> ClosednessVerdict:
+                       config: FlowConfig = FlowConfig(),
+                       rtol: float = _linalg.RANK_RTOL) -> ClosednessVerdict:
     """Decide closedness of the orbit of v by the dimension-drop criterion.
 
     Closed: the flow converged and the limit has the same orbit
     dimension.  NonClosed: the flow converged onto a strictly smaller
     orbit (or onto zero from a nonzero start).  Inconclusive: budget or
-    stall, or any rank decision too close to its threshold.
+    stall, or any rank decision too close to its threshold.  ``rtol`` is
+    the relative cutoff of both orbit-dimension decisions.
     """
     algebra, _ = _resolve_algebra(group)
     start_norm = reps.norm(rep, v)
@@ -316,7 +318,8 @@ def closedness_verdict(rep: reps.Representation, group, v,
                           "moment")
         return ClosednessVerdict(CLOSED, 0, 0, 0.0, 0.0, trace)
 
-    start_dim, start_ambiguous = reps.orbit_dimension_info(rep, algebra, v)
+    start_dim, start_ambiguous = reps.orbit_dimension_info(rep, algebra, v,
+                                                           rtol)
     trace = norm_flow(rep, group, v, config)
     limit_norm = reps.norm(rep, trace.limit_point)
 
@@ -325,13 +328,13 @@ def closedness_verdict(rep: reps.Representation, group, v,
                                  0.0, trace)
     if not trace.converged:
         limit_dim, _ = _limit_orbit_dimension(rep, algebra, trace.limit_point,
-                                              trace.moment_norms[-1])
+                                              trace.moment_norms[-1], rtol)
         return ClosednessVerdict(INCONCLUSIVE, start_dim, limit_dim,
                                  start_norm, limit_norm, trace)
 
     achieved = float(trace.moment_norms[-1]) if trace.moment_norms.size else 0.0
     limit_dim, limit_ambiguous = _limit_orbit_dimension(
-        rep, algebra, trace.limit_point, achieved)
+        rep, algebra, trace.limit_point, achieved, rtol)
 
     if start_ambiguous or limit_ambiguous:
         status = INCONCLUSIVE

@@ -342,7 +342,7 @@ def orbit_dimension(rep: Representation, algebra: LieAlgebraBasis, v) -> int:
 
 
 def orbit_dimension_info(rep: Representation, algebra: LieAlgebraBasis,
-                         v, rtol: float | None = None) -> tuple[int, bool]:
+                         v, rtol: float = _linalg.RANK_RTOL) -> tuple[int, bool]:
     """Orbit dimension plus a flag for rank decisions too close to call."""
     a = _differential_matrix(rep, algebra, v)
     decision = _linalg.matrix_rank(a, rtol)
@@ -350,10 +350,10 @@ def orbit_dimension_info(rep: Representation, algebra: LieAlgebraBasis,
 
 
 def stabilizer_subalgebra(rep: Representation, algebra: LieAlgebraBasis,
-                          v) -> LieAlgebraBasis:
+                          v, rtol: float = _linalg.RANK_RTOL) -> LieAlgebraBasis:
     """Basis of {X in the algebra : X . v = 0} by null-space extraction."""
     a = _differential_matrix(rep, algebra, v)
-    kernel = _linalg.null_space(a)
+    kernel = _linalg.null_space(a, rtol)
     if kernel.shape[1] == 0:
         mats = np.zeros((0, algebra.ambient_size, algebra.ambient_size),
                         dtype=algebra.matrices.dtype if algebra.dim else rep.group.dtype)

@@ -86,13 +86,15 @@ def _coordinates(basis: LieAlgebraBasis, targets: np.ndarray) -> np.ndarray:
     return coords
 
 
-def structure_report(basis: LieAlgebraBasis) -> StructureData:
+def structure_report(basis: LieAlgebraBasis,
+                     rtol: float = _linalg.RANK_RTOL) -> StructureData:
     """Derived algebra, center and Killing form of a bracket-closed basis.
 
     All three come from one bracket table ``[X_i, X_j]``: the derived
     algebra is the span of its upper triangle, the center is the kernel
     of c -> ([sum_i c_i X_i, X_j])_j, and ``ad X_i`` holds the
-    coordinates of row i of the table.
+    coordinates of row i of the table.  ``rtol`` is the relative cutoff
+    of the derived and center dimensions.
     """
     table = bracket_table(basis)
     residual = bracket_closure_residual(basis, table)
@@ -102,12 +104,12 @@ def structure_report(basis: LieAlgebraBasis) -> StructureData:
     k = basis.dim
     n = basis.ambient_size
 
-    derived_mats = _linalg.orthonormal_span(table[np.triu_indices(k, 1)],
+    derived_mats = _linalg.orthonormal_span(table[np.triu_indices(k, 1)], rtol,
                                             real_span=basis.field != COMPLEX)
     derived = LieAlgebraBasis(derived_mats, basis.field, n)
 
     # Center: coefficient vectors c with [sum_i c_i X_i, X_j] = 0 for all j.
-    center_kernel = _linalg.null_space(table.reshape(k, k * n * n).T)
+    center_kernel = _linalg.null_space(table.reshape(k, k * n * n).T, rtol)
     center_mats = np.einsum("ik,ijl->kjl", center_kernel, basis.matrices)
     center = LieAlgebraBasis(center_mats, basis.field, n)
 
@@ -174,15 +176,16 @@ def element_type(x: np.ndarray, tol: float = NILPOTENT_TOL) -> str:
     return SEMISIMPLE
 
 
-def reductivity_verdict(basis: LieAlgebraBasis,
-                        tol: float = NILPOTENT_TOL) -> SubalgebraReport:
+def reductivity_verdict(basis: LieAlgebraBasis, tol: float = NILPOTENT_TOL,
+                        rtol: float = _linalg.RANK_RTOL) -> SubalgebraReport:
     """Algebraic reductivity: center + derived split, Cartan criterion,
-    semisimple center.  The zero algebra is reductive."""
+    semisimple center.  The zero algebra is reductive.  ``rtol`` is the
+    relative cutoff of every rank decision of the analysis."""
     k = basis.dim
     if k == 0:
         return SubalgebraReport(0, 0, 0, 0, True, True, REDUCTIVE, [])
 
-    data = structure_report(basis)
+    data = structure_report(basis, rtol)
     witnesses = []
     ambiguous = False
 
@@ -191,7 +194,7 @@ def reductivity_verdict(basis: LieAlgebraBasis,
     dims_ok = d + z == k
     if dims_ok and d and z:
         stacked = np.concatenate([data.derived.matrices, data.center.matrices])
-        decision = _linalg.matrix_rank(_linalg.stack_flat(stacked))
+        decision = _linalg.matrix_rank(_linalg.stack_flat(stacked), rtol)
         ambiguous |= decision.ambiguous
         dims_ok = decision.rank == d + z
     decomposition_ok = bool(dims_ok)
@@ -201,13 +204,13 @@ def reductivity_verdict(basis: LieAlgebraBasis,
     killing_degenerate = False
     killing_rank = 0
     if d:
-        killing_decision = _linalg.matrix_rank(data.killing_on_derived)
+        killing_decision = _linalg.matrix_rank(data.killing_on_derived, rtol)
         killing_rank = killing_decision.rank
         ambiguous |= killing_decision.ambiguous
         if killing_rank < d and not killing_decision.ambiguous:
             killing_degenerate = True
             # a derived direction on which the Killing form degenerates
-            kernel = _linalg.null_space(data.killing_on_derived)
+            kernel = _linalg.null_space(data.killing_on_derived, rtol)
             direction = np.einsum("i,ijl->jl", kernel[:, 0], data.derived.matrices)
             witnesses.append(("degenerate_killing_direction", direction))
 

@@ -4,8 +4,11 @@ import sys
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import orbitlab as ol
+from orbitlab import _linalg
+from orbitlab.cli import main
 
 
 def run_cli(*args, input_text=None):
@@ -179,3 +182,47 @@ def test_experiment_kind_override():
     report = json.loads(result.stdout)
     assert report["kind"] == "theorem1"
     assert report["summary"]["closed"] == 4
+
+
+def test_experiment_rank_tol_is_used_and_echoed(tmp_path):
+    args = ["experiment", "--scenario", "sl4-block", "--trials", "4",
+            "--seed", "0"]
+    outs = {}
+    for name, extra in [("default", []),
+                        ("w1", ["--rank-tol", "1e-18", "--workers", "1"]),
+                        ("w2", ["--rank-tol", "1e-18", "--workers", "2"])]:
+        outs[name] = tmp_path / f"{name}.json"
+        result = run_cli(*args, *extra, "--out", str(outs[name]))
+        assert result.returncode == 0, result.stderr
+    reports = {name: json.loads(path.read_text())
+               for name, path in outs.items()}
+    for report in reports.values():
+        report.pop("wall_time_ms")
+    assert reports["w1"] == reports["w2"]
+    assert reports["w1"]["config"]["rank_rtol"] == 1e-18
+    assert reports["w1"]["tolerances"]["rank_rtol"] == 1e-18
+    assert reports["default"]["config"]["rank_rtol"] == 1e-9
+    assert reports["w1"]["summary"]["dimension_histogram"] == {"0": 4}
+    assert reports["default"]["summary"]["dimension_histogram"] == {"3": 4}
+
+
+@pytest.mark.parametrize("command", [
+    ["closedness"], ["stabilizer"], ["reductive"], ["orbit-dim"],
+    ["experiment", "--scenario", "example1"]],
+    ids=lambda command: command[0])
+@pytest.mark.parametrize("value", ["0", "-1e-9"])
+def test_non_positive_rank_tol_is_config_error(command, value):
+    result = CliRunner().invoke(main, [*command, "--rank-tol", value],
+                                input="{}")
+    assert result.exit_code == 2
+    error = json.loads(result.stderr.strip().splitlines()[-1])
+    assert error == {"error": "configuration",
+                     "message": "--rank-tol must be positive"}
+
+
+def test_rank_tol_does_not_leak_into_the_process(problem_file):
+    result = CliRunner().invoke(main, ["orbit-dim", "--in", str(problem_file),
+                                       "--rank-tol", "1e-3"])
+    assert result.exit_code == 0
+    assert json.loads(result.stdout)["orbit_dim"] == 14
+    assert _linalg.RANK_RTOL == 1e-9

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,15 +61,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(kind="theorem1", scenario="example1", spread=-1.0)
 
+    @pytest.mark.parametrize("rank_rtol", [0.0, -1e-9, float("nan")])
+    def test_bad_rank_rtol(self, rank_rtol):
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(kind="theorem1", scenario="example1",
+                             rank_rtol=rank_rtol)
+
     def test_kind_scenario_mismatch(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(kind="cor2-normal", scenario="example1")
 
     def test_config_json_round_trip(self):
         config = ExperimentConfig(kind="theorem1", scenario="example1",
-                                  trials=7, seed=3, spread=0.25)
+                                  trials=7, seed=3, spread=0.25,
+                                  rank_rtol=1e-12)
         back = ExperimentConfig.from_json(config.to_json())
         assert back == config
+
+    def test_config_json_without_rank_rtol_gets_the_default(self):
+        data = ExperimentConfig(kind="theorem1", scenario="example1").to_json()
+        del data["rank_rtol"]
+        assert ExperimentConfig.from_json(data).rank_rtol == ol._linalg.RANK_RTOL
 
 
 class TestTrialSeeds:
@@ -181,3 +197,38 @@ class TestDeterminism:
         lines = report.to_csv_str().strip().splitlines()
         assert len(lines) == 1 + 4
         assert lines[0].startswith("index,")
+
+
+# Run as a script so that the start method is set before any pool exists
+# and pytest's own process keeps its default.
+SPAWN_SCRIPT = """
+import json
+import multiprocessing
+
+from orbitlab.experiments import ExperimentConfig, run_experiment
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    config = ExperimentConfig(kind="cor3-intersection", scenario="sl4-block",
+                              trials=4, seed=0, rank_rtol=1e-18)
+    print(json.dumps([run_experiment(config, workers=w).to_json_str(
+        include_wall_time=False) for w in (2, 1)]))
+"""
+
+
+def test_rank_rtol_reaches_spawned_workers(tmp_path):
+    script = tmp_path / "spawn_run.py"
+    script.write_text(SPAWN_SCRIPT)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, str(script)], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    parallel, serial = json.loads(result.stdout)
+    assert parallel == serial
+    serial = json.loads(serial)
+    assert serial["config"]["rank_rtol"] == 1e-18
+    assert serial["tolerances"]["rank_rtol"] == 1e-18
+    # the default cutoff gives {"3": 4}: the tiny one counts the rounding
+    # residue of the stabilizer as rank
+    assert serial["summary"]["dimension_histogram"] == {"0": 4}

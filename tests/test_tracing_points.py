@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import orbitlab as ol
-from orbitlab import subalgebra
+from orbitlab import kempfness, subalgebra
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -45,3 +45,49 @@ def test_structure_layers_are_called_through_their_modules(spans):
     assert {"subalgebra.reductivity_verdict", "subalgebra.structure_report",
             "subalgebra.bracket_closure_residual", "subalgebra.element_type",
             "linalg.null_space", "linalg.matrix_rank"} <= called
+
+
+# With rtol >= 0.1 the largest singular value always falls inside the
+# ambiguity band, so every nontrivial rank decision is flagged: the
+# tracer's counter and the inconclusive verdict show that the threaded
+# value reached the decisions.
+LOOSE_RTOL = 0.5
+
+
+def _traced(spans, call):
+    tracer = spans.Tracer()
+    with tracer.installed():
+        result = call()
+    called = {span[0] for span in tracer.spans}
+    return result, called, tracer.counts["rank_ambiguous"]
+
+
+def test_threaded_closedness_verdict_is_traced(spans):
+    sl2 = ol.special_linear(2, "complex")
+    rep = ol.sym2(sl2)
+    v = np.array([[1.0, 0.3], [0.3, 2.0]], dtype=complex)
+    verdict, called, ambiguous = _traced(
+        spans, lambda: kempfness.closedness_verdict(rep, sl2, v,
+                                                    rtol=LOOSE_RTOL))
+    assert {"kempfness.closedness_verdict", "reps.orbit_dimension_info",
+            "kempfness.norm_flow", "kempfness.moment_vector",
+            "linalg.matrix_rank"} <= called
+    assert ambiguous > 0
+    assert verdict.status == kempfness.INCONCLUSIVE
+    verdict, _, ambiguous = _traced(
+        spans, lambda: kempfness.closedness_verdict(rep, sl2, v))
+    assert (verdict.status, ambiguous) == (kempfness.CLOSED, 0)
+
+
+def test_threaded_reductivity_verdict_is_traced(spans):
+    basis = ol.lie_algebra_basis(ol.special_linear(2, "complex"))
+    report, called, ambiguous = _traced(
+        spans, lambda: subalgebra.reductivity_verdict(basis, rtol=LOOSE_RTOL))
+    assert {"subalgebra.reductivity_verdict", "subalgebra.structure_report",
+            "subalgebra.bracket_closure_residual", "linalg.null_space",
+            "linalg.matrix_rank"} <= called
+    assert ambiguous > 0
+    assert report.verdict == subalgebra.INCONCLUSIVE
+    report, _, ambiguous = _traced(
+        spans, lambda: subalgebra.reductivity_verdict(basis))
+    assert (report.verdict, ambiguous) == (subalgebra.REDUCTIVE, 0)
