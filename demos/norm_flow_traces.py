@@ -1,7 +1,8 @@
 """Watch the norm-minimizing flow distinguish three kinds of orbits.
 
-The flow moves a vector inside its orbit along the Hermitian part of the
-Lie algebra, always downhill in norm.  Where it ends up tells the story:
+The flow moves a vector inside its orbit by damped Newton steps along
+the Hermitian part of the Lie algebra, always downhill in norm.  Where it
+ends up tells the story:
 
   * closed orbit      - the flow stops at a minimal vector of the same
                         dimension as the start;
@@ -17,10 +18,10 @@ import numpy as np
 import orbitlab as ol
 
 
-def show(title, trace, every=5):
+def show(title, trace, shown=8):
     norms = trace.norms
-    picks = list(range(0, len(norms), every)) + [len(norms) - 1]
-    line = " -> ".join(f"{norms[i]:.4f}" for i in sorted(set(picks))[:8])
+    picks = np.unique(np.linspace(0, len(norms) - 1, shown).round().astype(int))
+    line = " -> ".join(f"{norms[i]:.4f}" for i in picks)
     print(f"{title}")
     print(f"  norms: {line}")
     print(f"  iterations {trace.iterations_used}, reason {trace.reason!r}, "
@@ -30,8 +31,8 @@ def show(title, trace, every=5):
 sl2 = ol.special_linear(2, "complex")
 rep = ol.sym2(sl2)
 
-# 1. closed orbit: nonzero discriminant
-m_closed = np.array([[1.0, 2.0], [2.0, -1.0]], dtype=complex)
+# 1. closed orbit: nonzero discriminant, started away from its minimum
+m_closed = np.array([[2.0, 1.0], [1.0, 1.0]], dtype=complex)
 show("closed orbit (det != 0):", ol.norm_flow(rep, sl2, m_closed))
 
 # 2. nullcone: rank-one symmetric matrix, det = 0

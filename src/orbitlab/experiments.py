@@ -34,6 +34,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -235,8 +236,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown experiment kind {self.kind!r}")
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
-        if self.spread <= 0:
-            raise ConfigurationError("spread must be positive")
+        if not (math.isfinite(self.spread) and self.spread > 0):
+            raise ConfigurationError("spread must be finite and positive")
         if not self.rank_rtol > 0:
             raise ConfigurationError("rank_rtol must be positive")
         sc = get_scenario(self.scenario)

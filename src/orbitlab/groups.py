@@ -18,6 +18,7 @@ pure function of its inputs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -397,6 +398,26 @@ def cartan_decomposition_for(spec: GroupSpec) -> CartanDecomposition:
     return cached
 
 
+def orthonormalize(basis: LieAlgebraBasis) -> LieAlgebraBasis:
+    """A basis of the same algebra, orthonormal for the real trace pairing
+    (over the reals for a real algebra, over the complex field else)."""
+    onb = _linalg.orthonormal_span(basis.matrices,
+                                   real_span=basis.field != COMPLEX)
+    return LieAlgebraBasis(onb, basis.field, basis.ambient_size)
+
+
+_ORTHONORMAL_CACHE: dict[str, LieAlgebraBasis] = {}
+
+
+def orthonormal_basis_for(spec: GroupSpec) -> LieAlgebraBasis:
+    key = spec.cache_key()
+    cached = _ORTHONORMAL_CACHE.get(key)
+    if cached is None:
+        cached = orthonormalize(lie_algebra_basis(spec))
+        _ORTHONORMAL_CACHE[key] = cached
+    return cached
+
+
 def matrix_exp(x: np.ndarray) -> np.ndarray:
     """Matrix exponential (scaling-and-squaring Pade, via scipy)."""
     return scipy.linalg.expm(x)
@@ -416,8 +437,8 @@ def random_group_element(spec: GroupSpec, seed, spread: float) -> np.ndarray:
 
     Identical (spec, seed, spread) triples give bitwise-identical draws.
     """
-    if spread <= 0:
-        raise InvalidArgumentError("spread must be positive")
+    if not (math.isfinite(spread) and spread > 0):
+        raise InvalidArgumentError("spread must be finite and positive")
     basis = lie_algebra_basis(spec)
     coeff = random_algebra_coefficients(basis.dim, seed, spread,
                                         spec.field == COMPLEX)

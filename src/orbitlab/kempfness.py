@@ -4,14 +4,22 @@ The norm functional g -> |g . v|^2 on a reductive matrix group attains
 its infimum exactly when the orbit is closed, and its critical points
 are the minimal vectors: points where <X . v, v> = 0 for every Hermitian
 algebra direction X.  The flow implemented here descends the norm along
-the Hermitian part of the algebra,
+the Hermitian part p of the algebra by damped, regularized Newton steps
+on the Kempf-Ness function X -> |exp(X) . v|^2 / 2.  Its gradient at v
+is the moment vector mu(v).  For X in p the operator v -> X . v is
+Hermitian, so the Hessian in p-basis coordinates is H = 2 Re(D* D),
+where the columns of D are the images X_i . v (the matrix that also
+decides orbit dimensions).  One step is
 
-    v_{k+1} = act(exp(-eps mu(v_k)), v_k),
+    c = (H + lam I)^-1 mu(v_k),    lam = NEWTON_REGULARIZATION tr(H) / k,
+    v_{k+1} = act(exp(-t sum_i c_i X_i), v_k),
 
-with a backtracking line search (halving, warm-started at twice the
-previously accepted step).  Every iterate stays exactly on the starting
-orbit, so the limit of the flow lies in the unique closed orbit inside
-the orbit closure.
+with t = 1, 1/2, 1/4, ... until the Armijo condition holds.  lam keeps
+the step bounded where H is singular: along the stabilizer directions
+of a minimal vector, and as a whole when the iterate nears a smaller
+orbit in the closure.  The function is geodesically convex, so the
+damped steps still descend to the closed orbit in the closure, and
+every iterate stays exactly on the starting orbit.
 
 The moment map mu(v)_i = <X_i . v, v> is a quadratic form in v: each
 representation supplies a Hermitian m(v) with <X . v, v> = Re tr(X m(v)*)
@@ -43,9 +51,9 @@ import numpy as np
 
 from . import _linalg, reps
 from .errors import InvalidArgumentError
-from .groups import (COMPLEX, CartanDecomposition, GroupSpec, LieAlgebraBasis,
-                     cartan_decompose, cartan_decomposition_for,
-                     lie_algebra_basis, matrix_exp)
+from .groups import (CartanDecomposition, LieAlgebraBasis, cartan_decompose,
+                     cartan_decomposition_for, lie_algebra_basis, matrix_exp,
+                     orthonormal_basis_for, orthonormalize)
 
 CLOSED = "closed"
 NON_CLOSED = "non_closed"
@@ -69,37 +77,40 @@ COLLAPSE_REL_NORM2 = 1e-12
 # Armijo sufficient-decrease coefficient for the line search.
 SUFFICIENT_DECREASE = 1e-4
 
+# Newton line search: the step length starts at the full Newton step,
+# halves on every rejection, and the flow stalls once it drops below
+# MIN_STEP.
+INITIAL_STEP = 1.0
+STEP_SHRINK = 0.5
+MIN_STEP = 1e-14
+
+# Regularization of the Newton system relative to the mean Hessian
+# eigenvalue tr(H) / k; bounds the step where H turns singular.
+NEWTON_REGULARIZATION = 1e-3
+
 
 @dataclass(frozen=True)
 class FlowConfig:
-    initial_step: float = 0.1
-    moment_tolerance: float = 1e-8
-    max_iterations: int = 20000
-    step_shrink: float = 0.5
-    min_step: float = 1e-14
+    moment_tolerance: float = 1e-8   # stop at relative moment norm <= this
+    max_iterations: int = 20000      # Newton steps before "budget"
 
     def __post_init__(self):
-        if min(self.initial_step, self.moment_tolerance, self.min_step) <= 0:
-            raise InvalidArgumentError("flow parameters must be positive")
-        if not 0 < self.step_shrink < 1:
-            raise InvalidArgumentError("step_shrink must lie in (0, 1)")
+        if not self.moment_tolerance > 0:
+            raise InvalidArgumentError("moment_tolerance must be positive")
         if self.max_iterations < 1:
             raise InvalidArgumentError("max_iterations must be positive")
 
     def to_json(self) -> dict:
         return {
-            "initial_step": self.initial_step,
             "moment_tolerance": self.moment_tolerance,
             "max_iterations": self.max_iterations,
-            "step_shrink": self.step_shrink,
-            "min_step": self.min_step,
         }
 
     @staticmethod
     def from_json(data: dict) -> "FlowConfig":
+        """Reads the known keys only, so reports with older fields load."""
         return FlowConfig(**{k: data[k] for k in (
-            "initial_step", "moment_tolerance", "max_iterations",
-            "step_shrink", "min_step") if k in data})
+            "moment_tolerance", "max_iterations") if k in data})
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,11 +207,31 @@ def is_minimal(rep: reps.Representation, p_basis: LieAlgebraBasis, v,
     return relative_moment_norm(rep, p_basis, v) <= tol
 
 
-def _resolve_algebra(group) -> tuple[LieAlgebraBasis, CartanDecomposition]:
-    """Accept a GroupSpec or a theta-stable algebra basis directly."""
+# A ``group`` argument is a GroupSpec, whose derived bases are cached per
+# group, or a theta-stable algebra basis, whose bases are derived on
+# each call.
+
+def _cartan(group) -> CartanDecomposition:
     if isinstance(group, LieAlgebraBasis):
-        return group, cartan_decompose(group)
-    return lie_algebra_basis(group), cartan_decomposition_for(group)
+        return cartan_decompose(group)
+    return cartan_decomposition_for(group)
+
+
+def _algebras(group) -> tuple[LieAlgebraBasis, LieAlgebraBasis]:
+    """The algebra basis and its orthonormalization."""
+    if isinstance(group, LieAlgebraBasis):
+        return group, orthonormalize(group)
+    return lie_algebra_basis(group), orthonormal_basis_for(group)
+
+
+def _newton_direction(rep: reps.Representation, p_basis: LieAlgebraBasis,
+                      w, coeff: np.ndarray) -> np.ndarray:
+    """p-basis coefficients c = (H + lam I)^-1 mu of the regularized
+    Newton step, with H = 2 Re(D* D) the Hessian of |exp(X) . w|^2 / 2."""
+    d = reps._differential_matrix(rep, p_basis, w)
+    hess = 2.0 * np.real(d.conj().T @ d)
+    lam = NEWTON_REGULARIZATION * np.trace(hess) / p_basis.dim
+    return np.linalg.solve(hess + lam * np.eye(p_basis.dim), coeff)
 
 
 def norm_flow(rep: reps.Representation, group, v,
@@ -209,11 +240,10 @@ def norm_flow(rep: reps.Representation, group, v,
 
     ``group`` may be a GroupSpec or a theta-stable LieAlgebraBasis.  The
     flow is run on v / |v| and rescaled afterwards (it commutes with
-    scaling), which keeps the step-size heuristics scale-free.  Budget
-    exhaustion is reported on the trace, not raised.
+    scaling), which keeps the regularization and the stopping tests
+    scale-free.  Budget exhaustion is reported on the trace, not raised.
     """
-    _, cartan = _resolve_algebra(group)
-    p_basis = cartan.p_basis
+    p_basis = _cartan(group).p_basis
     _check_orthonormal(p_basis)
     v = reps._check_vector(rep, v)
 
@@ -227,7 +257,6 @@ def norm_flow(rep: reps.Representation, group, v,
     norm2 = reps._inner_product(rep, w, w)
     norms = [np.sqrt(norm2)]
     moment_norms = []
-    eps = config.initial_step
     converged = False
     collapsed = False
     reason = "budget"
@@ -235,24 +264,26 @@ def norm_flow(rep: reps.Representation, group, v,
 
     for it in range(config.max_iterations):
         coeff = moment_vector(rep, p_basis, w, check=False)
-        mom = float(np.linalg.norm(coeff))
-        rel = mom / norm2
+        rel = float(np.linalg.norm(coeff)) / norm2
         moment_norms.append(rel)
         if rel <= config.moment_tolerance:
             converged = True
             reason = "moment"
             iterations = it
             break
-        mu = np.einsum("i,ijk->jk", coeff, p_basis.matrices)
-        step = eps
+        direction = _newton_direction(rep, p_basis, w, coeff)
+        x = np.einsum("i,ijk->jk", direction, p_basis.matrices)
+        # Armijo bar: the slope of |exp(-tX) . w|^2 at t = 0 is -2 mu . c
+        decrease = 2.0 * SUFFICIENT_DECREASE * float(coeff @ direction)
+        step = INITIAL_STEP
         accepted = False
-        while step >= config.min_step:
-            candidate = reps._act(rep, matrix_exp(-step * mu), w)
+        while step >= MIN_STEP:
+            candidate = reps._act(rep, matrix_exp(-step * x), w)
             cand2 = reps._inner_product(rep, candidate, candidate)
-            if cand2 <= norm2 - SUFFICIENT_DECREASE * step * mom * mom:
+            if cand2 <= norm2 - step * decrease:
                 accepted = True
                 break
-            step *= config.step_shrink
+            step *= STEP_SHRINK
         if not accepted:
             reason = "stalled"
             iterations = it
@@ -260,7 +291,6 @@ def norm_flow(rep: reps.Representation, group, v,
         w = candidate
         norm2 = cand2
         norms.append(np.sqrt(norm2))
-        eps = step / config.step_shrink  # warm start: try a larger step next
         if norm2 <= COLLAPSE_REL_NORM2:
             converged = True
             collapsed = True
@@ -276,7 +306,7 @@ def norm_flow(rep: reps.Representation, group, v,
                      iterations, limit, converged, collapsed, reason)
 
 
-def _limit_orbit_dimension(rep: reps.Representation, algebra: LieAlgebraBasis,
+def _limit_orbit_dimension(rep: reps.Representation, onb: LieAlgebraBasis,
                            limit, achieved_rel_moment: float,
                            rtol: float) -> tuple[int, bool]:
     """Orbit dimension at the flow limit, resolved to the flow's accuracy.
@@ -284,14 +314,12 @@ def _limit_orbit_dimension(rep: reps.Representation, algebra: LieAlgebraBasis,
     Directions whose singular value is below the position uncertainty of
     the limit point (about sqrt(residual) * |limit|) are the ones dying
     in the true limit; they are floored to zero.  Only singular values
-    just *above* the floor make the decision ambiguous.  The algebra
-    basis itself is orthonormalized at the default cutoff: its singular
+    just *above* the floor make the decision ambiguous.  ``onb`` is the
+    algebra basis orthonormalized at the default cutoff, so that the
+    floor compares unit-length directions; the basis's own singular
     values are O(1), so any sane ``rtol`` keeps all of it.
     """
-    onb = _linalg.orthonormal_span(algebra.matrices,
-                                   real_span=algebra.field != COMPLEX)
-    onb_basis = LieAlgebraBasis(onb, algebra.field, algebra.ambient_size)
-    a = reps._differential_matrix(rep, onb_basis, limit)
+    a = reps._differential_matrix(rep, onb, limit)
     s = np.linalg.svd(a, compute_uv=False)
     floor = (LIMIT_RANK_FLOOR * np.sqrt(max(achieved_rel_moment, 1e-15))
              * reps.norm(rep, limit))
@@ -311,7 +339,7 @@ def closedness_verdict(rep: reps.Representation, group, v,
     stall, or any rank decision too close to its threshold.  ``rtol`` is
     the relative cutoff of both orbit-dimension decisions.
     """
-    algebra, _ = _resolve_algebra(group)
+    algebra, onb = _algebras(group)
     start_norm = reps.norm(rep, v)
     if start_norm == 0.0:
         trace = FlowTrace(np.array([0.0]), np.array([0.0]), 0, v, True, False,
@@ -327,14 +355,14 @@ def closedness_verdict(rep: reps.Representation, group, v,
         return ClosednessVerdict(NON_CLOSED, start_dim, 0, start_norm,
                                  0.0, trace)
     if not trace.converged:
-        limit_dim, _ = _limit_orbit_dimension(rep, algebra, trace.limit_point,
+        limit_dim, _ = _limit_orbit_dimension(rep, onb, trace.limit_point,
                                               trace.moment_norms[-1], rtol)
         return ClosednessVerdict(INCONCLUSIVE, start_dim, limit_dim,
                                  start_norm, limit_norm, trace)
 
     achieved = float(trace.moment_norms[-1]) if trace.moment_norms.size else 0.0
     limit_dim, limit_ambiguous = _limit_orbit_dimension(
-        rep, algebra, trace.limit_point, achieved, rtol)
+        rep, onb, trace.limit_point, achieved, rtol)
 
     if start_ambiguous or limit_ambiguous:
         status = INCONCLUSIVE

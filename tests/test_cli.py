@@ -112,6 +112,16 @@ def test_experiment_zero_trials_is_config_error():
     assert error["error"] == "configuration"
 
 
+@pytest.mark.parametrize("option,value", [
+    ("--spread", "nan"), ("--spread", "inf"), ("--moment-tol", "nan")])
+def test_non_finite_experiment_input_is_config_error(option, value):
+    result = run_cli("experiment", "--scenario", "example1", "--kind",
+                     "theorem1", "--trials", "2", option, value)
+    assert result.returncode == 2
+    error = json.loads(result.stderr.strip().splitlines()[-1])
+    assert error["error"] == "configuration"
+
+
 def test_unknown_scenario_is_config_error():
     result = run_cli("experiment", "--scenario", "not-a-scenario")
     assert result.returncode == 2

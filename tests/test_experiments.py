@@ -61,6 +61,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(kind="theorem1", scenario="example1", spread=-1.0)
 
+    @pytest.mark.parametrize("spread", [float("nan"), float("inf")])
+    def test_non_finite_spread(self, spread):
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(kind="theorem1", scenario="example1",
+                             spread=spread)
+
     @pytest.mark.parametrize("rank_rtol", [0.0, -1e-9, float("nan")])
     def test_bad_rank_rtol(self, rank_rtol):
         with pytest.raises(ConfigurationError):

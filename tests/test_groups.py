@@ -187,6 +187,42 @@ class TestRandomElements:
         with pytest.raises(InvalidArgumentError):
             ol.random_group_element(sl6, 0, 0.0)
 
+    @pytest.mark.parametrize("spread", [float("nan"), float("inf")])
+    def test_non_finite_spread_rejected(self, sl6, spread):
+        with pytest.raises(InvalidArgumentError):
+            ol.random_group_element(sl6, 0, spread)
+
+
+class TestOrthonormalBasis:
+    @pytest.mark.parametrize("spec", [
+        ol.block_embedding(ol.special_linear(2, "complex"), 6, 0),
+        ol.special_linear(3, "real"),
+        ol.product(ol.special_linear(2, "complex"),
+                   ol.special_linear(2, "complex")),
+    ], ids=["sl2-block", "sl3-real", "product"])
+    def test_spans_the_algebra_orthonormally(self, spec):
+        from orbitlab._linalg import realify_flat, stack_flat, subspace_distance
+        algebra = ol.lie_algebra_basis(spec)
+        onb = ol.groups.orthonormal_basis_for(spec)
+        assert onb.dim == algebra.dim
+        assert (onb.field, onb.ambient_size) == (algebra.field,
+                                                 algebra.ambient_size)
+        real_span = spec.field != "complex"
+        assert subspace_distance(onb.matrices, algebra.matrices,
+                                 real_span=real_span) <= 1e-12
+        flat = (realify_flat(onb.matrices) if real_span
+                else stack_flat(onb.matrices))
+        gram = flat @ flat.conj().T
+        assert np.allclose(gram, np.eye(onb.dim), atol=1e-12)
+
+    def test_cached_per_group(self, sl2_block):
+        onb = ol.groups.orthonormal_basis_for(sl2_block)
+        same = ol.block_embedding(ol.special_linear(2, "complex"), 6, 0)
+        assert ol.groups.orthonormal_basis_for(same) is onb
+        bare = ol.groups.orthonormalize(ol.lie_algebra_basis(sl2_block))
+        assert bare is not onb
+        assert np.array_equal(bare.matrices, onb.matrices)
+
 
 class TestAdjointConjugate:
     def test_identity_preserves_span(self, sl2_block):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import orbitlab as ol
+from orbitlab import _linalg, experiments, kempfness
 from orbitlab.errors import InvalidArgumentError
+from orbitlab.experiments import ExperimentConfig, get_scenario
 from orbitlab.kempfness import CLOSED, INCONCLUSIVE, NON_CLOSED, FlowConfig
 
 
@@ -256,16 +258,22 @@ class TestClosednessVerdict:
 class TestFlowConfig:
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
-            FlowConfig(initial_step=0.0)
+            FlowConfig(moment_tolerance=0.0)
         with pytest.raises(InvalidArgumentError):
-            FlowConfig(step_shrink=1.0)
+            FlowConfig(moment_tolerance=float("nan"))
         with pytest.raises(InvalidArgumentError):
             FlowConfig(max_iterations=0)
 
     def test_json_round_trip(self):
-        config = FlowConfig(initial_step=0.2, moment_tolerance=1e-9)
+        config = FlowConfig(moment_tolerance=1e-9, max_iterations=50)
         back = FlowConfig.from_json(config.to_json())
         assert back == config
+
+    def test_json_with_dropped_step_fields_still_loads(self):
+        # older reports carry three line-search fields the config dropped
+        data = {"initial_step": 0.1, "moment_tolerance": 1e-9,
+                "max_iterations": 50, "step_shrink": 0.5, "min_step": 1e-14}
+        assert FlowConfig.from_json(data) == FlowConfig(1e-9, 50)
 
     def test_verdict_serialization(self, alt6, sl2_block, x_translate):
         import json
@@ -275,3 +283,132 @@ class TestFlowConfig:
         assert json.loads(text)["status"] == "non_closed"
         slim = verdict.to_json(include_trace_arrays=False)
         assert "norms" not in slim["trace"]
+
+
+def _relative_hessian_eigenvalues(rep, group, w):
+    """Eigenvalues of H = 2 Re(D* D) over the p-basis, divided by |w|^2."""
+    p_basis = ol.cartan_decomposition_for(group).p_basis
+    d = ol.reps._differential_matrix(rep, p_basis, w)
+    hess = 2.0 * np.real(d.conj().T @ d)
+    return np.linalg.eigvalsh(hess) / ol.inner_product(rep, w, w)
+
+
+class TestNewtonStep:
+    def test_vanishing_hessian_near_the_smaller_orbit(self, alt6, sl2_block,
+                                                      x_translate):
+        # the whole Hessian dies as the iterate nears v0, which the block
+        # SL(2) fixes; the regularization scales with it
+        assert np.min(_relative_hessian_eigenvalues(
+            alt6, sl2_block, x_translate)) > 0.1
+        verdict = ol.closedness_verdict(alt6, sl2_block, x_translate)
+        limit = verdict.trace.limit_point
+        assert np.max(_relative_hessian_eigenvalues(
+            alt6, sl2_block, limit)) < 1e-6
+        assert verdict.status == NON_CLOSED
+        assert verdict.limit_orbit_dim == 0
+        assert verdict.trace.reason == "moment"
+        assert verdict.trace.iterations_used <= 20
+        assert np.all(np.diff(verdict.trace.norms) <= 0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_singular_hessian_on_a_product_group(self, seed):
+        # SL(2) x SL(2) on 2x2 matrices: the stabilizer of a minimal
+        # vector meets p in three dimensions, so H is singular there
+        scenario = get_scenario("normal-factor")
+        rep, group = scenario.representation, scenario.group
+        g = ol.random_group_element(group, seed, 1.5)
+        w = ol.act(rep, g, scenario.base_point)
+        verdict = ol.closedness_verdict(rep, group, w)
+        eigs = _relative_hessian_eigenvalues(rep, group,
+                                             verdict.trace.limit_point)
+        assert np.sum(eigs < 1e-12 * eigs.max()) == 3
+        assert verdict.status == CLOSED
+        assert verdict.start_orbit_dim == verdict.limit_orbit_dim == 3
+        assert verdict.trace.reason == "moment"
+        assert verdict.trace.iterations_used <= 20
+        # the minimal vectors of det = 1 have norm sqrt(2)
+        assert verdict.limit_norm == pytest.approx(np.sqrt(2.0), rel=1e-6)
+
+    def test_rank_one_matrix_collapses_under_the_product_group(self):
+        scenario = get_scenario("normal-factor")
+        m = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
+        verdict = ol.closedness_verdict(scenario.representation,
+                                        scenario.group, m)
+        assert verdict.status == NON_CLOSED
+        assert verdict.trace.collapsed
+
+
+def _trial_verdict(kind, scenario_name, seed, index):
+    """The closedness verdict of one experiment trial, drawn as the
+    experiment harness draws it."""
+    scenario = get_scenario(scenario_name)
+    config = ExperimentConfig(kind=kind, scenario=scenario_name, seed=seed)
+    x = experiments._start_vector(scenario, config,
+                                  experiments.trial_seed(seed, index))
+    return ol.closedness_verdict(scenario.representation, scenario.subgroup,
+                                 x, config.flow)
+
+
+# Trials on which a first-order flow needed 5995 and 9623 iterations.
+@pytest.mark.parametrize("kind,scenario,seed,index", [
+    ("theorem1", "example1", 1, 35),
+    ("cor5-direct-sum", "sym2-sum", 1, 92),
+])
+def test_heavy_tail_trial_converges_in_few_steps(kind, scenario, seed, index):
+    verdict = _trial_verdict(kind, scenario, seed, index)
+    assert verdict.trace.reason == "moment"
+    assert verdict.trace.iterations_used <= 20
+    assert verdict.status == CLOSED
+
+
+def test_trial_that_exhausted_a_first_order_budget_is_decided():
+    # a first-order flow spent all 20000 iterations here (inconclusive)
+    verdict = _trial_verdict("cor2-normal", "normal-factor", 3, 54)
+    assert verdict.trace.reason == "moment"
+    assert verdict.status == CLOSED
+
+
+@pytest.fixture(scope="module")
+def seed0_flows():
+    """(rep, group, verdict) of every seed-0 trial of four flow experiments."""
+    out = []
+    for kind, name in (("theorem1", "example1"), ("theorem1", "sl4-block"),
+                       ("cor2-normal", "normal-factor"),
+                       ("cor5-direct-sum", "sym2-sum")):
+        scenario = get_scenario(name)
+        for index in range(100):
+            verdict = _trial_verdict(kind, name, 0, index)
+            out.append((scenario.representation, scenario.subgroup, verdict))
+    return out
+
+
+def test_exit_residual_within_moment_tolerance(seed0_flows):
+    # the limit-side rank floor is calibrated to a residual at or below
+    # the tolerance, recomputed at the limit point the verdict returns
+    tol = FlowConfig().moment_tolerance
+    converged = [(rep, group, v) for rep, group, v in seed0_flows
+                 if v.trace.converged and not v.trace.collapsed]
+    assert len(converged) == len(seed0_flows)
+    for rep, group, verdict in converged:
+        assert verdict.trace.moment_norms[-1] <= tol
+        p_basis = ol.cartan_decomposition_for(group).p_basis
+        residual = ol.relative_moment_norm(rep, p_basis,
+                                           verdict.trace.limit_point)
+        assert residual <= tol * (1 + 1e-9)
+
+
+def test_limit_rank_margin_stays_two_decades(seed0_flows):
+    # decades between the limit-side cutoff and the nearest singular
+    # value; the ambiguity band is one decade wide
+    margins = []
+    for rep, group, verdict in seed0_flows:
+        limit = verdict.trace.limit_point
+        onb = ol.groups.orthonormal_basis_for(group)
+        s = np.linalg.svd(ol.reps._differential_matrix(rep, onb, limit),
+                          compute_uv=False)
+        floor = (kempfness.LIMIT_RANK_FLOOR
+                 * np.sqrt(max(verdict.trace.moment_norms[-1], 1e-15))
+                 * ol.reps.norm(rep, limit))
+        cutoff = max(_linalg.RANK_RTOL * s.max(), floor)
+        margins.append(np.min(np.abs(np.log10(s / cutoff))))
+    assert min(margins) >= 2.0

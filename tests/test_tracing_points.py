@@ -6,6 +6,7 @@ traced run.  These tests load the tracer read-only and fail instead.
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,26 @@ def test_structure_layers_are_called_through_their_modules(spans):
     assert {"subalgebra.reductivity_verdict", "subalgebra.structure_report",
             "subalgebra.bracket_closure_residual", "subalgebra.element_type",
             "linalg.null_space", "linalg.matrix_rank"} <= called
+
+
+def test_flow_layers_are_called_through_their_modules(spans, alt6, sl2_block,
+                                                     x_translate):
+    # the benchmark counts backtracks as expm calls minus accepted steps,
+    # so every trial exponential must pass through kempfness.matrix_exp
+    tracer = spans.Tracer()
+    with tracer.installed():
+        verdict = kempfness.closedness_verdict(alt6, sl2_block, x_translate)
+    calls = Counter(span[0] for span in tracer.spans)
+    accepted = len(verdict.trace.norms) - 1
+    assert accepted == verdict.trace.iterations_used > 0
+    assert calls["kempfness.expm"] >= accepted
+    assert calls["kempfness.moment_vector"] >= verdict.trace.iterations_used
+    metrics = tracer.metrics()
+    backtracks = calls["kempfness.expm"] - accepted
+    assert metrics["kempfness.flow.backtracks"] == backtracks
+    assert 0 < metrics["kempfness.line_search.accept_ratio"] <= 1
+    # a correctly scaled Newton step is accepted at full length here
+    assert backtracks == 0
 
 
 # With rtol >= 0.1 the largest singular value always falls inside the
