@@ -35,6 +35,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -46,7 +47,6 @@ from .errors import ConfigurationError
 from .groups import GroupSpec, lie_algebra_basis, random_group_element
 from .kempfness import (CLOSED, INCONCLUSIVE, NON_CLOSED, FlowConfig,
                         closedness_verdict, relative_moment_norm)
-from .serialize import matrix_to_json
 
 THEOREM1 = "theorem1"
 COR2_NORMAL = "cor2-normal"
@@ -234,8 +234,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
             raise ConfigurationError(f"unknown experiment kind {self.kind!r}")
-        if self.trials < 1:
-            raise ConfigurationError("trials must be >= 1")
+        if not (isinstance(self.trials, numbers.Integral) and self.trials >= 1):
+            raise ConfigurationError("trials must be an integer >= 1")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ConfigurationError("seed must be a non-negative integer")
         if not (math.isfinite(self.spread) and self.spread > 0):
             raise ConfigurationError("spread must be finite and positive")
         if not self.rank_rtol > 0:
@@ -261,7 +263,7 @@ class ExperimentConfig:
         flow = FlowConfig.from_json(data.get("flow", {}))
         return ExperimentConfig(
             kind=data["kind"], scenario=data["scenario"],
-            trials=int(data.get("trials", 100)), seed=int(data.get("seed", 0)),
+            trials=data.get("trials", 100), seed=data.get("seed", 0),
             spread=float(data.get("spread", 0.5)), flow=flow,
             rank_rtol=float(data.get("rank_rtol", _linalg.RANK_RTOL)))
 
@@ -281,8 +283,8 @@ class ExperimentReport:
             "scenario": self.config.scenario,
             "config": self.config.to_json(),
             "tolerances": tolerance_echo(self.config),
-            "trials": _jsonable(self.trials),
-            "summary": _jsonable(self.summary),
+            "trials": self.trials,
+            "summary": self.summary,
             "passed": self.passed,
             "failure": self.failure,
         }
@@ -307,23 +309,6 @@ class ExperimentReport:
         for record in self.trials:
             writer.writerow({k: record.get(k) for k in keys})
         return buf.getvalue()
-
-
-def _jsonable(value):
-    """Recursively convert numpy scalars/arrays to plain Python values."""
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.ndarray):
-        return matrix_to_json(value)
-    return value
 
 
 def tolerance_echo(config: ExperimentConfig) -> dict:
@@ -564,9 +549,11 @@ def _summarize_flow(records: list, require_all_closed: bool) -> tuple[dict, bool
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     """Run all trials of an experiment and aggregate the report.
 
-    The report is a pure function of the config; ``workers`` only
-    parallelizes independent trials.
+    The report is a pure function of the config; ``workers`` (at least
+    1) only parallelizes independent trials.
     """
+    if workers < 1:
+        raise ConfigurationError("workers must be >= 1")
     start = time.perf_counter()
 
     if config.kind == EXAMPLE1:

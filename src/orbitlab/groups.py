@@ -5,8 +5,8 @@ ambient size, scalar field, embedding data).  From a spec we build
 
 * an explicit matrix basis of the Lie algebra (:func:`lie_algebra_basis`),
 * its split into skew-Hermitian and Hermitian parts
-  (:func:`cartan_decompose`), which is what norm-minimizing flows move
-  along, and
+  (:func:`cartan_decompose`, kept on the basis as ``basis.cartan``),
+  which is what norm-minimizing flows move along, and
 * random elements ``exp(sum c_i X_i)`` with Gaussian coefficients
   (:func:`random_group_element`), the package's operational meaning of
   "generic group element".
@@ -17,6 +17,7 @@ pure function of its inputs.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -194,6 +195,10 @@ class LieAlgebraBasis:
     scalars; coefficients in all downstream solves then live in the same
     field.  The container itself does not enforce bracket closure; see
     :func:`bracket_closure_residual`.
+
+    Data derived from the basis alone (its Cartan split, its
+    orthonormalization and its Gram residual) is computed on first use
+    and kept on the instance; the matrices must not change afterwards.
     """
 
     matrices: np.ndarray  # (dim, n, n)
@@ -203,6 +208,20 @@ class LieAlgebraBasis:
     @property
     def dim(self) -> int:
         return self.matrices.shape[0]
+
+    @functools.cached_property
+    def cartan(self) -> "CartanDecomposition":
+        return cartan_decompose(self)
+
+    @functools.cached_property
+    def orthonormal(self) -> "LieAlgebraBasis":
+        return orthonormalize(self)
+
+    @functools.cached_property
+    def gram_residual(self) -> float:
+        """Distance of the Gram matrix under Re tr(A B*) from the identity."""
+        flat = _linalg.realify_flat(self.matrices)
+        return float(np.linalg.norm(flat @ flat.T - np.eye(self.dim)))
 
     def to_json(self) -> dict:
         return {
@@ -386,16 +405,8 @@ def cartan_decompose(basis: LieAlgebraBasis) -> CartanDecomposition:
     return CartanDecomposition(k_basis, p_basis)
 
 
-_CARTAN_CACHE: dict[str, CartanDecomposition] = {}
-
-
 def cartan_decomposition_for(spec: GroupSpec) -> CartanDecomposition:
-    key = spec.cache_key()
-    cached = _CARTAN_CACHE.get(key)
-    if cached is None:
-        cached = cartan_decompose(lie_algebra_basis(spec))
-        _CARTAN_CACHE[key] = cached
-    return cached
+    return lie_algebra_basis(spec).cartan
 
 
 def orthonormalize(basis: LieAlgebraBasis) -> LieAlgebraBasis:
@@ -406,16 +417,8 @@ def orthonormalize(basis: LieAlgebraBasis) -> LieAlgebraBasis:
     return LieAlgebraBasis(onb, basis.field, basis.ambient_size)
 
 
-_ORTHONORMAL_CACHE: dict[str, LieAlgebraBasis] = {}
-
-
 def orthonormal_basis_for(spec: GroupSpec) -> LieAlgebraBasis:
-    key = spec.cache_key()
-    cached = _ORTHONORMAL_CACHE.get(key)
-    if cached is None:
-        cached = orthonormalize(lie_algebra_basis(spec))
-        _ORTHONORMAL_CACHE[key] = cached
-    return cached
+    return lie_algebra_basis(spec).orthonormal
 
 
 def matrix_exp(x: np.ndarray) -> np.ndarray:

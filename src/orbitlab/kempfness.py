@@ -32,7 +32,9 @@ m(v) (Kempf-Ness):
     direct sum                 m(v) = sum of the components' m
 
 ``norm_flow`` validates its vector once on entry; the line search runs
-on the unchecked cores of the action and the inner product.
+on the unchecked cores of the action and the inner product.  The flow's
+stop state is one field, ``FlowTrace.reason``; whether it converged or
+collapsed, and how many steps it took, are read off the trace.
 
 The closedness verdict compares orbit dimensions at the start and at the
 flow limit.  A subtlety: the final iterate is only within about
@@ -45,15 +47,14 @@ Inconclusive is a first-class outcome, never an exception.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _linalg, reps
 from .errors import InvalidArgumentError
-from .groups import (CartanDecomposition, LieAlgebraBasis, cartan_decompose,
-                     cartan_decomposition_for, lie_algebra_basis, matrix_exp,
-                     orthonormal_basis_for, orthonormalize)
+from .groups import LieAlgebraBasis, lie_algebra_basis, matrix_exp
 
 CLOSED = "closed"
 NON_CLOSED = "non_closed"
@@ -97,8 +98,9 @@ class FlowConfig:
     def __post_init__(self):
         if not self.moment_tolerance > 0:
             raise InvalidArgumentError("moment_tolerance must be positive")
-        if self.max_iterations < 1:
-            raise InvalidArgumentError("max_iterations must be positive")
+        if not (isinstance(self.max_iterations, numbers.Integral)
+                and self.max_iterations >= 1):
+            raise InvalidArgumentError("max_iterations must be a positive integer")
 
     def to_json(self) -> dict:
         return {
@@ -115,13 +117,23 @@ class FlowConfig:
 
 @dataclass(frozen=True, eq=False)
 class FlowTrace:
-    norms: np.ndarray          # |v_k|, nonincreasing
+    norms: np.ndarray          # |v_k| per accepted step, nonincreasing
     moment_norms: np.ndarray   # relative moment norm at each iterate
-    iterations_used: int
     limit_point: object
-    converged: bool
-    collapsed: bool            # limit certified to be the zero vector
     reason: str                # "moment", "collapse", "budget", "stalled"
+
+    @property
+    def iterations_used(self) -> int:
+        return len(self.norms) - 1
+
+    @property
+    def converged(self) -> bool:
+        return self.reason in ("moment", "collapse")
+
+    @property
+    def collapsed(self) -> bool:
+        """The limit is certified to be the zero vector."""
+        return self.reason == "collapse"
 
     def to_json(self, rep: reps.Representation | None = None) -> dict:
         out = {
@@ -163,30 +175,21 @@ class ClosednessVerdict:
         }
 
 
-def _check_orthonormal(p_basis: LieAlgebraBasis):
-    if p_basis.dim == 0:
-        return
-    flat = _linalg.realify_flat(p_basis.matrices)
-    gram = flat @ flat.T
-    if np.linalg.norm(gram - np.eye(p_basis.dim)) > GRAM_TOL:
-        raise InvalidArgumentError(
-            "p-basis must be orthonormal for the real trace pairing")
-
-
-def moment_vector(rep: reps.Representation, p_basis: LieAlgebraBasis, v,
-                  check: bool = True) -> np.ndarray:
+def moment_vector(rep: reps.Representation, p_basis: LieAlgebraBasis,
+                  v) -> np.ndarray:
     """Coefficients <X_i . v, v> over the orthonormal Hermitian basis.
 
     This is the gradient of t -> |exp(tX) . v|^2 / 2 at t = 0 in the
     direction X; it vanishes exactly at minimal vectors.  It is computed
     in closed form as Re tr(X_i m(v)*), one contraction of the basis
-    against the Hermitian matrix m(v) of the representation.
-    ``check=False`` skips validating the basis and the vector, for
-    callers that have done both already.
+    against the Hermitian matrix m(v) of the representation.  The
+    basis's Gram residual is kept on the basis, so validating it costs
+    one attribute read after the first call.
     """
-    if check:
-        _check_orthonormal(p_basis)
-        v = reps._check_vector(rep, v)
+    if p_basis.gram_residual > GRAM_TOL:
+        raise InvalidArgumentError(
+            "p-basis must be orthonormal for the real trace pairing")
+    v = reps._check_vector(rep, v)
     if p_basis.dim == 0:
         return np.zeros(0)
     m = reps._moment_matrix(rep, v)
@@ -207,21 +210,13 @@ def is_minimal(rep: reps.Representation, p_basis: LieAlgebraBasis, v,
     return relative_moment_norm(rep, p_basis, v) <= tol
 
 
-# A ``group`` argument is a GroupSpec, whose derived bases are cached per
-# group, or a theta-stable algebra basis, whose bases are derived on
-# each call.
-
-def _cartan(group) -> CartanDecomposition:
+def _basis(group) -> LieAlgebraBasis:
+    """The algebra basis of a ``group`` argument: a GroupSpec's cached
+    basis, or the theta-stable basis itself.  Either way its Cartan split
+    and orthonormalization are derived once and kept on the basis."""
     if isinstance(group, LieAlgebraBasis):
-        return cartan_decompose(group)
-    return cartan_decomposition_for(group)
-
-
-def _algebras(group) -> tuple[LieAlgebraBasis, LieAlgebraBasis]:
-    """The algebra basis and its orthonormalization."""
-    if isinstance(group, LieAlgebraBasis):
-        return group, orthonormalize(group)
-    return lie_algebra_basis(group), orthonormal_basis_for(group)
+        return group
+    return lie_algebra_basis(group)
 
 
 def _newton_direction(rep: reps.Representation, p_basis: LieAlgebraBasis,
@@ -243,67 +238,54 @@ def norm_flow(rep: reps.Representation, group, v,
     scaling), which keeps the regularization and the stopping tests
     scale-free.  Budget exhaustion is reported on the trace, not raised.
     """
-    p_basis = _cartan(group).p_basis
-    _check_orthonormal(p_basis)
+    p_basis = _basis(group).cartan.p_basis
     v = reps._check_vector(rep, v)
 
     start_norm = reps.norm(rep, v)
     if start_norm == 0.0 or p_basis.dim == 0:
-        return FlowTrace(np.array([start_norm]), np.array([0.0]), 0, v,
-                         True, False, "moment")
+        return FlowTrace(np.array([start_norm]), np.array([0.0]), v, "moment")
 
     # v is validated once above; the loop runs on the unchecked cores
     w = reps._scale(rep, 1.0 / start_norm, v)
     norm2 = reps._inner_product(rep, w, w)
     norms = [np.sqrt(norm2)]
     moment_norms = []
-    converged = False
-    collapsed = False
     reason = "budget"
-    iterations = config.max_iterations
 
-    for it in range(config.max_iterations):
-        coeff = moment_vector(rep, p_basis, w, check=False)
+    for _ in range(config.max_iterations):
+        coeff = moment_vector(rep, p_basis, w)
         rel = float(np.linalg.norm(coeff)) / norm2
         moment_norms.append(rel)
         if rel <= config.moment_tolerance:
-            converged = True
             reason = "moment"
-            iterations = it
             break
         direction = _newton_direction(rep, p_basis, w, coeff)
         x = np.einsum("i,ijk->jk", direction, p_basis.matrices)
         # Armijo bar: the slope of |exp(-tX) . w|^2 at t = 0 is -2 mu . c
         decrease = 2.0 * SUFFICIENT_DECREASE * float(coeff @ direction)
         step = INITIAL_STEP
-        accepted = False
         while step >= MIN_STEP:
             candidate = reps._act(rep, matrix_exp(-step * x), w)
             cand2 = reps._inner_product(rep, candidate, candidate)
             if cand2 <= norm2 - step * decrease:
-                accepted = True
                 break
             step *= STEP_SHRINK
-        if not accepted:
+        else:
             reason = "stalled"
-            iterations = it
             break
         w = candidate
         norm2 = cand2
         norms.append(np.sqrt(norm2))
         if norm2 <= COLLAPSE_REL_NORM2:
-            converged = True
-            collapsed = True
             reason = "collapse"
-            iterations = it + 1
             break
     else:
         moment_norms.append(relative_moment_norm(rep, p_basis, w))
 
-    limit = reps.zero_vector(rep) if collapsed else reps._scale(rep, start_norm, w)
-    return FlowTrace(start_norm * np.array(norms),
-                     np.array(moment_norms if moment_norms else [0.0]),
-                     iterations, limit, converged, collapsed, reason)
+    limit = (reps.zero_vector(rep) if reason == "collapse"
+             else reps._scale(rep, start_norm, w))
+    return FlowTrace(start_norm * np.array(norms), np.array(moment_norms),
+                     limit, reason)
 
 
 def _limit_orbit_dimension(rep: reps.Representation, onb: LieAlgebraBasis,
@@ -334,45 +316,31 @@ def closedness_verdict(rep: reps.Representation, group, v,
     """Decide closedness of the orbit of v by the dimension-drop criterion.
 
     Closed: the flow converged and the limit has the same orbit
-    dimension.  NonClosed: the flow converged onto a strictly smaller
-    orbit (or onto zero from a nonzero start).  Inconclusive: budget or
-    stall, or any rank decision too close to its threshold.  ``rtol`` is
-    the relative cutoff of both orbit-dimension decisions.
+    dimension (the zero vector is its own closed orbit, 0 = 0).
+    NonClosed: the flow collapsed onto zero from a nonzero start, or
+    converged onto a strictly smaller orbit.  Inconclusive: budget or
+    stall, any rank decision too close to its threshold, or a limit
+    dimension above the start dimension, which no in-orbit iterate can
+    reach.  ``rtol`` is the relative cutoff of both orbit-dimension
+    decisions.
     """
-    algebra, onb = _algebras(group)
-    start_norm = reps.norm(rep, v)
-    if start_norm == 0.0:
-        trace = FlowTrace(np.array([0.0]), np.array([0.0]), 0, v, True, False,
-                          "moment")
-        return ClosednessVerdict(CLOSED, 0, 0, 0.0, 0.0, trace)
-
+    algebra = _basis(group)
     start_dim, start_ambiguous = reps.orbit_dimension_info(rep, algebra, v,
                                                            rtol)
     trace = norm_flow(rep, group, v, config)
-    limit_norm = reps.norm(rep, trace.limit_point)
+    limit_dim, limit_ambiguous = _limit_orbit_dimension(
+        rep, algebra.orthonormal, trace.limit_point, trace.moment_norms[-1],
+        rtol)
 
     if trace.collapsed:
-        return ClosednessVerdict(NON_CLOSED, start_dim, 0, start_norm,
-                                 0.0, trace)
-    if not trace.converged:
-        limit_dim, _ = _limit_orbit_dimension(rep, onb, trace.limit_point,
-                                              trace.moment_norms[-1], rtol)
-        return ClosednessVerdict(INCONCLUSIVE, start_dim, limit_dim,
-                                 start_norm, limit_norm, trace)
-
-    achieved = float(trace.moment_norms[-1]) if trace.moment_norms.size else 0.0
-    limit_dim, limit_ambiguous = _limit_orbit_dimension(
-        rep, onb, trace.limit_point, achieved, rtol)
-
-    if start_ambiguous or limit_ambiguous:
+        status = NON_CLOSED
+    elif (not trace.converged or start_ambiguous or limit_ambiguous
+          or limit_dim > start_dim):
         status = INCONCLUSIVE
     elif limit_dim == start_dim:
         status = CLOSED
-    elif limit_dim < start_dim:
-        status = NON_CLOSED
     else:
-        # A limit dimension above the start dimension is numerically
-        # impossible for an in-orbit iterate; refuse to guess.
-        status = INCONCLUSIVE
-    return ClosednessVerdict(status, start_dim, limit_dim, start_norm,
-                             limit_norm, trace)
+        status = NON_CLOSED
+    return ClosednessVerdict(status, start_dim, limit_dim,
+                             reps.norm(rep, v),
+                             reps.norm(rep, trace.limit_point), trace)

@@ -122,6 +122,16 @@ def test_non_finite_experiment_input_is_config_error(option, value):
     assert error["error"] == "configuration"
 
 
+@pytest.mark.parametrize("option,value", [
+    ("--seed", "-1"), ("--workers", "0"), ("--workers", "-3")])
+def test_negative_seed_or_too_few_workers_is_config_error(option, value):
+    result = run_cli("experiment", "--scenario", "sym2-sum", "--trials", "2",
+                     option, value)
+    assert result.returncode == 2
+    error = json.loads(result.stderr.strip().splitlines()[-1])
+    assert error["error"] == "configuration"
+
+
 def test_unknown_scenario_is_config_error():
     result = run_cli("experiment", "--scenario", "not-a-scenario")
     assert result.returncode == 2

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import orbitlab as ol
-from orbitlab.errors import ConfigurationError
+from orbitlab.errors import ConfigurationError, InvalidArgumentError
 from orbitlab.experiments import (ExperimentConfig, _summarize_flow,
                                   get_scenario, run_experiment,
                                   scenario_catalog, trial_seed)
@@ -72,6 +72,28 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(kind="theorem1", scenario="example1",
                              rank_rtol=rank_rtol)
+
+    @pytest.mark.parametrize("name,value", [
+        ("trials", 2.5), ("trials", "10"), ("seed", -1), ("seed", 1.5)])
+    def test_non_integer_trials_or_seed(self, name, value):
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(kind="theorem1", scenario="example1",
+                             **{name: value})
+
+    def test_config_json_is_validated_not_coerced(self):
+        data = ExperimentConfig(kind="theorem1", scenario="example1").to_json()
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig.from_json({**data, "trials": 2.5})
+        data["flow"]["max_iterations"] = "50"
+        with pytest.raises(InvalidArgumentError):
+            ExperimentConfig.from_json(data)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one(self, workers):
+        config = ExperimentConfig(kind="cor3-intersection",
+                                  scenario="sl4-block", trials=1)
+        with pytest.raises(ConfigurationError):
+            run_experiment(config, workers=workers)
 
     def test_kind_scenario_mismatch(self):
         with pytest.raises(ConfigurationError):

@@ -154,6 +154,26 @@ class TestNormFlow:
         assert trace.reason == "budget"
 
 
+@pytest.mark.parametrize("reason", ["moment", "budget", "collapse"])
+def test_trace_stop_state_is_its_reason(reason, alt6, sl6, x_translate):
+    # converged, collapsed and the step count are read off the stored
+    # reason and norms; the JSON keeps every key
+    rep, group, v = alt6, sl6, x_translate
+    config = FlowConfig(max_iterations=2 if reason == "budget" else 20000)
+    if reason == "collapse":
+        group = ol.special_linear(2, "complex")
+        rep = ol.sym2(group)
+        v = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    payload = ol.norm_flow(rep, group, v, config).to_json(rep)
+    assert set(payload) == {"norms", "moment_norms", "iterations_used",
+                            "converged", "collapsed", "reason",
+                            "limit_point"}
+    assert payload["reason"] == reason
+    assert payload["converged"] == (reason != "budget")
+    assert payload["collapsed"] == (reason == "collapse")
+    assert payload["iterations_used"] == len(payload["norms"]) - 1
+
+
 class TestClosednessVerdict:
     def test_zero_vector_closed(self, alt6, sl6):
         verdict = ol.closedness_verdict(alt6, sl6, np.zeros((6, 6), complex))
@@ -245,6 +265,31 @@ class TestClosednessVerdict:
         assert verdict.status == base.status == NON_CLOSED
         assert verdict.start_orbit_dim == base.start_orbit_dim
 
+    def test_basis_group_derives_its_split_once(self, monkeypatch, alt6, sl6,
+                                                sl2_block, x_translate):
+        # a theta-stable basis passed as the group keeps its Cartan split,
+        # so a second verdict on the same basis reads it back
+        cartan_g = ol.cartan_decomposition_for(sl6)
+        rng = np.random.default_rng(5)
+        coeff = 0.3 * rng.standard_normal(cartan_g.k_basis.dim)
+        u = ol.matrix_exp(np.einsum("i,ijk->jk", coeff.astype(complex),
+                                    cartan_g.k_basis.matrices))
+        conjugated = ol.adjoint_conjugate(ol.lie_algebra_basis(sl2_block), u)
+        moved = ol.act(alt6, u, x_translate)
+        split = []
+        original = ol.groups.cartan_decompose
+
+        def counting(basis):
+            split.append(basis)
+            return original(basis)
+
+        monkeypatch.setattr(ol.groups, "cartan_decompose", counting)
+        first = ol.closedness_verdict(alt6, conjugated, moved)
+        second = ol.closedness_verdict(alt6, conjugated, moved)
+        assert len(split) == 1 and split[0] is conjugated
+        assert first.status == NON_CLOSED
+        assert first.to_json(alt6) == second.to_json(alt6)
+
     def test_closed_implies_stabilizer_not_nonreductive(self, alt6, sl6,
                                                         x_translate):
         verdict = ol.closedness_verdict(alt6, sl6, x_translate)
@@ -263,6 +308,11 @@ class TestFlowConfig:
             FlowConfig(moment_tolerance=float("nan"))
         with pytest.raises(InvalidArgumentError):
             FlowConfig(max_iterations=0)
+
+    @pytest.mark.parametrize("max_iterations", [2.5, "50", None])
+    def test_non_integer_budget_rejected(self, max_iterations):
+        with pytest.raises(InvalidArgumentError):
+            FlowConfig(max_iterations=max_iterations)
 
     def test_json_round_trip(self):
         config = FlowConfig(moment_tolerance=1e-9, max_iterations=50)
