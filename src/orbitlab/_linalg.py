@@ -4,12 +4,13 @@ Every rank / span / null-space decision in the package funnels through
 this module, and every one of them counts singular values against a
 cutoff written once, in :func:`rank_from_singular_values`.  The relative
 threshold is passed by value as ``rtol`` and defaults to ``RANK_RTOL``,
-a constant.  Only :func:`matrix_rank` and
-:func:`rank_from_singular_values` return the ambiguity flag: a decision
-that lands too close to the cutoff is flagged instead of silently
-guessed, and callers turn that flag into an "inconclusive" outcome.
-:func:`null_space`, :func:`orthonormal_span` and
-:func:`subspace_distance` use the cutoff but drop the flag.
+a constant.  :func:`matrix_rank` is the one rank decision of a matrix:
+one SVD gives the rank, the ambiguity flag and the orthonormal kernel.
+A decision that lands too close to the cutoff is flagged instead of
+silently guessed, and callers turn that flag into an "inconclusive"
+outcome.  :func:`null_space` (which reads only that kernel),
+:func:`orthonormal_span` and :func:`subspace_distance` use the cutoff
+but drop the flag.
 """
 
 from __future__ import annotations
@@ -27,10 +28,13 @@ RANK_RTOL = 1e-9
 AMBIGUITY_BAND = 10.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankDecision:
     rank: int
     ambiguous: bool
+    # orthonormal kernel basis (columns); None when decided from the
+    # singular values alone
+    kernel: np.ndarray | None = None
 
 
 def rank_from_singular_values(s: np.ndarray, rtol: float = RANK_RTOL,
@@ -56,20 +60,24 @@ def rank_from_singular_values(s: np.ndarray, rtol: float = RANK_RTOL,
     return RankDecision(rank, ambiguous)
 
 
-def matrix_rank(a: np.ndarray, rtol: float = RANK_RTOL) -> RankDecision:
-    return rank_from_singular_values(np.linalg.svd(a, compute_uv=False), rtol)
-
-
-def null_space(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Orthonormal basis of the (right) null space, columns of the result.
+def matrix_rank(a: np.ndarray, rtol: float = RANK_RTOL, floor: float = 0.0,
+                one_sided: bool = False) -> RankDecision:
+    """Rank, ambiguity flag and orthonormal kernel of ``a`` from one SVD;
+    ``floor`` and ``one_sided`` as in :func:`rank_from_singular_values`.
 
     Only ``vh`` is read, so the full square factor is requested only when
     ``a`` is wide and the thin one would miss kernel directions.
     """
     m, k = a.shape
     _, s, vh = np.linalg.svd(a, full_matrices=m < k)
-    rank = rank_from_singular_values(s, rtol).rank
-    return vh[rank:].conj().T
+    decision = rank_from_singular_values(s, rtol, floor, one_sided)
+    return RankDecision(decision.rank, decision.ambiguous,
+                        vh[decision.rank:].conj().T)
+
+
+def null_space(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+    """Orthonormal basis of the (right) null space, columns of the result."""
+    return matrix_rank(a, rtol).kernel
 
 
 def stack_flat(mats: np.ndarray) -> np.ndarray:

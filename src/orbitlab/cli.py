@@ -12,12 +12,12 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from dataclasses import replace
 
 import click
 
 from . import _linalg, experiments, kempfness, reps, subalgebra
 from .errors import OrbitLabError, ConfigurationError
+from .experiments import ExperimentConfig
 from .groups import (GroupSpec, LieAlgebraBasis, cartan_decomposition_for,
                      lie_algebra_basis)
 from .kempfness import FlowConfig
@@ -76,15 +76,6 @@ def _problem_algebra(data: dict, rep) -> LieAlgebraBasis:
     return lie_algebra_basis(group)
 
 
-def _flow_config(moment_tol: float | None, max_iters: int | None) -> FlowConfig:
-    config = FlowConfig()
-    if moment_tol is not None:
-        config = replace(config, moment_tolerance=moment_tol)
-    if max_iters is not None:
-        config = replace(config, max_iterations=max_iters)
-    return config
-
-
 def _domain_errors_exit_2(fn):
     """Domain errors (bad groups, shapes, non-theta-stable algebras) are
     configuration errors from the CLI's point of view."""
@@ -106,10 +97,12 @@ def _positive_rank_tol(ctx, param, value: float) -> float:
 input_option = click.option("--in", "input_path", default="-", show_default=True,
                             help="JSON input file ('-' for stdin)")
 out_option = click.option("--out", default=None, help="output path (default stdout)")
-moment_tol_option = click.option("--moment-tol", type=float, default=None,
-                                 help="override the flow's moment tolerance")
-max_iters_option = click.option("--max-iters", type=int, default=None,
-                                help="override the flow's iteration budget")
+moment_tol_option = click.option("--moment-tol", type=float, show_default=True,
+                                 default=FlowConfig.moment_tolerance,
+                                 help="the flow's moment tolerance")
+max_iters_option = click.option("--max-iters", type=int, show_default=True,
+                                default=FlowConfig.max_iterations,
+                                help="the flow's iteration budget")
 rank_tol_option = click.option("--rank-tol", type=float,
                                default=_linalg.RANK_RTOL, show_default=True,
                                callback=_positive_rank_tol,
@@ -135,7 +128,7 @@ def closedness(input_path, out, moment_tol, max_iters, rank_tol):
     Input: {"representation": {...}, "vector": ...}
     """
     rep, vector = _problem_from_json(_load_json(input_path))
-    config = _flow_config(moment_tol, max_iters)
+    config = FlowConfig(moment_tol, max_iters)
     verdict = kempfness.closedness_verdict(rep, rep.group, vector, config,
                                            rtol=rank_tol)
     _emit(verdict.to_json(rep), out)
@@ -212,19 +205,22 @@ def orbit_dim(input_path, out, rank_tol):
     data = _load_json(input_path)
     rep, vector = _problem_from_json(data)
     algebra = _problem_algebra(data, rep)
-    dim, ambiguous = reps.orbit_dimension_info(rep, algebra, vector, rank_tol)
-    _emit({"orbit_dim": dim, "rank_ambiguous": ambiguous,
+    decision = reps.orbit_dimension_info(rep, algebra, vector, rank_tol)
+    _emit({"orbit_dim": decision.rank, "rank_ambiguous": decision.ambiguous,
            "field": algebra.field}, out)
-    sys.exit(EXIT_INCONCLUSIVE if ambiguous else EXIT_OK)
+    sys.exit(EXIT_INCONCLUSIVE if decision.ambiguous else EXIT_OK)
 
 
 @main.command()
 @click.option("--scenario", required=True, help="scenario name (see catalog)")
 @click.option("--kind", default=None,
               help="experiment kind (defaults to the scenario's natural kind)")
-@click.option("--trials", type=int, default=None, help="number of trials")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--spread", type=float, default=0.5, show_default=True,
+@click.option("--trials", type=int, default=ExperimentConfig.trials,
+              show_default=True, help="number of trials")
+@click.option("--seed", type=int, default=ExperimentConfig.seed,
+              show_default=True)
+@click.option("--spread", type=float, default=ExperimentConfig.spread,
+              show_default=True,
               help="std-dev of the Gaussian Lie-algebra coefficients")
 @click.option("--workers", type=int, default=1, show_default=True,
               help="concurrent trial workers (result is identical for any N)")
@@ -240,13 +236,13 @@ def experiment(scenario, kind, trials, seed, spread, workers, fmt, out,
     """Run a named experiment and report per-trial records plus a summary."""
     try:
         sc = experiments.get_scenario(scenario)
-        config = experiments.ExperimentConfig(
+        config = ExperimentConfig(
             kind=kind or sc.default_kind,
             scenario=scenario,
-            trials=trials if trials is not None else 100,
+            trials=trials,
             seed=seed,
             spread=spread,
-            flow=_flow_config(moment_tol, max_iters),
+            flow=FlowConfig(moment_tol, max_iters),
             rank_rtol=rank_tol,
         )
     except (ConfigurationError, OrbitLabError) as exc:

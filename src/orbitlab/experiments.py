@@ -32,11 +32,13 @@ pure functions of their config, independent of worker count.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
 import numbers
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -73,11 +75,13 @@ def counterexample_unipotent() -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """A named cast of characters: ambient group, subgroup, action, base point."""
+    """A named cast of characters: ambient group, subgroup, action, base point.
+
+    The first of ``kinds`` is the scenario's natural experiment kind.
+    """
 
     name: str
     description: str
-    default_kind: str
     kinds: tuple[str, ...]
     group: GroupSpec
     representation: reps.Representation
@@ -88,48 +92,33 @@ class Scenario:
     real_group: GroupSpec | None = None
     real_representation: reps.Representation | None = None
 
+    @property
+    def default_kind(self) -> str:
+        return self.kinds[0]
 
-def _example1_scenario() -> Scenario:
+
+def _sl6_block_scenario(name: str, block: int, kinds: tuple[str, ...],
+                        description: str) -> Scenario:
+    """SL(6, C) on antisymmetric 6x6 matrices at the base point
+    diag(J, J, J), with SL(block) in the upper-left block; the fixed
+    element is the counterexample's unipotent and the counterexample
+    subgroup the block SL(2)."""
     g = groups.special_linear(6, groups.COMPLEX)
-    h = groups.block_embedding(groups.special_linear(2, groups.COMPLEX), 6, 0)
-    rep = reps.alt_bilinear(g)
-    v0 = groups.standard_symplectic_form(6, groups.COMPLEX)
-    return Scenario(
-        name="example1",
-        description="SL(6, C) on antisymmetric 6x6 matrices by g M g^t; "
-                    "base point diag(J, J, J); subgroup SL(2) in the upper-left "
-                    "block. Carries the explicit unipotent element whose "
-                    "translate has a non-reductive block stabilizer.",
-        default_kind=EXAMPLE1,
-        kinds=(EXAMPLE1, THEOREM1, COR3_INTERSECTION),
-        group=g,
-        representation=rep,
-        subgroup=h,
-        base_point=v0,
-        fixed_element=counterexample_unipotent(),
-        counterexample_subgroup=h,
-    )
 
+    def upper_left(size: int) -> GroupSpec:
+        return groups.block_embedding(
+            groups.special_linear(size, groups.COMPLEX), 6, 0)
 
-def _sl4_block_scenario() -> Scenario:
-    g = groups.special_linear(6, groups.COMPLEX)
-    h = groups.block_embedding(groups.special_linear(4, groups.COMPLEX), 6, 0)
-    h_counter = groups.block_embedding(groups.special_linear(2, groups.COMPLEX), 6, 0)
-    rep = reps.alt_bilinear(g)
-    v0 = groups.standard_symplectic_form(6, groups.COMPLEX)
     return Scenario(
-        name="sl4-block",
-        description="Same ambient action as example1 with SL(4) in the "
-                    "upper-left block: positive-dimensional generic stabilizer "
-                    "intersections (a symplectic reduction of rank one).",
-        default_kind=COR3_INTERSECTION,
-        kinds=(COR3_INTERSECTION, THEOREM1),
+        name=name,
+        description=description,
+        kinds=kinds,
         group=g,
-        representation=rep,
-        subgroup=h,
-        base_point=v0,
+        representation=reps.alt_bilinear(g),
+        subgroup=upper_left(block),
+        base_point=groups.standard_symplectic_form(6, groups.COMPLEX),
         fixed_element=counterexample_unipotent(),
-        counterexample_subgroup=h_counter,
+        counterexample_subgroup=upper_left(2),
     )
 
 
@@ -144,7 +133,6 @@ def _normal_factor_scenario() -> Scenario:
         description="SL(2) x SL(2) on 2x2 matrices by (A, B) . M = A M B^t; "
                     "the first factor is normal, and base points g . I sit on "
                     "closed ambient orbits (determinant level sets).",
-        default_kind=COR2_NORMAL,
         kinds=(COR2_NORMAL, THEOREM1),
         group=g,
         representation=rep,
@@ -161,7 +149,6 @@ def _sym2_sum_scenario() -> Scenario:
         description="SL(2, C) acting diagonally on two copies of the symmetric "
                     "2x2 matrices; each summand has generically closed orbits "
                     "(nonzero discriminant), and so should the sum.",
-        default_kind=COR5_DIRECT_SUM,
         kinds=(COR5_DIRECT_SUM,),
         group=g,
         representation=rep,
@@ -177,7 +164,6 @@ def _sl2_real_complex_scenario() -> Scenario:
         description="Symmetric 2x2 matrices under SL(2), run once over the "
                     "reals and once over the complex field on the same real "
                     "starting points; closedness verdicts must agree.",
-        default_kind=REAL_COMPLEX,
         kinds=(REAL_COMPLEX,),
         group=gc,
         representation=reps.sym2(gc),
@@ -188,8 +174,18 @@ def _sl2_real_complex_scenario() -> Scenario:
 
 
 _SCENARIO_BUILDERS = {
-    "example1": _example1_scenario,
-    "sl4-block": _sl4_block_scenario,
+    "example1": functools.partial(
+        _sl6_block_scenario, "example1", 2,
+        (EXAMPLE1, THEOREM1, COR3_INTERSECTION),
+        "SL(6, C) on antisymmetric 6x6 matrices by g M g^t; "
+        "base point diag(J, J, J); subgroup SL(2) in the upper-left "
+        "block. Carries the explicit unipotent element whose "
+        "translate has a non-reductive block stabilizer."),
+    "sl4-block": functools.partial(
+        _sl6_block_scenario, "sl4-block", 4, (COR3_INTERSECTION, THEOREM1),
+        "Same ambient action as example1 with SL(4) in the "
+        "upper-left block: positive-dimensional generic stabilizer "
+        "intersections (a symplectic reduction of rank one)."),
     "normal-factor": _normal_factor_scenario,
     "sym2-sum": _sym2_sum_scenario,
     "sl2-real-complex": _sl2_real_complex_scenario,
@@ -238,10 +234,12 @@ class ExperimentConfig:
             raise ConfigurationError("trials must be an integer >= 1")
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ConfigurationError("seed must be a non-negative integer")
-        if not (math.isfinite(self.spread) and self.spread > 0):
-            raise ConfigurationError("spread must be finite and positive")
-        if not self.rank_rtol > 0:
-            raise ConfigurationError("rank_rtol must be positive")
+        if not (isinstance(self.spread, numbers.Real)
+                and math.isfinite(self.spread) and self.spread > 0):
+            raise ConfigurationError("spread must be a finite positive number")
+        if not (isinstance(self.rank_rtol, numbers.Real)
+                and self.rank_rtol > 0):
+            raise ConfigurationError("rank_rtol must be a positive number")
         sc = get_scenario(self.scenario)
         if self.kind not in sc.kinds:
             raise ConfigurationError(
@@ -264,8 +262,8 @@ class ExperimentConfig:
         return ExperimentConfig(
             kind=data["kind"], scenario=data["scenario"],
             trials=data.get("trials", 100), seed=data.get("seed", 0),
-            spread=float(data.get("spread", 0.5)), flow=flow,
-            rank_rtol=float(data.get("rank_rtol", _linalg.RANK_RTOL)))
+            spread=data.get("spread", 0.5), flow=flow,
+            rank_rtol=data.get("rank_rtol", _linalg.RANK_RTOL))
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,26 +328,39 @@ def trial_seed(base_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _stabilizer_verdict(rep, algebra, v, rtol: float):
-    stab = reps.stabilizer_subalgebra(rep, algebra, v, rtol)
-    return stab, subalgebra.reductivity_verdict(stab, rtol=rtol)
+def _stabilizer_verdict(stab: groups.LieAlgebraBasis, ambiguous: bool,
+                        rtol: float) -> tuple[str, subalgebra.SubalgebraReport | None]:
+    """Reductivity verdict of a stabilizer and its report.  A stabilizer
+    whose dimension was ambiguous is inconclusive and is not analysed."""
+    if ambiguous:
+        return subalgebra.INCONCLUSIVE, None
+    report = subalgebra.reductivity_verdict(stab, rtol=rtol)
+    return report.verdict, report
 
 
-def _intersection(rep, algebra, v,
-                  rtol: float) -> tuple[dict, subalgebra.SubalgebraReport]:
-    """The stabilizer of v in the algebra as a record: its dimension, its
+def _stabilizer_record(stab: groups.LieAlgebraBasis, ambiguous: bool,
+                       rtol: float) -> tuple[dict, subalgebra.SubalgebraReport | None]:
+    """A stabilizer as the record cor3 reports: its dimension, its
     reductivity verdict and, for a line, the type of its generator."""
-    stab, report = _stabilizer_verdict(rep, algebra, v, rtol)
+    verdict, report = _stabilizer_verdict(stab, ambiguous, rtol)
     generator_type = (subalgebra.element_type(stab.matrices[0])
                       if stab.dim == 1 else None)
-    return {"intersection_dim": stab.dim, "verdict": report.verdict,
+    return {"intersection_dim": stab.dim, "verdict": verdict,
             "generator_type": generator_type}, report
 
 
+def _intersection(rep, algebra, v,
+                  rtol: float) -> tuple[dict, subalgebra.SubalgebraReport | None]:
+    """The stabilizer of v in the algebra, decided once, as a record."""
+    decision = reps.orbit_dimension_info(rep, algebra, v, rtol)
+    return _stabilizer_record(reps._stabilizer_subalgebra(algebra, decision),
+                              decision.ambiguous, rtol)
+
+
 def _start_vector(scenario: Scenario, config: ExperimentConfig, seed: int):
-    """A Gaussian point of the space for cor5, else a random ambient
-    translate of the base point."""
-    if config.kind == COR5_DIRECT_SUM:
+    """A random ambient translate of the base point, or a Gaussian point
+    of the space when the scenario has no base point."""
+    if scenario.base_point is None:
         rng = np.random.default_rng(seed)
         return reps.random_vector(scenario.representation, rng, config.spread)
     g = random_group_element(scenario.group, seed, config.spread)
@@ -357,14 +368,15 @@ def _start_vector(scenario: Scenario, config: ExperimentConfig, seed: int):
 
 
 def _flow_trial(scenario: Scenario, config: ExperimentConfig, index: int) -> dict:
-    """One closedness trial, with the stabilizer verdict at the same point."""
+    """One closedness trial, with the verdict on the stabilizer that the
+    closedness verdict's start decision gives at the same point."""
     seed = trial_seed(config.seed, index)
     x = _start_vector(scenario, config, seed)
-    h_algebra = lie_algebra_basis(scenario.subgroup)
     verdict = closedness_verdict(scenario.representation, scenario.subgroup,
                                  x, config.flow, rtol=config.rank_rtol)
-    stab, stab_report = _stabilizer_verdict(scenario.representation,
-                                            h_algebra, x, config.rank_rtol)
+    stab_verdict, _ = _stabilizer_verdict(verdict.stabilizer,
+                                          verdict.start_ambiguous,
+                                          config.rank_rtol)
     return {
         "index": index,
         "seed": seed,
@@ -376,8 +388,8 @@ def _flow_trial(scenario: Scenario, config: ExperimentConfig, index: int) -> dic
         "iterations": verdict.trace.iterations_used,
         "flow_reason": verdict.trace.reason,
         "relative_moment_norm": float(verdict.trace.moment_norms[-1]),
-        "stabilizer_dim": stab.dim,
-        "stabilizer_verdict": stab_report.verdict,
+        "stabilizer_dim": verdict.stabilizer.dim,
+        "stabilizer_verdict": stab_verdict,
     }
 
 
@@ -392,9 +404,10 @@ def _cor3_trial(scenario: Scenario, config: ExperimentConfig, index: int) -> dic
         "index": index,
         "seed": seed,
         **record,
-        "derived_dim": report.derived_dim,
-        "center_dim": report.center_dim,
-        "killing_rank": report.killing_rank_on_derived,
+        # an ambiguous stabilizer is not analysed: no structure data
+        "derived_dim": report.derived_dim if report else None,
+        "center_dim": report.center_dim if report else None,
+        "killing_rank": report.killing_rank_on_derived if report else None,
     }
 
 
@@ -432,9 +445,7 @@ def run_example1_pipeline(config: ExperimentConfig) -> tuple[list, dict]:
     scenario = get_scenario(config.scenario)
     rep = scenario.representation
     g_algebra = lie_algebra_basis(scenario.group)
-    h_algebra = lie_algebra_basis(scenario.subgroup)
     v0 = scenario.base_point
-    cartan = groups.cartan_decomposition_for(scenario.group)
     rtol = config.rank_rtol
 
     assertions = []
@@ -443,31 +454,32 @@ def run_example1_pipeline(config: ExperimentConfig) -> tuple[list, dict]:
         assertions.append({"name": name, "passed": bool(passed),
                            "detail": detail})
 
-    rel = relative_moment_norm(rep, cartan.p_basis, v0)
+    rel = relative_moment_norm(rep, g_algebra.cartan.p_basis, v0)
     check("base_point_minimal", rel <= 1e-8, {"relative_moment_norm": rel})
 
-    dim_orbit, _ = reps.orbit_dimension_info(rep, g_algebra, v0, rtol)
-    check("ambient_orbit_dim_14", dim_orbit == 14, {"orbit_dim": dim_orbit})
+    # orbit and stabilizer dimension of v0 are one rank decision
+    base = reps.orbit_dimension_info(rep, g_algebra, v0, rtol)
+    base_stabilizer_dim = base.kernel.shape[1]
+    check("ambient_orbit_dim_14", base.rank == 14, {"orbit_dim": base.rank})
+    check("base_stabilizer_dim_21", base_stabilizer_dim == 21,
+          {"dim": base_stabilizer_dim})
 
-    stab_g = reps.stabilizer_subalgebra(rep, g_algebra, v0, rtol)
-    check("base_stabilizer_dim_21", stab_g.dim == 21, {"dim": stab_g.dim})
-
+    # the block stabilizer of x is the start decision of the block-orbit
+    # verdict, recorded as cor3 records its counterexample
     x = reps.act(rep, scenario.fixed_element, v0)
-    stab_h = reps.stabilizer_subalgebra(rep, h_algebra, x, rtol)
-    check("block_stabilizer_dim_1", stab_h.dim == 1, {"dim": stab_h.dim})
-
-    generator_type = (subalgebra.element_type(stab_h.matrices[0])
-                      if stab_h.dim else "absent")
-    check("block_stabilizer_nilpotent", generator_type == subalgebra.NILPOTENT,
-          {"generator_type": generator_type})
-
-    report = subalgebra.reductivity_verdict(stab_h, rtol=rtol)
-    check("block_stabilizer_not_reductive",
-          report.verdict == subalgebra.NOT_REDUCTIVE,
-          {"verdict": report.verdict})
-
     h_verdict = closedness_verdict(rep, scenario.subgroup, x, config.flow,
                                    rtol=rtol)
+    block, _ = _stabilizer_record(h_verdict.stabilizer,
+                                  h_verdict.start_ambiguous, rtol)
+    check("block_stabilizer_dim_1", block["intersection_dim"] == 1,
+          {"dim": block["intersection_dim"]})
+    check("block_stabilizer_nilpotent",
+          block["generator_type"] == subalgebra.NILPOTENT,
+          {"generator_type": block["generator_type"]})
+    check("block_stabilizer_not_reductive",
+          block["verdict"] == subalgebra.NOT_REDUCTIVE,
+          {"verdict": block["verdict"]})
+
     check("block_orbit_non_closed", h_verdict.status == NON_CLOSED,
           {"status": h_verdict.status,
            "start_orbit_dim": h_verdict.start_orbit_dim,
@@ -484,12 +496,12 @@ def run_example1_pipeline(config: ExperimentConfig) -> tuple[list, dict]:
         "all_passed": all(a["passed"] for a in assertions),
         "assertions_passed": sum(a["passed"] for a in assertions),
         "assertions_total": len(assertions),
-        "base_orbit_dim": dim_orbit,
-        "base_stabilizer_dim": stab_g.dim,
+        "base_orbit_dim": base.rank,
+        "base_stabilizer_dim": base_stabilizer_dim,
         "base_relative_moment_norm": rel,
-        "stabilizer_dim": stab_h.dim,
-        "stabilizer_generator_type": generator_type,
-        "stabilizer_verdict": report.verdict,
+        "stabilizer_dim": block["intersection_dim"],
+        "stabilizer_generator_type": block["generator_type"],
+        "stabilizer_verdict": block["verdict"],
         "h_orbit_status": h_verdict.status,
         "g_orbit_status": g_verdict.status,
     }
@@ -515,35 +527,36 @@ def _run_one(config_json: str, index: int) -> dict:
 
 
 def _summarize_flow(records: list, require_all_closed: bool) -> tuple[dict, bool, str | None]:
-    counts = {CLOSED: 0, NON_CLOSED: 0, INCONCLUSIVE: 0}
-    for r in records:
-        counts[r["status"]] += 1
+    counts = Counter(r["status"] for r in records)
     # a closed orbit never has a non-reductive stabilizer
     closed_but_not_reductive = sum(
         1 for r in records if r["status"] == CLOSED
         and r["stabilizer_verdict"] == subalgebra.NOT_REDUCTIVE)
     converged = counts[CLOSED] + counts[NON_CLOSED]
     prevalence = counts[CLOSED] / converged if converged else 0.0
-    inconclusive_rate = counts[INCONCLUSIVE] / len(records)
     summary = {
         "closed": counts[CLOSED],
         "non_closed": counts[NON_CLOSED],
         "inconclusive": counts[INCONCLUSIVE],
         "converged": converged,
         "closed_prevalence": prevalence,
-        "inconclusive_rate": inconclusive_rate,
+        "inconclusive_rate": counts[INCONCLUSIVE] / len(records),
         "max_iterations_used": max(r["iterations"] for r in records),
         "closed_but_not_reductive": closed_but_not_reductive,
     }
     if closed_but_not_reductive:
         return summary, False, "math"
-    if inconclusive_rate > INCONCLUSIVE_CAP:
+    return _accept(summary, counts[NON_CLOSED] == 0 if require_all_closed
+                   else prevalence >= PREVALENCE_BAR)
+
+
+def _accept(summary: dict, bar_met: bool) -> tuple[dict, bool, str | None]:
+    """The acceptance rule of every statistical kind: an inconclusive rate
+    above INCONCLUSIVE_CAP fails as "inconclusive", else the kind's bar
+    decides ("math").  Under the cap at least one trial is decided."""
+    if summary["inconclusive_rate"] > INCONCLUSIVE_CAP:
         return summary, False, "inconclusive"
-    if require_all_closed:
-        ok = counts[NON_CLOSED] == 0
-    else:
-        ok = converged > 0 and prevalence >= PREVALENCE_BAR
-    return summary, ok, None if ok else "math"
+    return summary, bar_met, None if bar_met else "math"
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
@@ -581,45 +594,30 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
 
 def _summarize_cor3(config: ExperimentConfig,
                     records: list) -> tuple[dict, bool, str | None]:
-    counts = {subalgebra.REDUCTIVE: 0, subalgebra.NOT_REDUCTIVE: 0,
-              subalgebra.INCONCLUSIVE: 0}
-    for r in records:
-        counts[r["verdict"]] += 1
+    counts = Counter(r["verdict"] for r in records)
     decided = counts[subalgebra.REDUCTIVE] + counts[subalgebra.NOT_REDUCTIVE]
     prevalence = counts[subalgebra.REDUCTIVE] / decided if decided else 0.0
-    inconclusive_rate = counts[subalgebra.INCONCLUSIVE] / len(records)
     dim1_semisimple = all(
         r["generator_type"] == subalgebra.SEMISIMPLE
         for r in records
         if r["intersection_dim"] == 1 and r["verdict"] == subalgebra.REDUCTIVE)
+    # both cor3 scenarios carry the counterexample's element and subgroup
+    counterexample = run_counterexample_trial(get_scenario(config.scenario),
+                                              config.rank_rtol)
     summary = {
         "reductive": counts[subalgebra.REDUCTIVE],
         "not_reductive": counts[subalgebra.NOT_REDUCTIVE],
         "inconclusive": counts[subalgebra.INCONCLUSIVE],
         "decided": decided,
         "reductive_prevalence": prevalence,
-        "inconclusive_rate": inconclusive_rate,
-        "dimension_histogram": _dim_histogram(records),
+        "inconclusive_rate": counts[subalgebra.INCONCLUSIVE] / len(records),
+        "dimension_histogram": dict(Counter(str(r["intersection_dim"])
+                                            for r in records)),
         "dim1_generators_semisimple": dim1_semisimple,
+        "counterexample": counterexample,
     }
-    scenario = get_scenario(config.scenario)
-    if scenario.fixed_element is not None and scenario.counterexample_subgroup is not None:
-        summary["counterexample"] = run_counterexample_trial(scenario,
-                                                             config.rank_rtol)
-    if inconclusive_rate > INCONCLUSIVE_CAP:
-        return summary, False, "inconclusive"
-    ok = (decided > 0 and prevalence >= PREVALENCE_BAR and dim1_semisimple)
-    if "counterexample" in summary:
-        ok = ok and summary["counterexample"]["verdict"] == subalgebra.NOT_REDUCTIVE
-    return summary, ok, None if ok else "math"
-
-
-def _dim_histogram(records: list) -> dict:
-    hist: dict[str, int] = {}
-    for r in records:
-        key = str(r["intersection_dim"])
-        hist[key] = hist.get(key, 0) + 1
-    return hist
+    return _accept(summary, prevalence >= PREVALENCE_BAR and dim1_semisimple
+                   and counterexample["verdict"] == subalgebra.NOT_REDUCTIVE)
 
 
 def _summarize_real_complex(config: ExperimentConfig,
@@ -627,17 +625,13 @@ def _summarize_real_complex(config: ExperimentConfig,
     agreements = sum(1 for r in records if r["agree"] is True)
     disagreements = sum(1 for r in records if r["agree"] is False)
     inconclusive_pairs = sum(1 for r in records if r["agree"] is None)
-    inconclusive_rate = inconclusive_pairs / len(records)
     summary = {
         "agreements": agreements,
         "disagreements": disagreements,
         "inconclusive_pairs": inconclusive_pairs,
-        "inconclusive_rate": inconclusive_rate,
+        "inconclusive_rate": inconclusive_pairs / len(records),
     }
-    if inconclusive_rate > INCONCLUSIVE_CAP:
-        return summary, False, "inconclusive"
-    ok = disagreements == 0 and agreements > 0
-    return summary, ok, None if ok else "math"
+    return _accept(summary, disagreements == 0)
 
 
 # Each trial-based kind: (trial runner, summarizer of its records).  The

@@ -37,11 +37,14 @@ stop state is one field, ``FlowTrace.reason``; whether it converged or
 collapsed, and how many steps it took, are read off the trace.
 
 The closedness verdict compares orbit dimensions at the start and at the
-flow limit.  A subtlety: the final iterate is only within about
-sqrt(residual) of the true limit, so singular values of that size at the
-limit are artifacts of finite convergence.  The limit-side rank test
-therefore uses an absolute floor of LIMIT_RANK_FLOOR *
-sqrt(relative moment norm) * |limit| on top of the package rank policy.
+flow limit.  Each side is one ``_linalg.matrix_rank`` decision of the
+orbit map; the start decision also yields the start point's stabilizer,
+which the verdict carries.  A subtlety: the final iterate is only within
+about sqrt(residual) of the true limit, so singular values of that size
+at the limit are artifacts of finite convergence.  The limit-side
+decision therefore passes an absolute floor of LIMIT_RANK_FLOOR *
+sqrt(relative moment norm) * |limit| on top of the package rank policy,
+and is flagged only by singular values just above that floor.
 Inconclusive is a first-class outcome, never an exception.
 """
 
@@ -96,8 +99,9 @@ class FlowConfig:
     max_iterations: int = 20000      # Newton steps before "budget"
 
     def __post_init__(self):
-        if not self.moment_tolerance > 0:
-            raise InvalidArgumentError("moment_tolerance must be positive")
+        if not (isinstance(self.moment_tolerance, numbers.Real)
+                and self.moment_tolerance > 0):
+            raise InvalidArgumentError("moment_tolerance must be a positive number")
         if not (isinstance(self.max_iterations, numbers.Integral)
                 and self.max_iterations >= 1):
             raise InvalidArgumentError("max_iterations must be a positive integer")
@@ -157,6 +161,8 @@ class ClosednessVerdict:
     start_norm: float
     limit_norm: float
     trace: FlowTrace
+    stabilizer: LieAlgebraBasis  # kernel of the start orbit map
+    start_ambiguous: bool        # flag of the start orbit and stabilizer dims
 
     def to_json(self, rep: reps.Representation | None = None,
                 include_trace_arrays: bool = True) -> dict:
@@ -288,28 +294,6 @@ def norm_flow(rep: reps.Representation, group, v,
                      limit, reason)
 
 
-def _limit_orbit_dimension(rep: reps.Representation, onb: LieAlgebraBasis,
-                           limit, achieved_rel_moment: float,
-                           rtol: float) -> tuple[int, bool]:
-    """Orbit dimension at the flow limit, resolved to the flow's accuracy.
-
-    Directions whose singular value is below the position uncertainty of
-    the limit point (about sqrt(residual) * |limit|) are the ones dying
-    in the true limit; they are floored to zero.  Only singular values
-    just *above* the floor make the decision ambiguous.  ``onb`` is the
-    algebra basis orthonormalized at the default cutoff, so that the
-    floor compares unit-length directions; the basis's own singular
-    values are O(1), so any sane ``rtol`` keeps all of it.
-    """
-    a = reps._differential_matrix(rep, onb, limit)
-    s = np.linalg.svd(a, compute_uv=False)
-    floor = (LIMIT_RANK_FLOOR * np.sqrt(max(achieved_rel_moment, 1e-15))
-             * reps.norm(rep, limit))
-    decision = _linalg.rank_from_singular_values(s, rtol, floor=floor,
-                                                 one_sided=True)
-    return decision.rank, decision.ambiguous
-
-
 def closedness_verdict(rep: reps.Representation, group, v,
                        config: FlowConfig = FlowConfig(),
                        rtol: float = _linalg.RANK_RTOL) -> ClosednessVerdict:
@@ -322,25 +306,36 @@ def closedness_verdict(rep: reps.Representation, group, v,
     stall, any rank decision too close to its threshold, or a limit
     dimension above the start dimension, which no in-orbit iterate can
     reach.  ``rtol`` is the relative cutoff of both orbit-dimension
-    decisions.
+    decisions.  The start decision's kernel is the stabilizer of v,
+    carried on the verdict with that decision's ambiguity flag.
     """
     algebra = _basis(group)
-    start_dim, start_ambiguous = reps.orbit_dimension_info(rep, algebra, v,
-                                                           rtol)
+    start = reps.orbit_dimension_info(rep, algebra, v, rtol)
     trace = norm_flow(rep, group, v, config)
-    limit_dim, limit_ambiguous = _limit_orbit_dimension(
-        rep, algebra.orthonormal, trace.limit_point, trace.moment_norms[-1],
-        rtol)
+    # Directions whose singular value is below the position uncertainty
+    # of the limit point (about sqrt(residual) * |limit|) are the ones
+    # dying in the true limit; they are floored to zero, and only values
+    # just *above* the floor make the decision ambiguous.  The algebra is
+    # orthonormalized at the default cutoff so that the floor compares
+    # unit-length directions; its own singular values are O(1), so any
+    # sane ``rtol`` keeps all of it.
+    limit_norm = reps.norm(rep, trace.limit_point)
+    floor = (LIMIT_RANK_FLOOR * np.sqrt(max(trace.moment_norms[-1], 1e-15))
+             * limit_norm)
+    limit = _linalg.matrix_rank(
+        reps._differential_matrix(rep, algebra.orthonormal, trace.limit_point),
+        rtol, floor=floor, one_sided=True)
 
     if trace.collapsed:
         status = NON_CLOSED
-    elif (not trace.converged or start_ambiguous or limit_ambiguous
-          or limit_dim > start_dim):
+    elif (not trace.converged or start.ambiguous or limit.ambiguous
+          or limit.rank > start.rank):
         status = INCONCLUSIVE
-    elif limit_dim == start_dim:
+    elif limit.rank == start.rank:
         status = CLOSED
     else:
         status = NON_CLOSED
-    return ClosednessVerdict(status, start_dim, limit_dim,
-                             reps.norm(rep, v),
-                             reps.norm(rep, trace.limit_point), trace)
+    return ClosednessVerdict(status, start.rank, limit.rank,
+                             reps.norm(rep, v), limit_norm, trace,
+                             reps._stabilizer_subalgebra(algebra, start),
+                             start.ambiguous)

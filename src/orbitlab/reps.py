@@ -338,26 +338,30 @@ def _differential_matrix(rep: Representation, algebra: LieAlgebraBasis, v) -> np
 
 def orbit_dimension(rep: Representation, algebra: LieAlgebraBasis, v) -> int:
     """Dimension (over the group's field) of the identity-component orbit."""
-    return orbit_dimension_info(rep, algebra, v)[0]
+    return orbit_dimension_info(rep, algebra, v).rank
 
 
-def orbit_dimension_info(rep: Representation, algebra: LieAlgebraBasis,
-                         v, rtol: float = _linalg.RANK_RTOL) -> tuple[int, bool]:
-    """Orbit dimension plus a flag for rank decisions too close to call."""
-    a = _differential_matrix(rep, algebra, v)
-    decision = _linalg.matrix_rank(a, rtol)
-    return decision.rank, decision.ambiguous
+def orbit_dimension_info(rep: Representation, algebra: LieAlgebraBasis, v,
+                         rtol: float = _linalg.RANK_RTOL) -> _linalg.RankDecision:
+    """The rank decision of the orbit map X -> X . v on the algebra basis.
+
+    Its rank is the orbit dimension and its kernel holds the basis
+    coordinates of the stabilizer, so dim orbit + dim stabilizer = dim
+    algebra; the flag marks a rank too close to the cutoff to call.
+    """
+    return _linalg.matrix_rank(_differential_matrix(rep, algebra, v), rtol)
 
 
 def stabilizer_subalgebra(rep: Representation, algebra: LieAlgebraBasis,
                           v, rtol: float = _linalg.RANK_RTOL) -> LieAlgebraBasis:
-    """Basis of {X in the algebra : X . v = 0} by null-space extraction."""
-    a = _differential_matrix(rep, algebra, v)
-    kernel = _linalg.null_space(a, rtol)
-    if kernel.shape[1] == 0:
-        mats = np.zeros((0, algebra.ambient_size, algebra.ambient_size),
-                        dtype=algebra.matrices.dtype if algebra.dim else rep.group.dtype)
-    else:
-        mats = np.einsum("ik,ijl->kjl", kernel, algebra.matrices)
+    """Basis of {X in the algebra : X . v = 0}, the kernel of the orbit map."""
+    return _stabilizer_subalgebra(algebra,
+                                  orbit_dimension_info(rep, algebra, v, rtol))
+
+
+def _stabilizer_subalgebra(algebra: LieAlgebraBasis,
+                           decision: _linalg.RankDecision) -> LieAlgebraBasis:
+    """The stabilizer read off a decision of :func:`orbit_dimension_info`."""
+    mats = np.einsum("ik,ijl->kjl", decision.kernel, algebra.matrices)
     return LieAlgebraBasis(np.ascontiguousarray(mats), algebra.field,
                            algebra.ambient_size)

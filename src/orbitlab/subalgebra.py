@@ -210,8 +210,8 @@ def reductivity_verdict(basis: LieAlgebraBasis, tol: float = NILPOTENT_TOL,
         if killing_rank < d and not killing_decision.ambiguous:
             killing_degenerate = True
             # a derived direction on which the Killing form degenerates
-            kernel = _linalg.null_space(data.killing_on_derived, rtol)
-            direction = np.einsum("i,ijl->jl", kernel[:, 0], data.derived.matrices)
+            direction = np.einsum("i,ijl->jl", killing_decision.kernel[:, 0],
+                                  data.derived.matrices)
             witnesses.append(("degenerate_killing_direction", direction))
 
     center_semisimple: bool | None = True

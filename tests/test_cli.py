@@ -246,3 +246,32 @@ def test_rank_tol_does_not_leak_into_the_process(problem_file):
     assert result.exit_code == 0
     assert json.loads(result.stdout)["orbit_dim"] == 14
     assert _linalg.RANK_RTOL == 1e-9
+
+
+# A loose cutoff puts the stabilizer dimension inside the ambiguity band;
+# the stabilizer is then inconclusive instead of being analysed as if it
+# were a bracket-closed basis (a configuration error before).
+@pytest.mark.parametrize("scenario,rank_tol", [
+    ("sl4-block", "0.5"), ("example1", "0.9"), ("normal-factor", "0.9"),
+    ("sym2-sum", "0.9")])
+def test_ambiguous_stabilizers_are_inconclusive(scenario, rank_tol):
+    kind = ["--kind", "theorem1"] if scenario == "example1" else []
+    result = run_cli("experiment", "--scenario", scenario, *kind,
+                     "--trials", "4", "--rank-tol", rank_tol)
+    assert result.returncode == 3, result.stderr
+    report = json.loads(result.stdout)
+    assert report["failure"] == "inconclusive"
+    verdicts = {r.get("stabilizer_verdict", r.get("verdict"))
+                for r in report["trials"]}
+    assert verdicts == {"inconclusive"}
+
+
+def test_experiment_defaults_come_from_the_configs():
+    defaults = {p.name: p.default for p in main.commands["experiment"].params}
+    config = ol.ExperimentConfig(kind="theorem1", scenario="example1")
+    assert defaults["trials"] == config.trials == 100
+    assert (defaults["seed"], defaults["spread"]) == (config.seed,
+                                                      config.spread)
+    assert defaults["moment_tol"] == config.flow.moment_tolerance
+    assert defaults["max_iters"] == config.flow.max_iterations
+    assert defaults["rank_tol"] == config.rank_rtol

@@ -88,6 +88,25 @@ class TestConfigValidation:
         with pytest.raises(InvalidArgumentError):
             ExperimentConfig.from_json(data)
 
+    @pytest.mark.parametrize("field,value", [
+        ("spread", "0.5"), ("rank_rtol", "1e-9")])
+    def test_non_numeric_spread_or_rank_rtol(self, field, value):
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(kind="theorem1", scenario="example1",
+                             **{field: value})
+
+    def test_non_numeric_moment_tolerance(self):
+        with pytest.raises(InvalidArgumentError):
+            ExperimentConfig.from_json({
+                "kind": "theorem1", "scenario": "example1",
+                "flow": {"moment_tolerance": "1e-8"}})
+
+    @pytest.mark.parametrize("field", ["spread", "rank_rtol"])
+    def test_config_json_numbers_are_not_coerced(self, field):
+        data = ExperimentConfig(kind="theorem1", scenario="example1").to_json()
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig.from_json({**data, field: "abc"})
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one(self, workers):
         config = ExperimentConfig(kind="cor3-intersection",
@@ -195,6 +214,43 @@ class TestStatisticalExperiments:
         assert report.summary["disagreements"] == 0
         for record in report.trials:
             assert record["agree"] is not False
+
+
+class TestStabilizerDecision:
+    @pytest.mark.parametrize("kind,scenario", [
+        ("theorem1", "example1"), ("cor2-normal", "normal-factor"),
+        ("cor5-direct-sum", "sym2-sum")])
+    def test_orbit_and_stabilizer_dims_fill_the_algebra(self, kind, scenario):
+        # both dimensions are one rank decision of the orbit map
+        config = ExperimentConfig(kind=kind, scenario=scenario, trials=30,
+                                  seed=4)
+        dim = ol.lie_algebra_basis(get_scenario(scenario).subgroup).dim
+        for record in run_experiment(config).trials:
+            assert record["start_orbit_dim"] + record["stabilizer_dim"] == dim
+
+    def test_verdict_carries_the_stabilizer_of_its_start_point(
+            self, alt6, sl2_block, x_translate):
+        verdict = ol.closedness_verdict(alt6, sl2_block, x_translate)
+        stab = ol.stabilizer_subalgebra(alt6, ol.lie_algebra_basis(sl2_block),
+                                        x_translate)
+        assert (verdict.stabilizer.dim, verdict.start_ambiguous) == (1, False)
+        assert np.array_equal(verdict.stabilizer.matrices, stab.matrices)
+
+    @pytest.mark.parametrize("kind,scenario", [
+        ("theorem1", "example1"), ("cor3-intersection", "sl4-block")])
+    def test_ambiguous_stabilizer_is_not_analysed(self, monkeypatch, kind,
+                                                   scenario):
+        def refuse(*args, **kwargs):
+            raise AssertionError("analysed an ambiguous stabilizer")
+
+        monkeypatch.setattr(ol.subalgebra, "reductivity_verdict", refuse)
+        config = ExperimentConfig(kind=kind, scenario=scenario, trials=2,
+                                  rank_rtol=0.5)
+        report = run_experiment(config)
+        assert report.failure == "inconclusive"
+        for record in report.trials:
+            assert record.get("stabilizer_verdict",
+                              record.get("verdict")) == "inconclusive"
 
 
 class TestDeterminism:

@@ -62,3 +62,23 @@ def test_orthonormal_span_of_nothing_is_empty():
         out = _linalg.orthonormal_span(np.zeros((0, 3, 3), dtype=complex),
                                        real_span=real_span)
         assert out.shape == (0, 3, 3)
+
+
+def test_null_space_is_the_kernel_of_the_rank_decision():
+    a = rank_deficient(6, 4, 2, True, seed=11)
+    decision = _linalg.matrix_rank(a)
+    assert np.array_equal(_linalg.null_space(a), decision.kernel)
+    assert decision.kernel.shape == (4, 2)
+
+
+def test_floor_and_one_sided_band_of_the_rank_decision():
+    # singular values 1, 1e-3 and 5e-5 against a floor of 1e-4: the last
+    # one is floored away, and lies in the lower half of the band
+    q = np.linalg.qr(np.random.default_rng(3).standard_normal((5, 5)))[0]
+    a = q[:, :3] @ np.diag([1.0, 1e-3, 5e-5])
+    two_sided = _linalg.matrix_rank(a, floor=1e-4)
+    one_sided = _linalg.matrix_rank(a, floor=1e-4, one_sided=True)
+    assert (two_sided.rank, two_sided.ambiguous) == (2, True)
+    assert (one_sided.rank, one_sided.ambiguous) == (2, False)
+    assert one_sided.kernel.shape == (3, 1)
+    assert np.linalg.norm(a @ one_sided.kernel) <= 1e-4
