@@ -136,14 +136,10 @@ def span_projection_residual(targets: np.ndarray, span: np.ndarray,
         return 0.0
     flat = realify_flat if real_span else stack_flat
     t = flat(targets)
-    sp = flat(span)
-    if span.shape[0] == 0:
-        norms = np.linalg.norm(t, axis=1)
-        scale = norms.max()
-        return 1.0 if scale > 0 else 0.0
-    q = np.linalg.qr(sp.conj().T)[0]
-    proj = (q @ (q.conj().T @ t.conj().T)).conj().T
-    res = np.linalg.norm(t - proj, axis=1)
+    # rows of q: an orthonormal basis of the span, rank-revealing, so
+    # dependent span matrices add no spurious direction
+    q = flat(orthonormal_span(span, real_span=real_span))
+    res = np.linalg.norm(t - (t @ q.conj().T) @ q, axis=1)
     norms = np.linalg.norm(t, axis=1)
     scale = max(norms.max(), 1e-300)
     return float(res.max() / scale)

@@ -16,7 +16,7 @@ import sys
 import click
 
 from . import _linalg, experiments, kempfness, reps, subalgebra
-from .errors import OrbitLabError, ConfigurationError
+from .errors import OrbitLabError
 from .experiments import ExperimentConfig
 from .groups import (GroupSpec, LieAlgebraBasis, cartan_decomposition_for,
                      lie_algebra_basis)
@@ -34,14 +34,17 @@ def _fail_config(message: str):
     sys.exit(EXIT_CONFIG)
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, read):
+    """``read`` of the JSON at ``path`` ('-' for stdin); any bad input exits 2."""
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        _fail_config(f"cannot read JSON input: {exc}")
+            data = json.load(sys.stdin)
+        else:
+            with open(path) as fh:
+                data = json.load(fh)
+        return read(data)
+    except (OSError, OrbitLabError, LookupError, TypeError, ValueError) as exc:
+        _fail_config(f"bad input: {exc}")
 
 
 def _write(text: str, out: str | None):
@@ -56,24 +59,12 @@ def _emit(payload: dict, out: str | None):
     _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
-def _problem_from_json(data: dict):
-    try:
-        rep = reps.Representation.from_json(data["representation"])
-        vector = reps.vector_from_json(rep, data["vector"])
-    except (KeyError, OrbitLabError, ValueError, TypeError) as exc:
-        _fail_config(f"bad problem input: {exc}")
-    return rep, vector
-
-
-def _problem_algebra(data: dict, rep) -> LieAlgebraBasis:
-    """Algebra of the input's optional subgroup, else of the rep's group."""
-    group = rep.group
-    if "subgroup" in data:
-        try:
-            group = GroupSpec.from_json(data["subgroup"])
-        except (OrbitLabError, KeyError) as exc:
-            _fail_config(f"bad subgroup: {exc}")
-    return lie_algebra_basis(group)
+def _problem(data: dict):
+    """Representation, vector and optional subgroup (else the rep's group)."""
+    rep = reps.Representation.from_json(data["representation"])
+    group = (GroupSpec.from_json(data["subgroup"]) if "subgroup" in data
+             else rep.group)
+    return rep, reps.vector_from_json(rep, data["vector"]), group
 
 
 def _domain_errors_exit_2(fn):
@@ -88,9 +79,9 @@ def _domain_errors_exit_2(fn):
     return wrapper
 
 
-def _positive_rank_tol(ctx, param, value: float) -> float:
+def _positive(ctx, param, value: float) -> float:
     if not value > 0:
-        _fail_config("--rank-tol must be positive")
+        _fail_config(f"{param.opts[0]} must be positive")
     return value
 
 
@@ -105,7 +96,7 @@ max_iters_option = click.option("--max-iters", type=int, show_default=True,
                                 help="the flow's iteration budget")
 rank_tol_option = click.option("--rank-tol", type=float,
                                default=_linalg.RANK_RTOL, show_default=True,
-                               callback=_positive_rank_tol,
+                               callback=_positive,
                                help="relative singular-value threshold for "
                                     "rank decisions")
 
@@ -127,7 +118,7 @@ def closedness(input_path, out, moment_tol, max_iters, rank_tol):
 
     Input: {"representation": {...}, "vector": ...}
     """
-    rep, vector = _problem_from_json(_load_json(input_path))
+    rep, vector, _ = _load(input_path, _problem)
     config = FlowConfig(moment_tol, max_iters)
     verdict = kempfness.closedness_verdict(rep, rep.group, vector, config,
                                            rtol=rank_tol)
@@ -140,11 +131,12 @@ def closedness(input_path, out, moment_tol, max_iters, rank_tol):
 @input_option
 @out_option
 @click.option("--tolerance", type=float, default=1e-8, show_default=True,
+              callback=_positive,
               help="scale-invariant minimality tolerance")
 @_domain_errors_exit_2
 def minimal(input_path, out, tolerance):
     """Test whether a vector is a minimal vector of its orbit."""
-    rep, vector = _problem_from_json(_load_json(input_path))
+    rep, vector, _ = _load(input_path, _problem)
     decomposition = cartan_decomposition_for(rep.group)
     rel = kempfness.relative_moment_norm(rep, decomposition.p_basis, vector)
     _emit({
@@ -165,9 +157,8 @@ def stabilizer(input_path, out, rank_tol):
 
     Input: {"representation": {...}, "vector": ..., "subgroup": {...}?}
     """
-    data = _load_json(input_path)
-    rep, vector = _problem_from_json(data)
-    algebra = _problem_algebra(data, rep)
+    rep, vector, group = _load(input_path, _problem)
+    algebra = lie_algebra_basis(group)
     stab = reps.stabilizer_subalgebra(rep, algebra, vector, rank_tol)
     _emit({"dimension": stab.dim, "basis": stab.to_json()}, out)
     sys.exit(EXIT_OK)
@@ -183,12 +174,9 @@ def reductive(input_path, out, rank_tol):
 
     Input: {"algebra": {"field": ..., "size": n, "matrices": [...]}}
     """
-    data = _load_json(input_path)
-    try:
-        basis = LieAlgebraBasis.from_json(data["algebra"])
-        report = subalgebra.reductivity_verdict(basis, rtol=rank_tol)
-    except (OrbitLabError, KeyError, ValueError) as exc:
-        _fail_config(f"bad algebra input: {exc}")
+    basis = _load(input_path,
+                  lambda data: LieAlgebraBasis.from_json(data["algebra"]))
+    report = subalgebra.reductivity_verdict(basis, rtol=rank_tol)
     _emit(report.to_json(), out)
     if report.verdict == subalgebra.INCONCLUSIVE:
         sys.exit(EXIT_INCONCLUSIVE)
@@ -202,9 +190,8 @@ def reductive(input_path, out, rank_tol):
 @_domain_errors_exit_2
 def orbit_dim(input_path, out, rank_tol):
     """Orbit dimension of a vector (over the group's field)."""
-    data = _load_json(input_path)
-    rep, vector = _problem_from_json(data)
-    algebra = _problem_algebra(data, rep)
+    rep, vector, group = _load(input_path, _problem)
+    algebra = lie_algebra_basis(group)
     decision = reps.orbit_dimension_info(rep, algebra, vector, rank_tol)
     _emit({"orbit_dim": decision.rank, "rank_ambiguous": decision.ambiguous,
            "field": algebra.field}, out)
@@ -234,19 +221,15 @@ def orbit_dim(input_path, out, rank_tol):
 def experiment(scenario, kind, trials, seed, spread, workers, fmt, out,
                moment_tol, max_iters, rank_tol):
     """Run a named experiment and report per-trial records plus a summary."""
-    try:
-        sc = experiments.get_scenario(scenario)
-        config = ExperimentConfig(
-            kind=kind or sc.default_kind,
-            scenario=scenario,
-            trials=trials,
-            seed=seed,
-            spread=spread,
-            flow=FlowConfig(moment_tol, max_iters),
-            rank_rtol=rank_tol,
-        )
-    except (ConfigurationError, OrbitLabError) as exc:
-        _fail_config(str(exc))
+    config = ExperimentConfig(
+        kind=kind or experiments.get_scenario(scenario).default_kind,
+        scenario=scenario,
+        trials=trials,
+        seed=seed,
+        spread=spread,
+        flow=FlowConfig(moment_tol, max_iters),
+        rank_rtol=rank_tol,
+    )
     report = experiments.run_experiment(config, workers=workers)
     if fmt == "csv":
         _write(report.to_csv_str(), out)

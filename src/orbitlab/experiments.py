@@ -49,6 +49,7 @@ from .errors import ConfigurationError
 from .groups import GroupSpec, lie_algebra_basis, random_group_element
 from .kempfness import (CLOSED, INCONCLUSIVE, NON_CLOSED, FlowConfig,
                         closedness_verdict, relative_moment_norm)
+from .serialize import is_integer
 
 THEOREM1 = "theorem1"
 COR2_NORMAL = "cor2-normal"
@@ -230,9 +231,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
             raise ConfigurationError(f"unknown experiment kind {self.kind!r}")
-        if not (isinstance(self.trials, numbers.Integral) and self.trials >= 1):
+        if not (is_integer(self.trials) and self.trials >= 1):
             raise ConfigurationError("trials must be an integer >= 1")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        if not (is_integer(self.seed) and self.seed >= 0):
             raise ConfigurationError("seed must be a non-negative integer")
         if not (isinstance(self.spread, numbers.Real)
                 and math.isfinite(self.spread) and self.spread > 0):

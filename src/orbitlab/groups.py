@@ -27,7 +27,7 @@ import scipy.linalg
 
 from . import _linalg
 from .errors import ConfigurationError, InvalidArgumentError, NotThetaStableError
-from .serialize import matrix_from_json, matrix_to_json
+from .serialize import is_integer, matrix_from_json, matrix_to_json
 
 REAL = "real"
 COMPLEX = "complex"
@@ -66,6 +66,9 @@ class GroupSpec:
     def __post_init__(self):
         if self.field not in (REAL, COMPLEX):
             raise ConfigurationError(f"unknown field {self.field!r}")
+        for name in ("size", "offset", "copies"):
+            if not is_integer(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be an integer")
         if self.size <= 0:
             raise ConfigurationError("size must be positive")
         if self.family == SP:
@@ -121,18 +124,17 @@ class GroupSpec:
     @staticmethod
     def from_json(data: dict) -> "GroupSpec":
         family = data["family"]
-        kwargs = dict(family=family, size=int(data["size"]), field=data["field"])
+        kwargs = dict(family=family, size=data["size"], field=data["field"])
         if family == SP:
-            complex_field = data["field"] == COMPLEX
-            kwargs["form"] = matrix_from_json(data["form"], complex_field)
+            kwargs["form"] = matrix_from_json(data["form"], data["field"] == COMPLEX)
         elif family == PRODUCT:
             kwargs["members"] = tuple(GroupSpec.from_json(m) for m in data["members"])
         elif family == BLOCK:
             kwargs["inner"] = GroupSpec.from_json(data["inner"])
-            kwargs["offset"] = int(data.get("offset", 0))
+            kwargs["offset"] = data.get("offset", 0)
         elif family == DIAGONAL:
             kwargs["inner"] = GroupSpec.from_json(data["inner"])
-            kwargs["copies"] = int(data["copies"])
+            kwargs["copies"] = data["copies"]
         return GroupSpec(**kwargs)
 
     def cache_key(self) -> str:
@@ -205,6 +207,10 @@ class LieAlgebraBasis:
     field: str
     ambient_size: int
 
+    def __post_init__(self):
+        if self.field not in (REAL, COMPLEX):
+            raise ConfigurationError(f"unknown field {self.field!r}")
+
     @property
     def dim(self) -> int:
         return self.matrices.shape[0]
@@ -233,7 +239,9 @@ class LieAlgebraBasis:
     @staticmethod
     def from_json(data: dict) -> "LieAlgebraBasis":
         field = data["field"]
-        n = int(data["size"])
+        n = data["size"]
+        if not (is_integer(n) and n > 0):
+            raise InvalidArgumentError("algebra size must be a positive integer")
         mats = [matrix_from_json(m, field == COMPLEX) for m in data["matrices"]]
         if any(m.shape != (n, n) for m in mats):
             raise InvalidArgumentError(
@@ -241,6 +249,8 @@ class LieAlgebraBasis:
                 f"{sorted({m.shape for m in mats})}")
         dtype = np.complex128 if field == COMPLEX else np.float64
         arr = np.array(mats, dtype=dtype) if mats else np.zeros((0, n, n), dtype=dtype)
+        if mats and _linalg.matrix_rank(_linalg.stack_flat(arr)).rank < len(mats):
+            raise InvalidArgumentError("algebra matrices are linearly dependent")
         return LieAlgebraBasis(arr, field, n)
 
 

@@ -58,6 +58,7 @@ import numpy as np
 from . import _linalg, reps
 from .errors import InvalidArgumentError
 from .groups import LieAlgebraBasis, lie_algebra_basis, matrix_exp
+from .serialize import is_integer
 
 CLOSED = "closed"
 NON_CLOSED = "non_closed"
@@ -102,8 +103,7 @@ class FlowConfig:
         if not (isinstance(self.moment_tolerance, numbers.Real)
                 and self.moment_tolerance > 0):
             raise InvalidArgumentError("moment_tolerance must be a positive number")
-        if not (isinstance(self.max_iterations, numbers.Integral)
-                and self.max_iterations >= 1):
+        if not (is_integer(self.max_iterations) and self.max_iterations >= 1):
             raise InvalidArgumentError("max_iterations must be a positive integer")
 
     def to_json(self) -> dict:
@@ -248,6 +248,8 @@ def norm_flow(rep: reps.Representation, group, v,
     v = reps._check_vector(rep, v)
 
     start_norm = reps.norm(rep, v)
+    if not np.isfinite(start_norm):
+        raise InvalidArgumentError("the vector's norm overflows")
     if start_norm == 0.0 or p_basis.dim == 0:
         return FlowTrace(np.array([start_norm]), np.array([0.0]), v, "moment")
 

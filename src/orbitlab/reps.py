@@ -177,18 +177,18 @@ def _resymmetrize(rep: Representation, m: np.ndarray) -> np.ndarray:
     return (m + mt) / 2.0 if rep.sign > 0 else (m - mt) / 2.0
 
 
-def point(rep: Representation, v, tol: float = SYMMETRY_TOL):
+def point(rep: Representation, v):
     """Validate and normalize a vector into the representation space."""
     v = _check_vector(rep, v)
     if rep.kind == DIRECT_SUM:
-        return tuple(point(c, vc, tol) for c, vc in zip(rep.components, v))
+        return tuple(point(c, vc) for c, vc in zip(rep.components, v))
     arr = np.asarray(v)
     if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
         raise InvalidArgumentError("vector has non-finite entries")
     if rep.sign:
         sym = _resymmetrize(rep, v)
         scale = max(np.linalg.norm(v), 1.0)
-        if np.linalg.norm(v - sym) > tol * scale:
+        if np.linalg.norm(v - sym) > SYMMETRY_TOL * scale:
             raise InvalidArgumentError(
                 f"matrix violates the {rep.kind} symmetry class")
         return sym
@@ -313,23 +313,23 @@ def vector_to_json(rep: Representation, v):
 
 
 def vector_from_json(rep: Representation, data):
-    complex_field = rep.group.field == COMPLEX
     if rep.kind == DIRECT_SUM:
         comps = data["components"] if isinstance(data, dict) else data
         if len(comps) != len(rep.components):
             raise InvalidArgumentError("wrong number of direct-sum components")
         return tuple(vector_from_json(c, d)
                      for c, d in zip(rep.components, comps))
-    arr = matrix_from_json(data, complex_field)
-    return point(rep, arr.astype(rep.group.dtype))
+    return point(rep, matrix_from_json(data, rep.group.field == COMPLEX))
 
 
 def _differential_matrix(rep: Representation, algebra: LieAlgebraBasis, v) -> np.ndarray:
     """Columns are the flattened images X_i . v over the algebra basis."""
     v = _check_vector(rep, v)
     n = rep.group.size
-    if algebra.ambient_size != n:
-        raise InvalidArgumentError(f"algebra elements must be {n}x{n}")
+    field = rep.group.field
+    if algebra.ambient_size != n or algebra.field != field:
+        raise InvalidArgumentError(
+            f"algebra elements must be {n}x{n} over the {field} field")
     if algebra.dim == 0:
         return np.zeros((len(_flatten(rep, v)), 0), dtype=rep.group.dtype)
     images = _differential_act(rep, algebra.matrices, v)

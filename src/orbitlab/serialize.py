@@ -1,15 +1,24 @@
 """JSON encoding of matrices and vectors.
 
 Matrices travel as row-major nested lists.  Complex entries are encoded
-as two-element ``[re, im]`` lists, real entries as plain numbers, so a
-reader can reconstruct the dtype from the leaf shape alone.
+as two-element ``[re, im]`` lists, real entries as plain numbers; the
+reader is told the field and does not guess it from the leaves.  Sizes,
+offsets and counts are JSON integers: ``2.0``, ``"2"`` and ``true`` are
+rejected, not converted.
 """
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import InvalidArgumentError
+
+
+def is_integer(value) -> bool:
+    """An integer that is not a bool (JSON ``true`` parses to one)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def matrix_to_json(a: np.ndarray):
@@ -19,21 +28,15 @@ def matrix_to_json(a: np.ndarray):
     return a.tolist()
 
 
-def matrix_from_json(data, complex_field: bool | None = None) -> np.ndarray:
-    """Decode a nested-list matrix; ``[re, im]`` leaves mean complex entries.
-
-    When ``complex_field`` is given it forces the dtype; otherwise the
-    leaf shape decides (pairs at the deepest level = complex).
-    """
+def matrix_from_json(data, complex_field: bool) -> np.ndarray:
+    """Decode a nested-list matrix over the given field; over the complex
+    field every leaf must be an ``[re, im]`` pair."""
     try:
         arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgumentError(f"malformed matrix payload: {exc}") from exc
-    pairs = arr.ndim >= 1 and arr.shape[-1] == 2
-    if complex_field is False:
+    if not complex_field:
         return arr
-    if pairs and (complex_field or arr.ndim >= 3):
-        return arr[..., 0] + 1j * arr[..., 1]
-    if complex_field:
-        return arr.astype(complex)
-    return arr
+    if arr.ndim == 0 or arr.shape[-1] != 2:
+        raise InvalidArgumentError("complex entries must be [re, im] pairs")
+    return arr[..., 0] + 1j * arr[..., 1]

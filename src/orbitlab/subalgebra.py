@@ -140,7 +140,7 @@ def _cluster_eigenvalues(eigs: np.ndarray, radius: float):
     return clusters
 
 
-def element_type(x: np.ndarray, tol: float = NILPOTENT_TOL) -> str:
+def element_type(x: np.ndarray) -> str:
     """Classify a matrix as semisimple, nilpotent, mixed or ambiguous.
 
     Nilpotency is tested by powering the operator-norm-normalized
@@ -155,7 +155,7 @@ def element_type(x: np.ndarray, tol: float = NILPOTENT_TOL) -> str:
         return NILPOTENT
     xn = x / opnorm
     power = np.linalg.matrix_power(xn, n)
-    if np.linalg.norm(power, 2) <= tol:
+    if np.linalg.norm(power, 2) <= NILPOTENT_TOL:
         return NILPOTENT
 
     eigs = np.linalg.eigvals(x)
@@ -176,7 +176,7 @@ def element_type(x: np.ndarray, tol: float = NILPOTENT_TOL) -> str:
     return SEMISIMPLE
 
 
-def reductivity_verdict(basis: LieAlgebraBasis, tol: float = NILPOTENT_TOL,
+def reductivity_verdict(basis: LieAlgebraBasis,
                         rtol: float = _linalg.RANK_RTOL) -> SubalgebraReport:
     """Algebraic reductivity: center + derived split, Cartan criterion,
     semisimple center.  The zero algebra is reductive.  ``rtol`` is the
@@ -194,7 +194,9 @@ def reductivity_verdict(basis: LieAlgebraBasis, tol: float = NILPOTENT_TOL,
     dims_ok = d + z == k
     if dims_ok and d and z:
         stacked = np.concatenate([data.derived.matrices, data.center.matrices])
-        decision = _linalg.matrix_rank(_linalg.stack_flat(stacked), rtol)
+        # the kernel is not needed, so the singular values alone decide
+        decision = _linalg.rank_from_singular_values(
+            np.linalg.svd(_linalg.stack_flat(stacked), compute_uv=False), rtol)
         ambiguous |= decision.ambiguous
         dims_ok = decision.rank == d + z
     decomposition_ok = bool(dims_ok)
@@ -216,7 +218,7 @@ def reductivity_verdict(basis: LieAlgebraBasis, tol: float = NILPOTENT_TOL,
 
     center_semisimple: bool | None = True
     for zmat in data.center.matrices:
-        kind = element_type(zmat, tol)
+        kind = element_type(zmat)
         if kind == AMBIGUOUS:
             center_semisimple = None
             ambiguous = True

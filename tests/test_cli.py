@@ -275,3 +275,60 @@ def test_experiment_defaults_come_from_the_configs():
     assert defaults["moment_tol"] == config.flow.moment_tolerance
     assert defaults["max_iters"] == config.flow.max_iterations
     assert defaults["rank_tol"] == config.rank_rtol
+
+
+def _pairs(entries):
+    """Complex JSON leaves for a list of real numbers."""
+    return [[x, 0.0] for x in entries]
+
+
+_SL2 = {"family": "special_linear", "size": 2, "field": "complex"}
+
+
+def _problem(group, vector, **extra):
+    return {"representation": {"kind": "defining", "group": group},
+            "vector": vector, **extra}
+
+
+# Every malformed input exits 2 with a configuration error object,
+# whichever reader or check rejects it.
+@pytest.mark.parametrize("args,payload", [
+    (["reductive"], {"algebra": {"field": "complex", "size": 2,
+                                 "matrices": 5}}),
+    (["reductive"], []),
+    (["reductive"], {"algebra": {"field": "quaternion", "size": 2,
+                                 "matrices": [[[1.0, 0.0], [0.0, -1.0]]]}}),
+    (["reductive"], {"algebra": {"field": "real", "size": 2,
+                                 "matrices": [np.eye(2).tolist()] * 2}}),
+    (["stabilizer"], _problem(_SL2, _pairs([1.0, 0.0]), subgroup={
+        "family": "torus", "size": "x", "field": "complex"})),
+    (["stabilizer"], _problem(_SL2, _pairs([1.0, 0.0]), subgroup=[])),
+    (["closedness"], _problem({**_SL2, "size": True}, _pairs([1.0]))),
+    (["closedness"], _problem({**_SL2, "size": 2.7}, _pairs([1.0, 0.0]))),
+    (["closedness"], _problem({**_SL2, "size": "2"}, _pairs([1.0, 0.0]))),
+    (["closedness"], _problem(
+        {"family": "block_embedding", "size": 4, "field": "complex",
+         "inner": _SL2, "offset": 1.5}, _pairs([1.0, 0.0, 0.0, 0.0]))),
+    (["closedness"], _problem(
+        {"family": "diagonal_embedding", "size": 4, "field": "complex",
+         "inner": _SL2, "copies": 2.0}, _pairs([1.0, 0.0, 0.0, 0.0]))),
+    (["closedness"], _problem({**_SL2, "size": 3}, [1.0, 0.0, 0.0])),
+    (["minimal", "--tolerance", "nan"], _problem(_SL2, _pairs([1.0, 0.0]))),
+    (["minimal", "--tolerance", "-1"], _problem(_SL2, _pairs([1.0, 0.0]))),
+    (["closedness"], _problem(_SL2, _pairs([1e308, 1e308]))),
+    (["stabilizer"], _problem(_SL2, _pairs([1.0, 0.0]), subgroup={
+        "family": "torus", "size": 2, "field": "real"})),
+    (["orbit-dim"], _problem(_SL2, _pairs([1.0, 0.0]), subgroup={
+        "family": "torus", "size": 2, "field": "real"})),
+], ids=["matrices-not-a-list", "algebra-input-a-list", "quaternion-field",
+        "identity-twice", "string-subgroup-size", "subgroup-a-list",
+        "boolean-size", "fractional-size", "string-size", "fractional-offset",
+        "float-copies", "complex-vector-without-pairs", "nan-tolerance",
+        "negative-tolerance", "norm-overflow", "real-subgroup-stabilizer",
+        "real-subgroup-orbit-dim"])
+def test_malformed_input_exits_2(args, payload):
+    result = CliRunner().invoke(main, [*args, "--in", "-"],
+                                input=json.dumps(payload))
+    assert result.exit_code == 2, (result.output, result.exception)
+    error = json.loads(result.stderr.strip().splitlines()[-1])
+    assert error["error"] == "configuration"

@@ -114,6 +114,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             run_experiment(config, workers=workers)
 
+    @pytest.mark.parametrize("name,value", [("trials", True), ("seed", False)])
+    def test_boolean_trials_or_seed(self, name, value):
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(kind="theorem1", scenario="example1",
+                             **{name: value})
+
+    @pytest.mark.parametrize("name,value", [("trials", True), ("seed", False)])
+    def test_config_json_booleans_are_not_integers(self, name, value):
+        data = ExperimentConfig(kind="theorem1", scenario="example1").to_json()
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig.from_json({**data, name: value})
+        data["flow"]["max_iterations"] = True
+        with pytest.raises(InvalidArgumentError):
+            ExperimentConfig.from_json(data)
+
     def test_kind_scenario_mismatch(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(kind="cor2-normal", scenario="example1")

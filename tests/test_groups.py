@@ -252,3 +252,50 @@ class TestAdjointConjugate:
         basis = ol.lie_algebra_basis(sl6)
         with pytest.raises(InvalidArgumentError):
             ol.adjoint_conjugate(basis, np.zeros((6, 6), dtype=complex))
+
+
+@pytest.mark.parametrize("value", [2.5, True, "2"], ids=repr)
+@pytest.mark.parametrize("name", ["size", "offset", "copies"])
+def test_groupspec_sizes_offsets_and_copies_must_be_integers(name, value):
+    sl2 = ol.special_linear(2, "complex")
+    kwargs = {"size": dict(family="special_linear", size=value),
+              "offset": dict(family="block_embedding", size=4, inner=sl2,
+                             offset=value),
+              "copies": dict(family="diagonal_embedding", size=4, inner=sl2,
+                             copies=value)}[name]
+    with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+        ol.GroupSpec(field="complex", **kwargs)
+
+
+def test_lie_algebra_basis_rejects_an_unknown_field():
+    with pytest.raises(ConfigurationError):
+        ol.LieAlgebraBasis(np.zeros((1, 2, 2)), "quaternion", 2)
+
+
+@pytest.mark.parametrize("field,matrices", [
+    ("real", [np.eye(2).tolist(), np.eye(2).tolist()]),
+    ("real", [[[0.0, 0.0], [0.0, 0.0]]]),
+    # E11 and i E11 are independent over the reals, not over the complex field
+    ("complex", [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                 [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]),
+], ids=["identity-twice", "zero", "complex-multiple"])
+def test_lie_algebra_basis_json_rejects_dependent_matrices(field, matrices):
+    with pytest.raises(InvalidArgumentError, match="linearly dependent"):
+        ol.LieAlgebraBasis.from_json(
+            {"field": field, "size": 2, "matrices": matrices})
+
+
+@pytest.mark.parametrize("size", [2.0, True, "2", 0])
+def test_lie_algebra_basis_json_needs_a_positive_integer_size(size):
+    with pytest.raises(InvalidArgumentError, match="positive integer"):
+        ol.LieAlgebraBasis.from_json(
+            {"field": "real", "size": size, "matrices": [np.eye(2).tolist()]})
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_bracket_closure_residual_on_a_dependent_basis(field):
+    # [E12, E21] = H lies entirely outside the span of {E12, E12, E21}
+    e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    dtype = complex if field == "complex" else float
+    basis = ol.LieAlgebraBasis(np.array([e12, e12, e12.T], dtype=dtype), field, 2)
+    assert ol.bracket_closure_residual(basis) == pytest.approx(1.0, abs=1e-12)

@@ -97,6 +97,15 @@ def test_flow_entry_rejects_malformed_vectors(entry, alt6, sl6):
             entry(pair, sl2, wrong)
 
 
+@pytest.mark.parametrize("entry", [ol.norm_flow, ol.closedness_verdict],
+                         ids=["norm_flow", "closedness_verdict"])
+def test_flow_entry_rejects_a_vector_whose_norm_overflows(entry):
+    # finite entries, but |v|^2 = 2e616 is not a float
+    sl2 = ol.special_linear(2, "complex")
+    with pytest.raises(InvalidArgumentError, match="overflows"):
+        entry(ol.defining(sl2), sl2, np.array([1e308, 1e308], dtype=complex))
+
+
 class TestIsMinimal:
     def test_base_form_minimal(self, alt6, cartan6, v0):
         assert ol.is_minimal(alt6, cartan6.p_basis, v0)
@@ -313,6 +322,10 @@ class TestFlowConfig:
     def test_non_integer_budget_rejected(self, max_iterations):
         with pytest.raises(InvalidArgumentError):
             FlowConfig(max_iterations=max_iterations)
+
+    def test_boolean_budget_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            FlowConfig(max_iterations=True)
 
     def test_json_round_trip(self):
         config = FlowConfig(moment_tolerance=1e-9, max_iterations=50)

@@ -262,6 +262,18 @@ class TestValidation:
         with pytest.raises(InvalidArgumentError):
             ol.stabilizer_subalgebra(alt6, sl4, v0)
 
+    def test_algebra_over_the_other_field_rejected(self, alt6, v0):
+        real_torus = ol.lie_algebra_basis(ol.torus(6, "real"))
+        with pytest.raises(InvalidArgumentError, match="complex field"):
+            ol.orbit_dimension(alt6, real_torus, v0)
+        with pytest.raises(InvalidArgumentError, match="complex field"):
+            ol.stabilizer_subalgebra(alt6, real_torus, v0)
+
+    def test_complex_vector_json_needs_re_im_pairs(self):
+        rep = ol.defining(ol.special_linear(3, "complex"))
+        with pytest.raises(InvalidArgumentError, match=r"\[re, im\] pairs"):
+            ol.reps.vector_from_json(rep, [1.0, 0.0, 0.0])
+
     def test_symmetry_class_enforced(self):
         rep = ol.sym2(ol.special_linear(2, "complex"))
         bad = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
