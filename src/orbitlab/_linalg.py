@@ -11,14 +11,24 @@ silently guessed, and callers turn that flag into an "inconclusive"
 outcome.  :func:`null_space` (which reads only that kernel),
 :func:`orthonormal_span` and :func:`subspace_distance` use the cutoff
 but drop the flag.
+
+Every SVD of the package is one call of :func:`svd`, which calls
+LAPACK's ``?gesdd`` directly: the routine numpy's SVD runs, with the same
+optimal workspace and numpy's C-ordered layout of the factors, but
+without numpy's per-call overhead.  It checks ``info`` and raises
+``numpy.linalg.LinAlgError`` on a nonzero value, so a NaN entry or a
+failed convergence never reads as a silent rank; an empty matrix never
+reaches LAPACK.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 # Default relative singular-value threshold for rank decisions.
 RANK_RTOL = 1e-9
@@ -37,26 +47,84 @@ class RankDecision:
     kernel: np.ndarray | None = None
 
 
-def rank_from_singular_values(s: np.ndarray, rtol: float = RANK_RTOL,
-                              floor: float = 0.0,
+@functools.lru_cache(maxsize=None)
+def _gesdd_lwork(complex_field: bool, m: int, n: int, vectors: bool,
+                 full_matrices: bool) -> int:
+    """Optimal ``?gesdd`` workspace for one shape (a LAPACK query).
+
+    numpy's SVD runs with this workspace; the wrapper's default, the
+    minimum, takes other code paths and rounds differently.  The package
+    meets a handful of shapes, so the cache stays small."""
+    query = lapack.zgesdd_lwork if complex_field else lapack.dgesdd_lwork
+    work, info = query(m, n, compute_uv=vectors, full_matrices=full_matrices)
+    if info:
+        raise np.linalg.LinAlgError(f"?gesdd workspace query failed ({info})")
+    return int(work.real)
+
+
+def svd(a: np.ndarray, vectors: bool = True, full_matrices: bool = False):
+    """Singular values of ``a`` in descending order, and with ``vectors``
+    the factors: ``(u, s, vh)`` with ``a = u @ diag(s) @ vh``, else ``s``.
+
+    ``full_matrices`` gives square ``u`` and ``vh``.  An empty ``a`` has
+    no singular values and identity (or empty) factors.
+    """
+    a = np.asarray(a)
+    complex_field = np.iscomplexobj(a)
+    a = a.astype(np.complex128 if complex_field else np.float64, copy=False)
+    m, n = a.shape
+    if m == 0 or n == 0:
+        s = np.zeros(0)
+        if not vectors:
+            return s
+        u = np.eye(m, m if full_matrices else 0, dtype=a.dtype)
+        vh = np.eye(n if full_matrices else 0, n, dtype=a.dtype)
+        return u, s, vh
+    gesdd = lapack.zgesdd if complex_field else lapack.dgesdd
+    u, s, vh, info = gesdd(
+        a, compute_uv=vectors, full_matrices=full_matrices,
+        lwork=_gesdd_lwork(complex_field, m, n, vectors, full_matrices))
+    if info:
+        # info < 0 flags a NaN entry, info > 0 a failed convergence
+        raise np.linalg.LinAlgError(f"SVD did not converge (?gesdd info {info})")
+    if not vectors:
+        return s
+    # LAPACK's factors are Fortran-ordered; numpy's C order keeps every
+    # downstream product on the memory order, and so the rounding, that
+    # numpy's SVD gave it
+    return np.ascontiguousarray(u), s, np.ascontiguousarray(vh)
+
+
+def spectral_norm(a: np.ndarray) -> float:
+    """Largest singular value of a nonempty matrix."""
+    return float(svd(a, vectors=False)[0])
+
+
+def rank_from_singular_values(s, rtol: float = RANK_RTOL, floor: float = 0.0,
                               one_sided: bool = False) -> RankDecision:
     """Count singular values above the cutoff.
 
-    The cutoff is ``max(rtol * s.max(), floor)``.  The decision is
+    The cutoff is ``max(rtol * max(s), floor)``.  The decision is
     ambiguous when some singular value falls inside the band
     ``[cutoff / AMBIGUITY_BAND, cutoff * AMBIGUITY_BAND]``.  With
     ``one_sided=True`` only the upper half of the band counts: values
     just below the cutoff are expected there (they are the residual of
-    a converging flow) and do not taint the decision.
+    a converging flow) and do not taint the decision.  The count runs
+    on a Python float list: at a handful of values that is several
+    times cheaper than numpy reductions.
     """
-    s = np.asarray(s, dtype=float)
-    if s.size == 0 or s.max() == 0.0:
+    s = s.tolist() if isinstance(s, np.ndarray) else [float(x) for x in s]
+    top = max(s, default=0.0)
+    if top == 0.0:
         return RankDecision(0, False)
-    cutoff = max(rtol * float(s.max()), floor)
-    rank = int((s > cutoff).sum())
+    cutoff = float(max(rtol * top, floor))
     lo = cutoff if one_sided else cutoff / AMBIGUITY_BAND
     hi = cutoff * AMBIGUITY_BAND
-    ambiguous = bool(np.any((s > lo) & (s <= hi)))
+    rank = 0
+    ambiguous = False
+    for x in s:
+        rank += x > cutoff
+        ambiguous |= lo < x <= hi
     return RankDecision(rank, ambiguous)
 
 
@@ -69,7 +137,7 @@ def matrix_rank(a: np.ndarray, rtol: float = RANK_RTOL, floor: float = 0.0,
     ``a`` is wide and the thin one would miss kernel directions.
     """
     m, k = a.shape
-    _, s, vh = np.linalg.svd(a, full_matrices=m < k)
+    _, s, vh = svd(a, full_matrices=m < k)
     decision = rank_from_singular_values(s, rtol, floor, one_sided)
     return RankDecision(decision.rank, decision.ambiguous,
                         vh[decision.rank:].conj().T)
@@ -117,7 +185,7 @@ def orthonormal_span(mats: np.ndarray, rtol: float = RANK_RTOL,
     """
     mats = np.asarray(mats)
     rows = realify_flat(mats) if real_span else stack_flat(mats)
-    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    _, s, vh = svd(rows)
     rank = rank_from_singular_values(s, rtol).rank
     return unrealify(vh[:rank], mats.shape[1:],
                      real_span and np.iscomplexobj(mats))
@@ -146,7 +214,7 @@ def span_projection_residual(targets: np.ndarray, span: np.ndarray,
 
 
 def _orth_columns(rows: np.ndarray) -> np.ndarray:
-    u, s, _ = np.linalg.svd(rows.conj().T, full_matrices=False)
+    u, s, _ = svd(rows.conj().T)
     return u[:, :rank_from_singular_values(s).rank]
 
 
@@ -168,4 +236,4 @@ def subspace_distance(a: np.ndarray, b: np.ndarray, real_span: bool = False) -> 
     qb = _orth_columns(fb)
     pa = qa @ qa.conj().T
     pb = qb @ qb.conj().T
-    return float(np.linalg.norm(pa - pb, 2))
+    return spectral_norm(pa - pb)

@@ -36,7 +36,6 @@ import functools
 import io
 import json
 import math
-import numbers
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -49,7 +48,7 @@ from .errors import ConfigurationError
 from .groups import GroupSpec, lie_algebra_basis, random_group_element
 from .kempfness import (CLOSED, INCONCLUSIVE, NON_CLOSED, FlowConfig,
                         closedness_verdict, relative_moment_norm)
-from .serialize import is_integer
+from .serialize import is_integer, is_real
 
 THEOREM1 = "theorem1"
 COR2_NORMAL = "cor2-normal"
@@ -235,11 +234,10 @@ class ExperimentConfig:
             raise ConfigurationError("trials must be an integer >= 1")
         if not (is_integer(self.seed) and self.seed >= 0):
             raise ConfigurationError("seed must be a non-negative integer")
-        if not (isinstance(self.spread, numbers.Real)
+        if not (is_real(self.spread)
                 and math.isfinite(self.spread) and self.spread > 0):
             raise ConfigurationError("spread must be a finite positive number")
-        if not (isinstance(self.rank_rtol, numbers.Real)
-                and self.rank_rtol > 0):
+        if not (is_real(self.rank_rtol) and self.rank_rtol > 0):
             raise ConfigurationError("rank_rtol must be a positive number")
         sc = get_scenario(self.scenario)
         if self.kind not in sc.kinds:

@@ -138,6 +138,11 @@ class GroupSpec:
         return GroupSpec(**kwargs)
 
     def cache_key(self) -> str:
+        return self._cache_key
+
+    @functools.cached_property
+    def _cache_key(self) -> str:
+        # the spec is frozen, so its JSON text is computed once
         return json.dumps(self.to_json(), sort_keys=True)
 
 
@@ -200,7 +205,9 @@ class LieAlgebraBasis:
 
     Data derived from the basis alone (its Cartan split, its
     orthonormalization and its Gram residual) is computed on first use
-    and kept on the instance; the matrices must not change afterwards.
+    and kept on the instance, and so is the orbit-map operator of each
+    representation the basis acts through; the matrices must not change
+    afterwards.
     """
 
     matrices: np.ndarray  # (dim, n, n)
@@ -222,6 +229,12 @@ class LieAlgebraBasis:
     @functools.cached_property
     def orthonormal(self) -> "LieAlgebraBasis":
         return orthonormalize(self)
+
+    @functools.cached_property
+    def orbit_operators(self) -> dict:
+        """Orbit-map operator per Representation (the object is the key),
+        built on first use by ``reps._orbit_operator``."""
+        return {}
 
     @functools.cached_property
     def gram_residual(self) -> float:

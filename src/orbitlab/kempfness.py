@@ -21,6 +21,15 @@ orbit in the closure.  The function is geodesically convex, so the
 damped steps still descend to the closed orbit in the closure, and
 every iterate stays exactly on the starting orbit.
 
+Each step costs a few calls that each do real work.  D is one product
+of the flattened iterate with the orbit-map operator that the p-basis
+keeps per representation (``reps._differential_matrix``, the one place
+D is built), and H + lam I, symmetric positive definite whenever
+mu != 0, is solved by one Cholesky factorization (LAPACK ``dposv``,
+whose ``info`` is checked).  ``moment_vector`` and ``matrix_exp`` are
+looked up on this module at every step, so a tracer that wraps them
+sees each call.
+
 The moment map mu(v)_i = <X_i . v, v> is a quadratic form in v: each
 representation supplies a Hermitian m(v) with <X . v, v> = Re tr(X m(v)*)
 for every matrix X, so mu(v) is one contraction of the p-basis against
@@ -50,15 +59,15 @@ Inconclusive is a first-class outcome, never an exception.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import _linalg, reps
 from .errors import InvalidArgumentError
 from .groups import LieAlgebraBasis, lie_algebra_basis, matrix_exp
-from .serialize import is_integer
+from .serialize import is_integer, is_real
 
 CLOSED = "closed"
 NON_CLOSED = "non_closed"
@@ -100,8 +109,7 @@ class FlowConfig:
     max_iterations: int = 20000      # Newton steps before "budget"
 
     def __post_init__(self):
-        if not (isinstance(self.moment_tolerance, numbers.Real)
-                and self.moment_tolerance > 0):
+        if not (is_real(self.moment_tolerance) and self.moment_tolerance > 0):
             raise InvalidArgumentError("moment_tolerance must be a positive number")
         if not (is_integer(self.max_iterations) and self.max_iterations >= 1):
             raise InvalidArgumentError("max_iterations must be a positive integer")
@@ -229,10 +237,17 @@ def _newton_direction(rep: reps.Representation, p_basis: LieAlgebraBasis,
                       w, coeff: np.ndarray) -> np.ndarray:
     """p-basis coefficients c = (H + lam I)^-1 mu of the regularized
     Newton step, with H = 2 Re(D* D) the Hessian of |exp(X) . w|^2 / 2."""
+    k = p_basis.dim
     d = reps._differential_matrix(rep, p_basis, w)
-    hess = 2.0 * np.real(d.conj().T @ d)
-    lam = NEWTON_REGULARIZATION * np.trace(hess) / p_basis.dim
-    return np.linalg.solve(hess + lam * np.eye(p_basis.dim), coeff)
+    system = 2.0 * np.real(d.conj().T @ d)
+    system.flat[::k + 1] += NEWTON_REGULARIZATION * system.trace() / k
+    # H + lam I is symmetric positive definite whenever mu != 0 (then some
+    # X_i . w != 0, so tr H > 0): one Cholesky solve
+    _, direction, info = lapack.dposv(system, coeff)
+    if info:
+        raise np.linalg.LinAlgError(
+            f"Newton system is not positive definite (dposv info {info})")
+    return direction
 
 
 def norm_flow(rep: reps.Representation, group, v,

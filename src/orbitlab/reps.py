@@ -15,6 +15,12 @@ unchecked core of the same name with a leading underscore (``act`` and
 ``_act``).  Package code that has validated a vector once, such as the
 norm flow, calls the cores directly.
 
+The orbit map X -> X . v of an algebra basis, whose rank is the orbit
+dimension, is linear in v as well.  Its matrix D (columns X_i . v) is
+one product of v with an operator built once per (representation,
+basis) from the images of the unit vectors and kept on the basis; every
+rank decision and the Newton step of the norm flow read D this way.
+
 Dimensions over the complex field are complex dimensions throughout;
 report layers multiply by two where a real count is wanted.
 """
@@ -322,18 +328,57 @@ def vector_from_json(rep: Representation, data):
     return point(rep, matrix_from_json(data, rep.group.field == COMPLEX))
 
 
+def _unit_vectors(rep: Representation):
+    """The vectors of the flattened coordinate basis, in order."""
+    if rep.kind == DIRECT_SUM:
+        zeros = [zero_vector(c) for c in rep.components]
+        for i, c in enumerate(rep.components):
+            for unit in _unit_vectors(c):
+                yield tuple(unit if j == i else z for j, z in enumerate(zeros))
+        return
+    size = math.prod(rep.shape)
+    for unit in np.eye(size, dtype=rep.group.dtype):
+        yield unit.reshape(rep.shape)
+
+
+def _build_orbit_operator(rep: Representation,
+                          algebra: LieAlgebraBasis) -> np.ndarray:
+    """The orbit map v -> (X_1 . v, ..., X_k . v) in flattened coordinates:
+    a (k, N, N) stack, read as the (k N) x N operator whose row block i is
+    the matrix of v -> X_i . v; column j holds the images of unit vector j."""
+    columns = [_flatten(rep, _differential_act(rep, algebra.matrices, unit),
+                        algebra.dim)
+               for unit in _unit_vectors(rep)]
+    return np.stack(columns, axis=-1)
+
+
+def _orbit_operator(rep: Representation, algebra: LieAlgebraBasis) -> np.ndarray:
+    """The orbit-map operator, built once per (representation, basis) and
+    kept on the basis."""
+    operator = algebra.orbit_operators.get(rep)
+    if operator is None:
+        operator = _build_orbit_operator(rep, algebra)
+        algebra.orbit_operators[rep] = operator
+    return operator
+
+
 def _differential_matrix(rep: Representation, algebra: LieAlgebraBasis, v) -> np.ndarray:
-    """Columns are the flattened images X_i . v over the algebra basis."""
+    """Columns are the flattened images X_i . v over the algebra basis:
+    one product of the basis's cached orbit-map operator with v."""
     v = _check_vector(rep, v)
     n = rep.group.size
     field = rep.group.field
     if algebra.ambient_size != n or algebra.field != field:
         raise InvalidArgumentError(
             f"algebra elements must be {n}x{n} over the {field} field")
+    flat = _flatten(rep, v)
     if algebra.dim == 0:
-        return np.zeros((len(_flatten(rep, v)), 0), dtype=rep.group.dtype)
-    images = _differential_act(rep, algebra.matrices, v)
-    return _flatten(rep, images, algebra.dim).T
+        return np.zeros((len(flat), 0), dtype=rep.group.dtype)
+    # one N x N product per block: numpy and scipy each load their own
+    # OpenBLAS, and a single (k N) x N product of a large algebra crosses
+    # the threading threshold of numpy's, whose spinning threads then
+    # starve the LAPACK calls made through scipy's
+    return (_orbit_operator(rep, algebra) @ flat).T
 
 
 def orbit_dimension(rep: Representation, algebra: LieAlgebraBasis, v) -> int:

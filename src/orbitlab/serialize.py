@@ -4,7 +4,7 @@ Matrices travel as row-major nested lists.  Complex entries are encoded
 as two-element ``[re, im]`` lists, real entries as plain numbers; the
 reader is told the field and does not guess it from the leaves.  Sizes,
 offsets and counts are JSON integers: ``2.0``, ``"2"`` and ``true`` are
-rejected, not converted.
+rejected, not converted; a real-valued setting rejects ``true`` alike.
 """
 
 from __future__ import annotations
@@ -19,6 +19,11 @@ from .errors import InvalidArgumentError
 def is_integer(value) -> bool:
     """An integer that is not a bool (JSON ``true`` parses to one)."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A real number that is not a bool (``True`` is a Real equal to 1)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def matrix_to_json(a: np.ndarray):

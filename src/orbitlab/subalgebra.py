@@ -150,12 +150,12 @@ def element_type(x: np.ndarray) -> str:
     """
     x = np.asarray(x)
     n = x.shape[0]
-    opnorm = np.linalg.norm(x, 2)
+    opnorm = _linalg.spectral_norm(x)
     if opnorm == 0.0:
         return NILPOTENT
     xn = x / opnorm
     power = np.linalg.matrix_power(xn, n)
-    if np.linalg.norm(power, 2) <= NILPOTENT_TOL:
+    if _linalg.spectral_norm(power) <= NILPOTENT_TOL:
         return NILPOTENT
 
     eigs = np.linalg.eigvals(x)
@@ -169,7 +169,7 @@ def element_type(x: np.ndarray) -> str:
     for center, cluster in zip(centers, clusters):
         mult = len(cluster)
         shifted = x - center * np.eye(n, dtype=x.dtype)
-        s = np.linalg.svd(shifted, compute_uv=False)
+        s = _linalg.svd(shifted, vectors=False)
         geometric = int((s <= 10.0 * radius).sum())
         if geometric != mult:
             return MIXED
@@ -196,7 +196,7 @@ def reductivity_verdict(basis: LieAlgebraBasis,
         stacked = np.concatenate([data.derived.matrices, data.center.matrices])
         # the kernel is not needed, so the singular values alone decide
         decision = _linalg.rank_from_singular_values(
-            np.linalg.svd(_linalg.stack_flat(stacked), compute_uv=False), rtol)
+            _linalg.svd(_linalg.stack_flat(stacked), vectors=False), rtol)
         ambiguous |= decision.ambiguous
         dims_ok = decision.rank == d + z
     decomposition_ok = bool(dims_ok)

@@ -129,6 +129,25 @@ class TestConfigValidation:
         with pytest.raises(InvalidArgumentError):
             ExperimentConfig.from_json(data)
 
+    # True is a numbers.Real equal to 1: a boolean rank cutoff would be 1.0
+    @pytest.mark.parametrize("name", ["spread", "rank_rtol"])
+    def test_boolean_spread_or_rank_rtol(self, name):
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(kind="theorem1", scenario="example1",
+                             **{name: True})
+
+    @pytest.mark.parametrize("name", ["spread", "rank_rtol"])
+    def test_config_json_booleans_are_not_reals(self, name):
+        data = ExperimentConfig(kind="theorem1", scenario="example1").to_json()
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig.from_json({**data, name: True})
+
+    def test_config_json_boolean_moment_tolerance(self):
+        data = ExperimentConfig(kind="theorem1", scenario="example1").to_json()
+        data["flow"]["moment_tolerance"] = True
+        with pytest.raises(InvalidArgumentError):
+            ExperimentConfig.from_json(data)
+
     def test_kind_scenario_mismatch(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(kind="cor2-normal", scenario="example1")

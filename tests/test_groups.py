@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -299,3 +301,22 @@ def test_bracket_closure_residual_on_a_dependent_basis(field):
     dtype = complex if field == "complex" else float
     basis = ol.LieAlgebraBasis(np.array([e12, e12, e12.T], dtype=dtype), field, 2)
     assert ol.bracket_closure_residual(basis) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cache_key_is_computed_once_per_spec(monkeypatch):
+    # every lie_algebra_basis lookup reads the key, so it is computed once
+    spec = ol.block_embedding(ol.special_linear(2, "complex"), 6, 0)
+    dumped = []
+
+    class CountingJson:
+        @staticmethod
+        def dumps(data, **kwargs):
+            dumped.append(data)
+            return json.dumps(data, **kwargs)
+
+    monkeypatch.setattr(ol.groups, "json", CountingJson)
+    keys = {spec.cache_key() for _ in range(3)}
+    ol.lie_algebra_basis(spec)
+    ol.lie_algebra_basis(spec)
+    assert len(dumped) == 1
+    assert keys == {json.dumps(spec.to_json(), sort_keys=True)}

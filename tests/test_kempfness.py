@@ -299,6 +299,32 @@ class TestClosednessVerdict:
         assert first.status == NON_CLOSED
         assert first.to_json(alt6) == second.to_json(alt6)
 
+    def test_theorem1_run_builds_each_orbit_operator_once(self, monkeypatch):
+        # fresh scenario and basis caches, so every operator of the run is
+        # built inside it: the start and stabilizer decisions read the
+        # subgroup's basis, the Newton steps its p-basis and the limit
+        # decision its orthonormal basis
+        monkeypatch.setattr(ol.groups, "_BASIS_CACHE", {})
+        monkeypatch.setattr(experiments, "_SCENARIO_CACHE", {})
+        built = []
+        original = ol.reps._build_orbit_operator
+
+        def counting(rep, algebra):
+            built.append((rep, algebra))
+            return original(rep, algebra)
+
+        monkeypatch.setattr(ol.reps, "_build_orbit_operator", counting)
+        report = experiments.run_experiment(ExperimentConfig(
+            kind="theorem1", scenario="example1", trials=100, seed=0))
+        assert report.passed
+        sc = get_scenario("example1")
+        algebra = ol.lie_algebra_basis(sc.subgroup)
+        expected = [(sc.representation, basis) for basis in (
+            algebra, algebra.cartan.p_basis, algebra.orthonormal)]
+        assert len(built) == 3
+        assert all(any(r is rep and a is basis for r, a in built)
+                   for rep, basis in expected)
+
     def test_closed_implies_stabilizer_not_nonreductive(self, alt6, sl6,
                                                         x_translate):
         verdict = ol.closedness_verdict(alt6, sl6, x_translate)
@@ -326,6 +352,10 @@ class TestFlowConfig:
     def test_boolean_budget_rejected(self):
         with pytest.raises(InvalidArgumentError):
             FlowConfig(max_iterations=True)
+
+    def test_boolean_moment_tolerance_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            FlowConfig(moment_tolerance=True)
 
     def test_json_round_trip(self):
         config = FlowConfig(moment_tolerance=1e-9, max_iterations=50)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitlab import _linalg
 
@@ -82,3 +84,104 @@ def test_floor_and_one_sided_band_of_the_rank_decision():
     assert (one_sided.rank, one_sided.ambiguous) == (2, False)
     assert one_sided.kernel.shape == (3, 1)
     assert np.linalg.norm(a @ one_sided.kernel) <= 1e-4
+
+
+# --- the direct-LAPACK SVD path -------------------------------------------
+
+@pytest.mark.parametrize("complex_field", [False, True],
+                         ids=["real", "complex"])
+def test_nan_entry_raises_instead_of_a_silent_rank(complex_field):
+    # a raw ?gesdd answers a NaN entry with info = -4 and zero singular
+    # values, which would read as rank 0
+    a = rank_deficient(6, 4, 2, complex_field, seed=5)
+    a[2, 1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        _linalg.matrix_rank(a)
+    with pytest.raises(np.linalg.LinAlgError):
+        _linalg.svd(a, vectors=False)
+
+
+class _NoLapack:
+    def __getattr__(self, name):
+        raise AssertionError(f"LAPACK called ({name}) on an empty matrix")
+
+
+@pytest.mark.parametrize("shape", [(36, 0), (0, 3), (0, 0)])
+def test_empty_shapes_skip_lapack(monkeypatch, shape):
+    # a raw ?gesdd reports an illegal value on stderr for an empty shape;
+    # zero columns come from a dimension-0 algebra
+    monkeypatch.setattr(_linalg, "lapack", _NoLapack())
+    a = np.zeros(shape, dtype=complex)
+    decision = _linalg.matrix_rank(a)
+    assert (decision.rank, decision.ambiguous) == (0, False)
+    assert decision.kernel.shape == (shape[1], shape[1])
+    assert _linalg.svd(a, vectors=False).shape == (0,)
+    u, s, vh = _linalg.svd(a)
+    assert (u.shape, s.shape, vh.shape) == ((shape[0], 0), (0,),
+                                            (0, shape[1]))
+
+
+def test_svd_factors_in_numpy_layout():
+    # the routine numpy.linalg.svd runs, returned in its C-ordered layout
+    # (products downstream then run on the same memory order)
+    for complex_field in (False, True):
+        for m, k in [(36, 3), (3, 36), (70, 72), (6, 6)]:
+            a = rank_deficient(m, k, min(m, k), complex_field, seed=m + k)
+            expected = np.linalg.svd(a, compute_uv=False)
+            for full in (False, True):
+                u, s, vh = _linalg.svd(a, full_matrices=full)
+                width = max(m, k) if full else min(m, k)
+                assert u.shape == (m, m if full else width)
+                assert vh.shape == (k if full else width, k)
+                assert u.flags.c_contiguous and vh.flags.c_contiguous
+                assert np.allclose(s, expected, rtol=1e-12, atol=0.0)
+                assert np.allclose((u[:, :len(s)] * s) @ vh[:len(s)], a,
+                                   rtol=0.0, atol=1e-12 * s[0])
+                assert np.allclose(u.conj().T @ u, np.eye(u.shape[1]),
+                                   atol=1e-12)
+                assert np.allclose(vh @ vh.conj().T, np.eye(vh.shape[0]),
+                                   atol=1e-12)
+            assert np.allclose(_linalg.svd(a, vectors=False), expected,
+                               rtol=1e-12, atol=0.0)
+
+
+def _numpy_rank_decision(s, rtol, floor, one_sided):
+    """The rank count written as numpy reductions over an array."""
+    s = np.asarray(s, dtype=float)
+    if s.size == 0 or s.max() == 0.0:
+        return 0, False
+    cutoff = max(rtol * float(s.max()), floor)
+    rank = int((s > cutoff).sum())
+    lo = cutoff if one_sided else cutoff / _linalg.AMBIGUITY_BAND
+    hi = cutoff * _linalg.AMBIGUITY_BAND
+    return rank, bool(np.any((s > lo) & (s <= hi)))
+
+
+@st.composite
+def singular_values(draw):
+    """Singular values with the cutoff, both band edges and their float
+    neighbours among them, and a floor that may lie above rtol * max."""
+    top = draw(st.floats(1e-6, 1e6))
+    rtol = draw(st.sampled_from([1e-9, 1e-3, 0.5]))
+    floor = draw(st.sampled_from([0.0, 0.0, rtol * top * 3.0, top * 2.0]))
+    cutoff = max(rtol * top, floor)
+    band = _linalg.AMBIGUITY_BAND
+    marks = [cutoff, cutoff / band, cutoff * band]
+    specials = marks + [np.nextafter(x, d) for x in marks
+                        for d in (0.0, np.inf)]
+    rest = draw(st.lists(st.one_of(st.sampled_from(specials),
+                                   st.floats(0.0, top)), max_size=6))
+    return [top] + rest, rtol, floor, draw(st.booleans())
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(singular_values())
+def test_float_list_count_keeps_the_numpy_semantics(case):
+    s, rtol, floor, one_sided = case
+    for values in (s, np.array(s)):
+        decision = _linalg.rank_from_singular_values(values, rtol, floor,
+                                                     one_sided)
+        assert ((decision.rank, decision.ambiguous)
+                == _numpy_rank_decision(s, rtol, floor, one_sided))
+        assert type(decision.rank) is int
+        assert type(decision.ambiguous) is bool
