@@ -5,12 +5,14 @@ this module, and every one of them counts singular values against a
 cutoff written once, in :func:`rank_from_singular_values`.  The relative
 threshold is passed by value as ``rtol`` and defaults to ``RANK_RTOL``,
 a constant.  :func:`matrix_rank` is the one rank decision of a matrix:
-one SVD gives the rank, the ambiguity flag and the orthonormal kernel.
-A decision that lands too close to the cutoff is flagged instead of
-silently guessed, and callers turn that flag into an "inconclusive"
-outcome.  :func:`null_space` (which reads only that kernel),
-:func:`orthonormal_span` and :func:`subspace_distance` use the cutoff
-but drop the flag.
+one SVD gives the rank, the ambiguity flag, the orthonormal kernel and
+the orthonormal row space.  A decision that lands too close to the
+cutoff is flagged instead of silently guessed, and callers turn that
+flag into an "inconclusive" outcome.  :func:`null_space` (which reads
+only that kernel), :func:`orthonormal_span` and :func:`subspace_distance`
+use the cutoff but drop the flag; they build bases whose singular values
+are exact zeros or O(1) (the symplectic algebra basis, the Cartan split,
+the orthonormal basis of an independent algebra basis) and compare spans.
 
 Every SVD of the package is one call of :func:`svd`, which calls
 LAPACK's ``?gesdd`` directly: the routine numpy's SVD runs, with the same
@@ -42,9 +44,10 @@ AMBIGUITY_BAND = 10.0
 class RankDecision:
     rank: int
     ambiguous: bool
-    # orthonormal kernel basis (columns); None when decided from the
-    # singular values alone
+    # orthonormal kernel basis (columns) and orthonormal basis of the row
+    # space (rows); None when decided from the singular values alone
     kernel: np.ndarray | None = None
+    row_space: np.ndarray | None = None
 
 
 @functools.lru_cache(maxsize=None)
@@ -130,8 +133,9 @@ def rank_from_singular_values(s, rtol: float = RANK_RTOL, floor: float = 0.0,
 
 def matrix_rank(a: np.ndarray, rtol: float = RANK_RTOL, floor: float = 0.0,
                 one_sided: bool = False) -> RankDecision:
-    """Rank, ambiguity flag and orthonormal kernel of ``a`` from one SVD;
-    ``floor`` and ``one_sided`` as in :func:`rank_from_singular_values`.
+    """Rank, ambiguity flag, orthonormal kernel and orthonormal row space
+    of ``a`` from one SVD; ``floor`` and ``one_sided`` as in
+    :func:`rank_from_singular_values`.
 
     Only ``vh`` is read, so the full square factor is requested only when
     ``a`` is wide and the thin one would miss kernel directions.
@@ -140,7 +144,7 @@ def matrix_rank(a: np.ndarray, rtol: float = RANK_RTOL, floor: float = 0.0,
     _, s, vh = svd(a, full_matrices=m < k)
     decision = rank_from_singular_values(s, rtol, floor, one_sided)
     return RankDecision(decision.rank, decision.ambiguous,
-                        vh[decision.rank:].conj().T)
+                        vh[decision.rank:].conj().T, vh[:decision.rank])
 
 
 def null_space(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
@@ -152,6 +156,12 @@ def stack_flat(mats: np.ndarray) -> np.ndarray:
     """Flatten a (k, n, m) stack to a (k, n*m) coefficient matrix."""
     mats = np.asarray(mats)
     return mats.reshape(mats.shape[0], math.prod(mats.shape[1:]))
+
+
+def span_rows(mats: np.ndarray, real_span: bool = False) -> np.ndarray:
+    """Matrices as coordinate rows: realified with ``real_span`` (see
+    :func:`realify_flat`), else flat over the matrices' own field."""
+    return realify_flat(mats) if real_span else stack_flat(mats)
 
 
 def realify_flat(mats: np.ndarray) -> np.ndarray:
@@ -184,8 +194,7 @@ def orthonormal_span(mats: np.ndarray, rtol: float = RANK_RTOL,
     own field, orthonormal for tr(A B*).
     """
     mats = np.asarray(mats)
-    rows = realify_flat(mats) if real_span else stack_flat(mats)
-    _, s, vh = svd(rows)
+    _, s, vh = svd(span_rows(mats, real_span))
     rank = rank_from_singular_values(s, rtol).rank
     return unrealify(vh[:rank], mats.shape[1:],
                      real_span and np.iscomplexobj(mats))
@@ -199,17 +208,23 @@ def span_projection_residual(targets: np.ndarray, span: np.ndarray,
     realified coordinates); otherwise coefficients live in the matrices'
     own field.
     """
-    targets = np.asarray(targets)
-    if targets.shape[0] == 0:
+    # an orthonormal basis of the span, rank-revealing, so dependent span
+    # matrices add no spurious direction
+    q = span_rows(orthonormal_span(span, real_span=real_span), real_span)
+    return projection_residual(span_rows(np.asarray(targets), real_span), q)
+
+
+def projection_residual(rows: np.ndarray, q: np.ndarray,
+                        floor: float = 0.0) -> float:
+    """Largest residual of projecting ``rows`` onto the span of the
+    orthonormal rows ``q``, relative to the largest row norm or to
+    ``floor``, whichever is larger: max |t - (t q^H) q| / max(|t|, floor)
+    over the rows t."""
+    if rows.shape[0] == 0:
         return 0.0
-    flat = realify_flat if real_span else stack_flat
-    t = flat(targets)
-    # rows of q: an orthonormal basis of the span, rank-revealing, so
-    # dependent span matrices add no spurious direction
-    q = flat(orthonormal_span(span, real_span=real_span))
-    res = np.linalg.norm(t - (t @ q.conj().T) @ q, axis=1)
-    norms = np.linalg.norm(t, axis=1)
-    scale = max(norms.max(), 1e-300)
+    res = np.linalg.norm(rows - (rows @ q.conj().T) @ q, axis=1)
+    norms = np.linalg.norm(rows, axis=1)
+    scale = max(norms.max(), floor, 1e-300)
     return float(res.max() / scale)
 
 
@@ -226,8 +241,8 @@ def subspace_distance(a: np.ndarray, b: np.ndarray, real_span: bool = False) -> 
     and exactly 1.0 when one span has a direction orthogonal to all of
     the other.
     """
-    fa = realify_flat(a) if real_span else stack_flat(a)
-    fb = realify_flat(b) if real_span else stack_flat(b)
+    fa = span_rows(a, real_span)
+    fb = span_rows(b, real_span)
     if fa.shape[0] == 0 and fb.shape[0] == 0:
         return 0.0
     if fa.shape[0] == 0 or fb.shape[0] == 0:

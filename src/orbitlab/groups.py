@@ -378,17 +378,35 @@ def bracket_table(basis: LieAlgebraBasis) -> np.ndarray:
     return mats[:, None] @ mats[None] - mats[None] @ mats[:, None]
 
 
+@functools.lru_cache(maxsize=None)
+def upper_triangle(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays of the pairs i < j of a k x k table, built once per k."""
+    index = np.triu_indices(k, 1)
+    for part in index:
+        part.flags.writeable = False
+    return index
+
+
 def bracket_closure_residual(basis: LieAlgebraBasis,
                              table: np.ndarray | None = None) -> float:
-    """Largest relative residual of any [X_i, X_j] against the span.
+    """Largest relative residual of any bracket against the span, read on
+    the basis's orthonormal basis Q.
 
-    ``table`` is the basis's :func:`bracket_table` when the caller
-    already holds it; only its upper triangle i < j is read.
+    With T the brackets [Q_i, Q_j], i < j, and C = T Q^H their
+    coordinates (real ones for a real algebra), the residual is
+    max |T - C Q| / max(max |T|, 1).  A product of two elements of Q has
+    norm at most 1, so brackets that cancel to rounding noise (an abelian
+    algebra in a skewed basis) read as closed, not as noise off the span.
+    ``table`` is the :func:`bracket_table` of Q when the caller already
+    holds it; only its upper triangle is read.
     """
+    onb = basis.orthonormal
     if table is None:
-        table = bracket_table(basis)
-    upper = table[np.triu_indices(basis.dim, 1)]
-    return _linalg.span_projection_residual(upper, basis.matrices)
+        table = bracket_table(onb)
+    real_span = basis.field != COMPLEX
+    return _linalg.projection_residual(
+        _linalg.span_rows(table[upper_triangle(onb.dim)], real_span),
+        _linalg.span_rows(onb.matrices, real_span), floor=1.0)
 
 
 def cartan_decompose(basis: LieAlgebraBasis) -> CartanDecomposition:
@@ -435,9 +453,13 @@ def cartan_decomposition_for(spec: GroupSpec) -> CartanDecomposition:
 def orthonormalize(basis: LieAlgebraBasis) -> LieAlgebraBasis:
     """A basis of the same algebra, orthonormal for the real trace pairing
     (over the reals for a real algebra, over the complex field else)."""
-    onb = _linalg.orthonormal_span(basis.matrices,
-                                   real_span=basis.field != COMPLEX)
-    return LieAlgebraBasis(onb, basis.field, basis.ambient_size)
+    onb = LieAlgebraBasis(
+        _linalg.orthonormal_span(basis.matrices,
+                                 real_span=basis.field != COMPLEX),
+        basis.field, basis.ambient_size)
+    # already orthonormal: its own orthonormalization is itself
+    onb.__dict__["orthonormal"] = onb
+    return onb
 
 
 def orthonormal_basis_for(spec: GroupSpec) -> LieAlgebraBasis:

@@ -4,11 +4,13 @@ The reductivity test is the algebraic one for an algebraic subalgebra:
 the algebra must split as center + derived algebra, the Killing form
 tr(ad X ad Y) must be nondegenerate on the derived part (Cartan's
 criterion for semisimplicity), and every center element must be a
-semisimple matrix.  Example witnesses are attached whenever a check
-definitively fails.  Of the rank decisions, the decomposition rank and
-the Killing rank degrade to an inconclusive verdict when they land too
-close to the cutoff; the center and derived-algebra dimensions use the
-same cutoff but are decided without that flag.
+semisimple matrix.  The analysis runs on the structure constants of an
+orthonormal basis (de Graaf, *Lie Algebras: Theory and Algorithms*,
+2000).  Every rank decision of it (the derived and center dimensions,
+the decomposition rank and the Killing rank) degrades to an
+inconclusive verdict when it lands too close to the cutoff.  Example
+witnesses are attached whenever a check definitively fails, that is
+when it fails and no decision it reads was flagged.
 
 Everything here is decided at the Lie-algebra level, i.e. for the
 identity component of the corresponding group.
@@ -16,6 +18,7 @@ identity component of the corresponding group.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +26,7 @@ import numpy as np
 from . import _linalg
 from .errors import InvalidArgumentError
 from .groups import (BRACKET_CLOSURE_TOL, COMPLEX, LieAlgebraBasis,
-                     bracket_closure_residual, bracket_table)
+                     bracket_closure_residual, bracket_table, upper_triangle)
 from .serialize import matrix_to_json
 
 REDUCTIVE = "reductive"
@@ -43,12 +46,37 @@ NILPOTENT_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class StructureData:
-    """Derived algebra, center and Killing Gram matrix of a subalgebra."""
+    """Derived algebra, center and Killing Gram matrix of a subalgebra, in
+    coordinates of ``basis``, an orthonormal basis of it.
+
+    The rows of ``derived_coords`` and ``center_coords`` are orthonormal
+    coordinate vectors of the derived algebra and of the center.
+    ``ambiguous`` flags a derived or center dimension decided inside the
+    ambiguity band.  ``killing_scale`` is |C|^2, the squared norm of all
+    structure constants, which bounds the Killing form of two unit
+    elements.
+    """
 
     basis: LieAlgebraBasis
-    derived: LieAlgebraBasis
-    center: LieAlgebraBasis
+    derived_coords: np.ndarray
+    center_coords: np.ndarray
     killing_on_derived: np.ndarray
+    ambiguous: bool
+    killing_scale: float
+
+    @functools.cached_property
+    def derived(self) -> LieAlgebraBasis:
+        return self._elements(self.derived_coords)
+
+    @functools.cached_property
+    def center(self) -> LieAlgebraBasis:
+        return self._elements(self.center_coords)
+
+    def _elements(self, coords: np.ndarray) -> LieAlgebraBasis:
+        q = self.basis
+        mats = coords @ _linalg.stack_flat(q.matrices)
+        return LieAlgebraBasis(mats.reshape((-1,) + q.matrices.shape[1:]),
+                               q.field, q.ambient_size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,49 +106,46 @@ class SubalgebraReport:
         }
 
 
-def _coordinates(basis: LieAlgebraBasis, targets: np.ndarray) -> np.ndarray:
-    """Least-squares coordinates of target matrices in the basis."""
-    flat_basis = _linalg.stack_flat(basis.matrices).T
-    flat_targets = _linalg.stack_flat(targets).T
-    coords, *_ = np.linalg.lstsq(flat_basis, flat_targets, rcond=None)
-    return coords
-
-
 def structure_report(basis: LieAlgebraBasis,
                      rtol: float = _linalg.RANK_RTOL) -> StructureData:
-    """Derived algebra, center and Killing form of a bracket-closed basis.
+    """Derived algebra, center and Killing form of a bracket-closed basis,
+    from the structure constants of its orthonormal basis Q.
 
-    All three come from one bracket table ``[X_i, X_j]``: the derived
-    algebra is the span of its upper triangle, the center is the kernel
-    of c -> ([sum_i c_i X_i, X_j])_j, and ``ad X_i`` holds the
-    coordinates of row i of the table.  ``rtol`` is the relative cutoff
-    of the derived and center dimensions.
+    One product of the bracket table T of Q gives the coordinates
+    C = T Q^H, ``C[i, j]`` those of ``[Q_i, Q_j]`` (real ones for a real
+    algebra).  The derived algebra is the row span of the upper triangle
+    of C, the center is the kernel of c -> (sum_i c_i C[i, j])_j, and
+    ``ad Q_i`` is ``C[i]^T``.  Q is orthonormal, so coordinates are an
+    isometry: ``rtol``, the relative cutoff of the derived and center
+    dimensions, means what it means on the matrices.
     """
-    table = bracket_table(basis)
-    residual = bracket_closure_residual(basis, table)
+    onb = basis.orthonormal
+    table = bracket_table(onb)
+    residual = bracket_closure_residual(onb, table)
     if residual > BRACKET_CLOSURE_TOL:
         raise InvalidArgumentError(
             f"basis is not bracket-closed (residual {residual:.2e})")
-    k = basis.dim
-    n = basis.ambient_size
+    k, n = onb.dim, onb.ambient_size
+    real_span = basis.field != COMPLEX
+    rows = _linalg.span_rows(table.reshape(k * k, n, n), real_span)
+    q = _linalg.span_rows(onb.matrices, real_span)
+    c = (rows @ q.conj().T).reshape(k, k, k)
 
-    derived_mats = _linalg.orthonormal_span(table[np.triu_indices(k, 1)], rtol,
-                                            real_span=basis.field != COMPLEX)
-    derived = LieAlgebraBasis(derived_mats, basis.field, n)
+    # A product of two unit elements has norm at most 1, so the derived
+    # and center cutoffs never fall below rtol: brackets that cancel to
+    # rounding noise (an abelian algebra) count as zero.
+    derived = _linalg.matrix_rank(c[upper_triangle(k)], rtol, floor=rtol)
+    # center: coefficient vectors z with sum_i z_i C[i, j] = 0 for all j
+    center = _linalg.matrix_rank(c.transpose(1, 2, 0).reshape(k * k, k),
+                                 rtol, floor=rtol)
 
-    # Center: coefficient vectors c with [sum_i c_i X_i, X_j] = 0 for all j.
-    center_kernel = _linalg.null_space(table.reshape(k, k * n * n).T, rtol)
-    center_mats = np.einsum("ik,ijl->kjl", center_kernel, basis.matrices)
-    center = LieAlgebraBasis(center_mats, basis.field, n)
-
-    # Killing form on the derived algebra, via ad of the full algebra;
-    # column j of ad X_i holds the coordinates of [X_i, X_j].
-    coords = _coordinates(basis, table.reshape(k * k, n, n))
-    ad = coords.T.reshape(k, k, k).transpose(0, 2, 1)
-    derived_coords = _coordinates(basis, derived.matrices)  # (k, d)
-    ad_derived = np.einsum("ikl,id->dkl", ad, derived_coords)
-    killing = np.einsum("akl,blk->ab", ad_derived, ad_derived)
-    return StructureData(basis, derived, center, killing)
+    # Killing form of the whole algebra, tr(ad Q_i ad Q_m) with
+    # ad Q_i = C[i]^T, then restricted to the derived algebra
+    killing = np.einsum("ijl,mlj->im", c, c)
+    d = derived.row_space
+    return StructureData(onb, d, center.kernel.T, d @ killing @ d.T,
+                         derived.ambiguous or center.ambiguous,
+                         float(np.vdot(c, c).real))
 
 
 def _cluster_eigenvalues(eigs: np.ndarray, radius: float):
@@ -180,36 +205,45 @@ def reductivity_verdict(basis: LieAlgebraBasis,
                         rtol: float = _linalg.RANK_RTOL) -> SubalgebraReport:
     """Algebraic reductivity: center + derived split, Cartan criterion,
     semisimple center.  The zero algebra is reductive.  ``rtol`` is the
-    relative cutoff of every rank decision of the analysis."""
-    k = basis.dim
-    if k == 0:
+    relative cutoff of every rank decision of the analysis.  A failed
+    check is a definite "not reductive" only when neither the derived
+    and center dimensions nor its own rank decision was flagged; else
+    the verdict is inconclusive."""
+    if basis.dim == 0:
         return SubalgebraReport(0, 0, 0, 0, True, True, REDUCTIVE, [])
 
     data = structure_report(basis, rtol)
+    k = data.basis.dim
+    # every check reads the derived and center dimensions
+    ambiguous = data.ambiguous
     witnesses = []
-    ambiguous = False
 
-    d = data.derived.dim
-    z = data.center.dim
+    d = data.derived_coords.shape[0]
+    z = data.center_coords.shape[0]
     dims_ok = d + z == k
     if dims_ok and d and z:
-        stacked = np.concatenate([data.derived.matrices, data.center.matrices])
+        stacked = np.concatenate([data.derived_coords, data.center_coords])
         # the kernel is not needed, so the singular values alone decide
         decision = _linalg.rank_from_singular_values(
-            _linalg.svd(_linalg.stack_flat(stacked), vectors=False), rtol)
+            _linalg.svd(stacked, vectors=False), rtol)
         ambiguous |= decision.ambiguous
-        dims_ok = decision.rank == d + z
+        dims_ok = decision.rank == k
     decomposition_ok = bool(dims_ok)
-    if not decomposition_ok:
+    decomposition_failed = not (decomposition_ok or ambiguous)
+    if decomposition_failed:
         witnesses.append(("failed_decomposition", basis.matrices[0]))
 
     killing_degenerate = False
     killing_rank = 0
     if d:
-        killing_decision = _linalg.matrix_rank(data.killing_on_derived, rtol)
+        # a cutoff at least rtol |C|^2: a Killing form that cancels to
+        # rounding noise (a nilpotent derived algebra) counts as zero
+        killing_decision = _linalg.matrix_rank(
+            data.killing_on_derived, rtol, floor=rtol * data.killing_scale)
         killing_rank = killing_decision.rank
         ambiguous |= killing_decision.ambiguous
-        if killing_rank < d and not killing_decision.ambiguous:
+        if killing_rank < d and not (killing_decision.ambiguous
+                                     or data.ambiguous):
             killing_degenerate = True
             # a derived direction on which the Killing form degenerates
             direction = np.einsum("i,ijl->jl", killing_decision.kernel[:, 0],
@@ -217,6 +251,7 @@ def reductivity_verdict(basis: LieAlgebraBasis,
             witnesses.append(("degenerate_killing_direction", direction))
 
     center_semisimple: bool | None = True
+    center_failed = False
     for zmat in data.center.matrices:
         kind = element_type(zmat)
         if kind == AMBIGUOUS:
@@ -224,15 +259,14 @@ def reductivity_verdict(basis: LieAlgebraBasis,
             ambiguous = True
         elif kind != SEMISIMPLE:
             center_semisimple = False
-            witnesses.append(("non_semisimple_center_element", zmat))
+            center_failed = not data.ambiguous
+            if center_failed:
+                witnesses.append(("non_semisimple_center_element", zmat))
             break
 
-    definite_failure = (not decomposition_ok or killing_degenerate
-                        or center_semisimple is False)
     all_good = (decomposition_ok and killing_rank == d
                 and center_semisimple is True)
-
-    if definite_failure:
+    if decomposition_failed or killing_degenerate or center_failed:
         verdict = NOT_REDUCTIVE
     elif ambiguous or not all_good:
         verdict = INCONCLUSIVE

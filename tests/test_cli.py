@@ -144,6 +144,18 @@ def test_malformed_input_is_config_error(tmp_path):
     assert result.returncode == 2
 
 
+def test_algebra_that_is_not_bracket_closed_is_config_error():
+    # [E12, E21] = diag(1, -1) lies outside span{E12, E21}
+    payload = json.dumps({"algebra": {
+        "field": "real", "size": 2,
+        "matrices": [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}})
+    result = run_cli("reductive", "--in", "-", input_text=payload)
+    assert result.returncode == 2
+    error = json.loads(result.stderr.strip().splitlines()[-1])
+    assert error["error"] == "configuration"
+    assert "not bracket-closed" in error["message"]
+
+
 def test_algebra_of_the_wrong_matrix_size_is_config_error():
     # size says 3, the one matrix is 2x2 (complex [re, im] leaves)
     payload = json.dumps({"algebra": {

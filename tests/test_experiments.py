@@ -220,6 +220,21 @@ class TestStatisticalExperiments:
         assert counter["intersection_dim"] == 1
         assert counter["generator_type"] == "nilpotent"
 
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_cor3_structure_numbers(self, seed):
+        # a generic stabilizer intersection of the SL(4) block is a rank-one
+        # symplectic reduction: sl(2)-like, semisimple, no center
+        config = ExperimentConfig(kind="cor3-intersection",
+                                  scenario="sl4-block", trials=30, seed=seed)
+        report = run_experiment(config)
+        numbers = {(r["intersection_dim"], r["derived_dim"], r["center_dim"],
+                    r["killing_rank"], r["verdict"]) for r in report.trials}
+        assert numbers == {(3, 3, 0, 3, "reductive")}
+        # the example1 block stabilizer at the unipotent translate
+        assert report.summary["counterexample"] == {
+            "intersection_dim": 1, "verdict": "not_reductive",
+            "generator_type": "nilpotent"}
+
     def test_cor2_small_run_no_nonclosed(self):
         config = ExperimentConfig(kind="cor2-normal", scenario="normal-factor",
                                   trials=6, seed=0)

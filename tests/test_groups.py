@@ -221,6 +221,8 @@ class TestOrthonormalBasis:
         onb = ol.groups.orthonormal_basis_for(sl2_block)
         same = ol.block_embedding(ol.special_linear(2, "complex"), 6, 0)
         assert ol.groups.orthonormal_basis_for(same) is onb
+        # an orthonormal basis is its own orthonormalization: no second SVD
+        assert onb.orthonormal is onb
         bare = ol.groups.orthonormalize(ol.lie_algebra_basis(sl2_block))
         assert bare is not onb
         assert np.array_equal(bare.matrices, onb.matrices)

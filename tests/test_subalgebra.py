@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import orbitlab as ol
 from orbitlab import _linalg, experiments
 from orbitlab.errors import InvalidArgumentError
-from orbitlab.subalgebra import (AMBIGUOUS, MIXED, NILPOTENT, NOT_REDUCTIVE,
-                                 REDUCTIVE, SEMISIMPLE, element_type,
-                                 reductivity_verdict, structure_report)
+from orbitlab.subalgebra import (AMBIGUOUS, INCONCLUSIVE, MIXED, NILPOTENT,
+                                 NOT_REDUCTIVE, REDUCTIVE, SEMISIMPLE,
+                                 element_type, reductivity_verdict,
+                                 structure_report)
 
 
 def span(matrices, field="complex", size=None):
@@ -164,6 +167,72 @@ def test_structure_report_matches_pairwise_bracket_loops(name):
     assert (np.linalg.norm(data.killing_on_derived - reference)
             <= 1e-12 * max(np.linalg.norm(reference), 1.0))
     assert abs(ol.bracket_closure_residual(basis) - residual) <= 1e-12
+
+
+def _structure_numbers(basis):
+    report = reductivity_verdict(basis)
+    return (report.derived_dim, report.center_dim,
+            report.killing_rank_on_derived, report.verdict)
+
+
+@pytest.mark.parametrize("name", REFERENCE_ALGEBRAS)
+@settings(derandomize=True, max_examples=4, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_structure_numbers_do_not_depend_on_the_basis(name, seed):
+    # the coordinate method reads only the span: another basis of it, or
+    # its conjugate by a group element, has the same structure
+    basis = REFERENCE_ALGEBRAS[name]()
+    expected = _structure_numbers(basis)
+    rng = np.random.default_rng(seed)
+    k = basis.dim
+    mix = rng.standard_normal((k, k))
+    if basis.field == "complex":
+        mix = mix + 1j * rng.standard_normal((k, k))
+    assume(np.linalg.cond(mix) < 1e3)
+    mixed = ol.LieAlgebraBasis(np.einsum("ij,jab->iab", mix, basis.matrices),
+                               basis.field, basis.ambient_size)
+    assert _structure_numbers(mixed) == expected
+    g = ol.random_group_element(
+        ol.special_linear(basis.ambient_size, basis.field), seed, 0.5)
+    assert _structure_numbers(ol.adjoint_conjugate(basis, g)) == expected
+
+
+def sl2_beside_a_slow_algebra(eps):
+    """sl(2) on the upper-left 2x2 block beside span{A, B} on the lower
+    one, with A = diag(1, 1 - eps), B = E_34 and [A, B] = eps B: the
+    brackets of the second block are about eps times those of sl(2)."""
+    mats = np.zeros((5, 4, 4), dtype=complex)
+    mats[:3, :2, :2] = ol.lie_algebra_basis(
+        ol.special_linear(2, "complex")).matrices
+    mats[3, 2, 2], mats[3, 3, 3] = 1.0, 1.0 - eps
+    mats[4, 2, 3] = 1.0
+    return ol.LieAlgebraBasis(mats, "complex", 4)
+
+
+# eps -> (derived dim, center dim, structure flag, verdict).  The small
+# singular values of the derived and center decisions are 0.35 to 0.5
+# times eps / 1e-9 times the cutoff: at 3e-9 they land just above the
+# cutoff, at 5e-10 just below it, both inside the ambiguity band.
+SLOW_ALGEBRA_CASES = {
+    1e-7: (4, 0, False, NOT_REDUCTIVE),
+    3e-9: (4, 0, True, INCONCLUSIVE),
+    5e-10: (3, 2, True, INCONCLUSIVE),
+    1e-11: (3, 2, False, NOT_REDUCTIVE),
+}
+
+
+@pytest.mark.parametrize("eps", SLOW_ALGEBRA_CASES)
+def test_structure_flag_reaches_the_verdict(eps):
+    basis = sl2_beside_a_slow_algebra(eps)
+    derived, center, flagged, verdict = SLOW_ALGEBRA_CASES[eps]
+    data = structure_report(basis)
+    assert (data.derived.dim, data.center.dim, data.ambiguous) == (
+        derived, center, flagged)
+    report = reductivity_verdict(basis)
+    assert (report.derived_dim, report.center_dim, report.verdict) == (
+        derived, center, verdict)
+    # a witness is attached only to a definite failure
+    assert bool(report.witnesses) == (verdict == NOT_REDUCTIVE)
 
 
 class TestElementType:
