@@ -21,6 +21,11 @@ without numpy's per-call overhead.  It checks ``info`` and raises
 ``numpy.linalg.LinAlgError`` on a nonzero value, so a NaN entry or a
 failed convergence never reads as a silent rank; an empty matrix never
 reaches LAPACK.
+
+The exponential of a Hermitian matrix, the norm flow's step, is one
+direct LAPACK call as well: :func:`hermitian_expm1` gives exp(h) - I as
+U diag(expm1(d)) U* from ``?heevd``, so a small step keeps its full
+relative precision.
 """
 
 from __future__ import annotations
@@ -98,6 +103,24 @@ def svd(a: np.ndarray, vectors: bool = True, full_matrices: bool = False):
     return np.ascontiguousarray(u), s, np.ascontiguousarray(vh)
 
 
+def hermitian_expm1(h: np.ndarray) -> np.ndarray:
+    """exp(h) - I of a Hermitian (real symmetric) matrix ``h``, as
+    U diag(expm1(d)) U* from one eigendecomposition h = U diag(d) U*.
+
+    The decomposition is one direct call of LAPACK's ``?heevd``
+    (``?syevd``), which reads the upper triangle of ``h`` only.  It
+    checks ``info`` and raises ``numpy.linalg.LinAlgError`` on a nonzero
+    value.
+    """
+    h = np.asarray(h)
+    evd = lapack.zheevd if np.iscomplexobj(h) else lapack.dsyevd
+    d, u, info = evd(h)
+    if info:
+        raise np.linalg.LinAlgError(
+            f"eigendecomposition failed ({evd.__name__} info {info})")
+    return (u * np.expm1(d)) @ u.conj().T
+
+
 def spectral_norm(a: np.ndarray) -> float:
     """Largest singular value of a nonempty matrix."""
     return float(svd(a, vectors=False)[0])
@@ -162,6 +185,15 @@ def span_rows(mats: np.ndarray, real_span: bool = False) -> np.ndarray:
     """Matrices as coordinate rows: realified with ``real_span`` (see
     :func:`realify_flat`), else flat over the matrices' own field."""
     return realify_flat(mats) if real_span else stack_flat(mats)
+
+
+def real_rows(a: np.ndarray) -> np.ndarray:
+    """``a`` read in place as float64: a complex entry becomes its real and
+    imaginary parts side by side, so the last axis doubles, and for two
+    such rows Re(a . conj(b)) = real_rows(a) . real_rows(b).  A real
+    ``a`` comes back as it is.  The real part of a product of complex
+    rows is then one real product, with no conjugated copy."""
+    return np.ascontiguousarray(a).view(np.float64)
 
 
 def realify_flat(mats: np.ndarray) -> np.ndarray:

@@ -517,12 +517,17 @@ def run_counterexample_trial(scenario: Scenario,
     return _intersection(rep, h_algebra, x, rtol)[0]
 
 
-def _run_one(config_json: str, index: int) -> dict:
-    """Top-level trial entry point (picklable for process pools)."""
-    config = ExperimentConfig.from_json(json.loads(config_json))
-    scenario = get_scenario(config.scenario)
+def _run_one(config: ExperimentConfig, index: int) -> dict:
+    """One trial of a trial-based kind."""
     run_trial, _ = _KINDS[config.kind]
-    return run_trial(scenario, config, index)
+    return run_trial(get_scenario(config.scenario), config, index)
+
+
+def _run_one_json(config_json: str, index: int) -> dict:
+    """Trial entry point of the process pool: picklable, and the config
+    travels as its JSON text."""
+    return _run_one(ExperimentConfig.from_json(json.loads(config_json)),
+                    index)
 
 
 def _summarize_flow(records: list, require_all_closed: bool) -> tuple[dict, bool, str | None]:
@@ -575,14 +580,14 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
         return ExperimentReport(config, assertions, summary, passed,
                                 None if passed else "math", wall)
 
-    config_json = json.dumps(config.to_json(), sort_keys=True)
     indices = list(range(config.trials))
     if workers > 1:
+        config_json = json.dumps(config.to_json(), sort_keys=True)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_one, [config_json] * len(indices),
-                                    indices))
+            records = list(pool.map(_run_one_json,
+                                    [config_json] * len(indices), indices))
     else:
-        records = [_run_one(config_json, i) for i in indices]
+        records = [_run_one(config, i) for i in indices]
     records.sort(key=lambda r: r["index"])
 
     _, summarize = _KINDS[config.kind]

@@ -204,10 +204,10 @@ class LieAlgebraBasis:
     :func:`bracket_closure_residual`.
 
     Data derived from the basis alone (its Cartan split, its
-    orthonormalization and its Gram residual) is computed on first use
-    and kept on the instance, and so is the orbit-map operator of each
-    representation the basis acts through; the matrices must not change
-    afterwards.
+    orthonormalization, its Gram residual and its Hermitian residual) is
+    computed on first use and kept on the instance, and so is the
+    orbit-map operator of each representation the basis acts through;
+    the matrices must not change afterwards.
     """
 
     matrices: np.ndarray  # (dim, n, n)
@@ -242,6 +242,13 @@ class LieAlgebraBasis:
         flat = _linalg.realify_flat(self.matrices)
         return float(np.linalg.norm(flat @ flat.T - np.eye(self.dim)))
 
+    @functools.cached_property
+    def hermitian_residual(self) -> float:
+        """Distance of the matrices from their conjugate transposes,
+        |X_i - X_i*| summed in quadrature over the basis."""
+        mats = self.matrices
+        return float(np.linalg.norm(mats - np.conj(mats.swapaxes(1, 2))))
+
     def to_json(self) -> dict:
         return {
             "field": self.field,
@@ -262,8 +269,17 @@ class LieAlgebraBasis:
                 f"{sorted({m.shape for m in mats})}")
         dtype = np.complex128 if field == COMPLEX else np.float64
         arr = np.array(mats, dtype=dtype) if mats else np.zeros((0, n, n), dtype=dtype)
-        if mats and _linalg.matrix_rank(_linalg.stack_flat(arr)).rank < len(mats):
-            raise InvalidArgumentError("algebra matrices are linearly dependent")
+        if mats:
+            independence = _linalg.matrix_rank(_linalg.stack_flat(arr))
+            if independence.rank < len(mats):
+                raise InvalidArgumentError(
+                    "algebra matrices are linearly dependent")
+            # a near-dependence too close to the cutoff to call is bad
+            # input too: the algebra's dimension would be a guess
+            if independence.ambiguous:
+                raise InvalidArgumentError(
+                    "algebra matrices are nearly linearly dependent: their "
+                    "independence is too close to the rank cutoff to decide")
         return LieAlgebraBasis(arr, field, n)
 
 

@@ -21,24 +21,19 @@ orbit in the closure.  The function is geodesically convex, so the
 damped steps still descend to the closed orbit in the closure, and
 every iterate stays exactly on the starting orbit.
 
-Each step costs a few calls that each do real work.  D is one product
-of the flattened iterate with the orbit-map operator that the p-basis
-keeps per representation (``reps._differential_matrix``, the one place
-D is built), and H + lam I, symmetric positive definite whenever
-mu != 0, is solved by one Cholesky factorization (LAPACK ``dposv``,
-whose ``info`` is checked).  ``moment_vector`` and ``matrix_exp`` are
-looked up on this module at every step, so a tracer that wraps them
-sees each call.
-
-The moment map mu(v)_i = <X_i . v, v> is a quadratic form in v: each
-representation supplies a Hermitian m(v) with <X . v, v> = Re tr(X m(v)*)
-for every matrix X, so mu(v) is one contraction of the p-basis against
-m(v) (Kempf-Ness):
-
-    defining                   m(v) = v v*
-    sym2, alt_bilinear         m(M) = 2 M M*
-    external tensor            m(M) = blockdiag(M M*, M^t conj(M))
-    direct sum                 m(v) = sum of the components' m
+Each step costs a few calls that each do real work, around one matrix.
+D is one product of the flattened iterate with the orbit-map operator
+that the p-basis keeps per representation (``reps._differential_matrix``,
+the one place D is built).  The moment vector is read off the same D,
+mu_i = <X_i . w, w> = Re(D^t conj(flat w))_i (Kempf-Ness), and so is
+H + lam I, symmetric positive definite whenever mu != 0 and solved by
+one Cholesky factorization (LAPACK ``dposv``, whose ``info`` is
+checked).  The step matrix X = sum_i c_i X_i is Hermitian, because the
+p-basis is (checked once per basis, with its orthonormality), so
+exp(-t X) is I + U diag(expm1(-t d)) U* from one eigendecomposition
+X = U diag(d) U* (``_linalg.hermitian_expm1``).  ``moment_vector`` and
+``matrix_exp`` are looked up on this module at every step, so a tracer
+that wraps them sees each call.
 
 ``norm_flow`` validates its vector once on entry; the line search runs
 on the unchecked cores of the action and the inner product.  The flow's
@@ -59,6 +54,7 @@ Inconclusive is a first-class outcome, never an exception.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,14 +62,14 @@ from scipy.linalg import lapack
 
 from . import _linalg, reps
 from .errors import InvalidArgumentError
-from .groups import LieAlgebraBasis, lie_algebra_basis, matrix_exp
+from .groups import LieAlgebraBasis, lie_algebra_basis
 from .serialize import is_integer, is_real
 
 CLOSED = "closed"
 NON_CLOSED = "non_closed"
 INCONCLUSIVE = "inconclusive"
 
-# Orthonormality bar on the p-basis fed to the moment map.
+# Orthonormality and Hermitian bar on the p-basis fed to the moment map.
 GRAM_TOL = 1e-8
 
 # Multiplier on sqrt(moment residual) * |limit| for the limit-side rank
@@ -190,24 +186,27 @@ class ClosednessVerdict:
 
 
 def moment_vector(rep: reps.Representation, p_basis: LieAlgebraBasis,
-                  v) -> np.ndarray:
+                  v, d: np.ndarray | None = None) -> np.ndarray:
     """Coefficients <X_i . v, v> over the orthonormal Hermitian basis.
 
     This is the gradient of t -> |exp(tX) . v|^2 / 2 at t = 0 in the
-    direction X; it vanishes exactly at minimal vectors.  It is computed
-    in closed form as Re tr(X_i m(v)*), one contraction of the basis
-    against the Hermitian matrix m(v) of the representation.  The
-    basis's Gram residual is kept on the basis, so validating it costs
-    one attribute read after the first call.
+    direction X; it vanishes exactly at minimal vectors.  It is read off
+    the orbit-map matrix D of the basis at v (columns X_i . v) as
+    Re(D^t conj(flat v)); ``d`` is that matrix when the caller holds it
+    already, as the norm flow does.  The basis's Gram and Hermitian
+    residuals are kept on the basis, so validating it costs two
+    attribute reads after the first call.
     """
     if p_basis.gram_residual > GRAM_TOL:
         raise InvalidArgumentError(
             "p-basis must be orthonormal for the real trace pairing")
+    if p_basis.hermitian_residual > GRAM_TOL:
+        raise InvalidArgumentError("p-basis matrices must be Hermitian")
     v = reps._check_vector(rep, v)
-    if p_basis.dim == 0:
-        return np.zeros(0)
-    m = reps._moment_matrix(rep, v)
-    return np.real(_linalg.stack_flat(p_basis.matrices) @ np.conj(m).ravel())
+    if d is None:
+        d = reps._differential_matrix(rep, p_basis, v)
+    flat = reps._flatten(rep, v).astype(d.dtype, copy=False)
+    return _linalg.real_rows(d.T) @ _linalg.real_rows(flat)
 
 
 def relative_moment_norm(rep: reps.Representation, p_basis: LieAlgebraBasis,
@@ -233,13 +232,13 @@ def _basis(group) -> LieAlgebraBasis:
     return lie_algebra_basis(group)
 
 
-def _newton_direction(rep: reps.Representation, p_basis: LieAlgebraBasis,
-                      w, coeff: np.ndarray) -> np.ndarray:
+def _newton_direction(d: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     """p-basis coefficients c = (H + lam I)^-1 mu of the regularized
-    Newton step, with H = 2 Re(D* D) the Hessian of |exp(X) . w|^2 / 2."""
-    k = p_basis.dim
-    d = reps._differential_matrix(rep, p_basis, w)
-    system = 2.0 * np.real(d.conj().T @ d)
+    Newton step, with H = 2 Re(D* D) the Hessian of |exp(X) . w|^2 / 2
+    read off the orbit-map matrix D at w."""
+    k = d.shape[1]
+    rows = _linalg.real_rows(d.T)
+    system = 2.0 * (rows @ rows.T)
     system.flat[::k + 1] += NEWTON_REGULARIZATION * system.trace() / k
     # H + lam I is symmetric positive definite whenever mu != 0 (then some
     # X_i . w != 0, so tr H > 0): one Cholesky solve
@@ -248,6 +247,14 @@ def _newton_direction(rep: reps.Representation, p_basis: LieAlgebraBasis,
         raise np.linalg.LinAlgError(
             f"Newton system is not positive definite (dposv info {info})")
     return direction
+
+
+def matrix_exp(x: np.ndarray) -> np.ndarray:
+    """exp(x) of a Hermitian matrix x, the flow's step: I plus
+    :func:`_linalg.hermitian_expm1`, from one eigendecomposition."""
+    out = _linalg.hermitian_expm1(x)
+    out.flat[::len(out) + 1] += 1.0
+    return out
 
 
 def norm_flow(rep: reps.Representation, group, v,
@@ -270,20 +277,26 @@ def norm_flow(rep: reps.Representation, group, v,
 
     # v is validated once above; the loop runs on the unchecked cores
     w = reps._scale(rep, 1.0 / start_norm, v)
+    # the step matrix sum_i c_i X_i is one real product with these rows
+    p_rows = _linalg.real_rows(_linalg.stack_flat(p_basis.matrices))
+    p_shape = p_basis.matrices.shape[1:]
     norm2 = reps._inner_product(rep, w, w)
     norms = [np.sqrt(norm2)]
     moment_norms = []
     reason = "budget"
 
     for _ in range(config.max_iterations):
-        coeff = moment_vector(rep, p_basis, w)
-        rel = float(np.linalg.norm(coeff)) / norm2
+        # one orbit-map matrix per iterate: the moment vector, the
+        # tolerance test and the Newton system all read it
+        d = reps._differential_matrix(rep, p_basis, w)
+        coeff = moment_vector(rep, p_basis, w, d)
+        rel = math.sqrt(coeff @ coeff) / norm2
         moment_norms.append(rel)
         if rel <= config.moment_tolerance:
             reason = "moment"
             break
-        direction = _newton_direction(rep, p_basis, w, coeff)
-        x = np.einsum("i,ijk->jk", direction, p_basis.matrices)
+        direction = _newton_direction(d, coeff)
+        x = (direction @ p_rows).view(p_basis.matrices.dtype).reshape(p_shape)
         # Armijo bar: the slope of |exp(-tX) . w|^2 at t = 0 is -2 mu . c
         decrease = 2.0 * SUFFICIENT_DECREASE * float(coeff @ direction)
         step = INITIAL_STEP

@@ -244,28 +244,6 @@ def _inner_product(rep: Representation, v, w) -> float:
     return float((v * np.conj(w)).sum().real)
 
 
-def _moment_matrix(rep: Representation, v) -> np.ndarray:
-    """Hermitian m(v) with <X . v, v> = Re tr(X m(v)*) for every X.
-
-    X ranges over all ambient matrices (block diagonal ones for a
-    product group), so the moment map over any algebra basis is one
-    contraction against m(v) instead of one differential per element.
-    """
-    if rep.kind == DIRECT_SUM:
-        return sum(_moment_matrix(c, vc) for c, vc in zip(rep.components, v))
-    if rep.right is None:
-        return np.outer(v, v.conj())
-    if rep.sign:
-        # <XM + MX^t, M> = Re tr(X MM*) + Re tr(X M^t conj(M)), and
-        # M^t conj(M) = MM* for symmetric and antisymmetric M alike
-        return 2.0 * (v @ v.conj().T)
-    m = np.zeros((rep.group.size, rep.group.size),
-                 dtype=np.result_type(v, rep.group.dtype))
-    m[rep.left, rep.left] = v @ v.conj().T
-    m[rep.right, rep.right] = v.T @ v.conj()
-    return m
-
-
 def norm(rep: Representation, v) -> float:
     return float(np.sqrt(max(inner_product(rep, v, v), 0.0)))
 

@@ -201,6 +201,25 @@ def element_type(x: np.ndarray) -> str:
     return SEMISIMPLE
 
 
+def _decomposition_witness(data: StructureData, rtol: float) -> np.ndarray:
+    """Coordinates of a unit element showing that the center and the
+    derived algebra do not split the algebra.  When d + z <= k it is
+    orthogonal to both (a kernel direction of the stacked coordinate
+    rows); when d + z > k the two meet, and it is an element of their
+    intersection (a left kernel direction y of the stacked rows, so that
+    y_D . derived = -y_Z . center)."""
+    derived = data.derived_coords
+    stacked = np.concatenate([derived, data.center_coords])
+    d = derived.shape[0]
+    if stacked.shape[0] > data.basis.dim:
+        y = _linalg.matrix_rank(stacked.T, rtol).kernel[:, 0]
+        coords = y[:d] @ derived
+        return coords / np.linalg.norm(coords)
+    # the rows of vh past the rank, conjugated kernel columns, are unit
+    # coordinates orthogonal to every stacked row
+    return _linalg.matrix_rank(stacked, rtol).kernel[:, 0].conj()
+
+
 def reductivity_verdict(basis: LieAlgebraBasis,
                         rtol: float = _linalg.RANK_RTOL) -> SubalgebraReport:
     """Algebraic reductivity: center + derived split, Cartan criterion,
@@ -231,7 +250,8 @@ def reductivity_verdict(basis: LieAlgebraBasis,
     decomposition_ok = bool(dims_ok)
     decomposition_failed = not (decomposition_ok or ambiguous)
     if decomposition_failed:
-        witnesses.append(("failed_decomposition", basis.matrices[0]))
+        witness = data._elements(_decomposition_witness(data, rtol)[None])
+        witnesses.append(("failed_decomposition", witness.matrices[0]))
 
     killing_degenerate = False
     killing_rank = 0

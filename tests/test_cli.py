@@ -312,6 +312,9 @@ def _problem(group, vector, **extra):
                                  "matrices": [[[1.0, 0.0], [0.0, -1.0]]]}}),
     (["reductive"], {"algebra": {"field": "real", "size": 2,
                                  "matrices": [np.eye(2).tolist()] * 2}}),
+    (["reductive"], {"algebra": {"field": "real", "size": 3, "matrices": [
+        np.diag([1.0, -1.0, 0.0]).tolist(),
+        np.diag([1.0, -1.0 + 3e-9, -3e-9]).tolist()]}}),
     (["stabilizer"], _problem(_SL2, _pairs([1.0, 0.0]), subgroup={
         "family": "torus", "size": "x", "field": "complex"})),
     (["stabilizer"], _problem(_SL2, _pairs([1.0, 0.0]), subgroup=[])),
@@ -333,11 +336,11 @@ def _problem(group, vector, **extra):
     (["orbit-dim"], _problem(_SL2, _pairs([1.0, 0.0]), subgroup={
         "family": "torus", "size": 2, "field": "real"})),
 ], ids=["matrices-not-a-list", "algebra-input-a-list", "quaternion-field",
-        "identity-twice", "string-subgroup-size", "subgroup-a-list",
-        "boolean-size", "fractional-size", "string-size", "fractional-offset",
-        "float-copies", "complex-vector-without-pairs", "nan-tolerance",
-        "negative-tolerance", "norm-overflow", "real-subgroup-stabilizer",
-        "real-subgroup-orbit-dim"])
+        "identity-twice", "nearly-dependent-basis", "string-subgroup-size",
+        "subgroup-a-list", "boolean-size", "fractional-size", "string-size",
+        "fractional-offset", "float-copies", "complex-vector-without-pairs",
+        "nan-tolerance", "negative-tolerance", "norm-overflow",
+        "real-subgroup-stabilizer", "real-subgroup-orbit-dim"])
 def test_malformed_input_exits_2(args, payload):
     result = CliRunner().invoke(main, [*args, "--in", "-"],
                                 input=json.dumps(payload))

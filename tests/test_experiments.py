@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import orbitlab as ol
+from orbitlab import experiments
 from orbitlab.errors import ConfigurationError, InvalidArgumentError
 from orbitlab.experiments import (ExperimentConfig, _summarize_flow,
                                   get_scenario, run_experiment,
@@ -322,6 +323,21 @@ class TestDeterminism:
         parallel = run_experiment(config, workers=workers)
         assert (serial.to_json_str(include_wall_time=False)
                 == parallel.to_json_str(include_wall_time=False))
+
+    def test_serial_runs_skip_the_json_round_trip(self, monkeypatch):
+        # the process pool's entry point re-parses the config per trial;
+        # a serial run hands the trial runner the config itself
+        def refuse(*args):
+            raise AssertionError("serial run re-parsed the config")
+
+        config = ExperimentConfig(kind="cor3-intersection",
+                                  scenario="sl4-block", trials=3, seed=5)
+        expected = run_experiment(config).to_json_str(include_wall_time=False)
+        monkeypatch.setattr(experiments.json, "loads", refuse)
+        monkeypatch.setattr(ExperimentConfig, "from_json",
+                            staticmethod(refuse))
+        assert run_experiment(config).to_json_str(
+            include_wall_time=False) == expected
 
     def test_csv_has_one_row_per_trial(self):
         config = ExperimentConfig(kind="theorem1", scenario="example1",

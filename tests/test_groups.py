@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import orbitlab as ol
+from orbitlab import _linalg
 from orbitlab.errors import (ConfigurationError, InvalidArgumentError,
                              NotThetaStableError)
 
@@ -180,6 +182,21 @@ class TestRandomElements:
         b = ol.random_group_element(sl6, 123, 0.5)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("spec", [
+        ol.special_linear(6, "complex"), ol.special_linear(3, "real"),
+        ol.block_embedding(ol.special_linear(2, "complex"), 6, 0)],
+        ids=["sl6-complex", "sl3-real", "sl2-block"])
+    def test_bitwise_scipy_expm_of_the_algebra_element(self, spec):
+        # sampled inputs are scipy's general expm of the Gaussian algebra
+        # element, not the flow's Hermitian exponential, so they never drift
+        basis = ol.lie_algebra_basis(spec)
+        for seed in range(3):
+            coeff = ol.groups.random_algebra_coefficients(
+                basis.dim, seed, 0.5, spec.field == "complex")
+            x = np.einsum("i,ijk->jk", coeff, basis.matrices)
+            assert np.array_equal(ol.random_group_element(spec, seed, 0.5),
+                                  scipy.linalg.expm(x))
+
     def test_small_spread_limit_is_the_identity(self, sl6):
         g = ol.random_group_element(sl6, 0, 1e-12)
         assert np.linalg.norm(g - np.eye(6)) <= 1e-10
@@ -287,6 +304,17 @@ def test_lie_algebra_basis_json_rejects_dependent_matrices(field, matrices):
     with pytest.raises(InvalidArgumentError, match="linearly dependent"):
         ol.LieAlgebraBasis.from_json(
             {"field": field, "size": 2, "matrices": matrices})
+
+
+def test_lie_algebra_basis_json_rejects_a_near_dependence():
+    # the second matrix differs from the first by 3e-9 diag(0, 1, -1): its
+    # singular value sits inside the ambiguity band of the rank cutoff
+    matrices = [np.diag([1.0, -1.0, 0.0]).tolist(),
+                np.diag([1.0, -1.0 + 3e-9, -3e-9]).tolist()]
+    assert _linalg.matrix_rank(_linalg.stack_flat(np.array(matrices))).ambiguous
+    with pytest.raises(InvalidArgumentError, match="nearly linearly dependent"):
+        ol.LieAlgebraBasis.from_json(
+            {"field": "real", "size": 3, "matrices": matrices})
 
 
 @pytest.mark.parametrize("size", [2.0, True, "2", 0])

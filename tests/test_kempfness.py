@@ -43,6 +43,16 @@ class TestMomentVector:
         with pytest.raises(InvalidArgumentError):
             ol.moment_vector(alt6, algebra, v0)
 
+    def test_non_hermitian_basis_rejected(self, alt6, cartan6, v0):
+        # the skew-Hermitian half of the split is orthonormal, but the
+        # flow's step exponential reads only one triangle of sum c_i X_i
+        k_basis = cartan6.k_basis
+        assert k_basis.gram_residual <= kempfness.GRAM_TOL
+        with pytest.raises(InvalidArgumentError, match="Hermitian"):
+            ol.moment_vector(alt6, k_basis, v0)
+        with pytest.raises(InvalidArgumentError, match="Hermitian"):
+            ol.is_minimal(alt6, k_basis, v0)
+
 
 def _closed_form_cases():
     cases = []

@@ -235,6 +235,47 @@ def test_structure_flag_reaches_the_verdict(eps):
     assert bool(report.witnesses) == (verdict == NOT_REDUCTIVE)
 
 
+def free_two_step_nilpotent(generators):
+    """The free two-step nilpotent algebra on g generators e_i, with
+    central brackets f_ij = [e_i, e_j]: one Heisenberg block (e_i -> E_01,
+    e_j -> E_12, f_ij -> E_02) per pair i < j.  Its derived algebra and
+    its center are both the span of the f_ij, so d + z = g (g - 1) is
+    k = g + g (g - 1) / 2 at g = 3 and exceeds it at g = 4."""
+    pairs = [(i, j) for i in range(generators) for j in range(i + 1, generators)]
+    n = 3 * len(pairs)
+    mats = np.zeros((generators + len(pairs), n, n))
+    for block, (i, j) in enumerate(pairs):
+        o = 3 * block
+        mats[i, o, o + 1] = mats[j, o + 1, o + 2] = 1.0
+        mats[generators + block, o, o + 2] = 1.0
+    return ol.LieAlgebraBasis(mats, "real", n)
+
+
+@pytest.mark.parametrize("basis", [
+    sl2_beside_a_slow_algebra(1e-7), free_two_step_nilpotent(3),
+    free_two_step_nilpotent(4)], ids=["slow-1e-7", "free-3", "free-4"])
+def test_failed_decomposition_witness_shows_the_failure(basis):
+    data = structure_report(basis)
+    report = reductivity_verdict(basis)
+    assert report.verdict == NOT_REDUCTIVE and not report.decomposition_ok
+    (witness,) = [m for kind, m in report.witnesses
+                  if kind == "failed_decomposition"]
+    q = _linalg.stack_flat(data.basis.matrices)
+    coords = witness.ravel() @ q.conj().T
+    assert np.linalg.norm(coords) == pytest.approx(1.0)
+    assert np.linalg.norm(witness.ravel() - coords @ q) <= 1e-12
+    derived, center = data.derived_coords, data.center_coords
+    k = data.basis.dim
+    if derived.shape[0] + center.shape[0] <= k:
+        # a unit element orthogonal to the derived algebra and the center
+        assert np.linalg.norm(derived.conj() @ coords) <= 1e-12
+        assert np.linalg.norm(center.conj() @ coords) <= 1e-12
+    else:
+        # the two spans meet, and the witness lies in both
+        for rows in (derived, center):
+            assert np.linalg.norm(coords - (coords @ rows.conj().T) @ rows) <= 1e-12
+
+
 class TestElementType:
     def test_diagonal_semisimple(self):
         assert element_type(np.diag([1.0, -1.0])) == SEMISIMPLE
