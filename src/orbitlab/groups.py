@@ -466,16 +466,22 @@ def cartan_decomposition_for(spec: GroupSpec) -> CartanDecomposition:
     return lie_algebra_basis(spec).cartan
 
 
+def orthonormal_basis(matrices: np.ndarray, field: str,
+                      ambient_size: int) -> LieAlgebraBasis:
+    """The basis of matrices the caller knows to be orthonormal, recorded
+    as its own orthonormalization, so no SVD repeats it."""
+    onb = LieAlgebraBasis(matrices, field, ambient_size)
+    onb.__dict__["orthonormal"] = onb
+    return onb
+
+
 def orthonormalize(basis: LieAlgebraBasis) -> LieAlgebraBasis:
     """A basis of the same algebra, orthonormal for the real trace pairing
     (over the reals for a real algebra, over the complex field else)."""
-    onb = LieAlgebraBasis(
+    return orthonormal_basis(
         _linalg.orthonormal_span(basis.matrices,
                                  real_span=basis.field != COMPLEX),
         basis.field, basis.ambient_size)
-    # already orthonormal: its own orthonormalization is itself
-    onb.__dict__["orthonormal"] = onb
-    return onb
 
 
 def orthonormal_basis_for(spec: GroupSpec) -> LieAlgebraBasis:

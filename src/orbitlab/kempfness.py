@@ -8,24 +8,33 @@ the Hermitian part p of the algebra by damped, regularized Newton steps
 on the Kempf-Ness function X -> |exp(X) . v|^2 / 2.  Its gradient at v
 is the moment vector mu(v).  For X in p the operator v -> X . v is
 Hermitian, so the Hessian in p-basis coordinates is H = 2 Re(D* D),
-where the columns of D are the images X_i . v (the matrix that also
-decides orbit dimensions).  One step is
+where D is the rep.dim x k matrix of the orbit map X -> X . v between
+orthonormal bases: column i holds the isometric coordinates of X_i . v
+(``reps._coordinates``), and on the algebra's orthonormal basis the same
+map decides orbit dimensions.  One step is
 
-    c = (H + lam I)^-1 mu(v_k),    lam = NEWTON_REGULARIZATION tr(H) / k,
+    c = (H + lam I)^-1 mu(v_k),
+    lam = NEWTON_REGULARIZATION min(1, rel) tr(H) / k,
     v_{k+1} = act(exp(-t sum_i c_i X_i), v_k),
 
-with t = 1, 1/2, 1/4, ... until the Armijo condition holds.  lam keeps
-the step bounded where H is singular: along the stabilizer directions
-of a minimal vector, and as a whole when the iterate nears a smaller
-orbit in the closure.  The function is geodesically convex, so the
-damped steps still descend to the closed orbit in the closure, and
-every iterate stays exactly on the starting orbit.
+with t = 1, 1/2, 1/4, ... until the Armijo condition holds, where rel
+is the relative moment norm |mu(v_k)| / |v_k|^2.  lam keeps the step
+bounded where H is singular: along the stabilizer directions of a
+minimal vector, and as a whole when the iterate nears a smaller orbit
+in the closure.  It shrinks with rel (regularized Newton methods for
+singular solutions, Li, Fukushima, Qi and Yamashita, Comput. Optim.
+Appl. 28, 2004), so the tail converges faster than the rate
+NEWTON_REGULARIZATION that a fixed share of tr(H) / k would set.  The
+function is geodesically convex, so the damped steps still descend to
+the closed orbit in the closure, and every iterate stays exactly on the
+starting orbit.
 
 Each step costs a few calls that each do real work, around one matrix.
-D is one product of the flattened iterate with the orbit-map operator
-that the p-basis keeps per representation (``reps._differential_matrix``,
-the one place D is built).  The moment vector is read off the same D,
-mu_i = <X_i . w, w> = Re(D^t conj(flat w))_i (Kempf-Ness), and so is
+D is one product of the iterate's coordinates with the orbit-map
+operator that the p-basis keeps per representation
+(``reps._differential_matrix``, the one place D is built).  The moment
+vector is read off the same D, mu_i = <X_i . w, w> =
+Re(D^t conj(coords w))_i (Kempf-Ness), and so is
 H + lam I, symmetric positive definite whenever mu != 0 and solved by
 one Cholesky factorization (LAPACK ``dposv``, whose ``info`` is
 checked).  The step matrix X = sum_i c_i X_i is Hermitian, because the
@@ -42,13 +51,15 @@ collapsed, and how many steps it took, are read off the trace.
 
 The closedness verdict compares orbit dimensions at the start and at the
 flow limit.  Each side is one ``_linalg.matrix_rank`` decision of the
-orbit map; the start decision also yields the start point's stabilizer,
-which the verdict carries.  A subtlety: the final iterate is only within
-about sqrt(residual) of the true limit, so singular values of that size
-at the limit are artifacts of finite convergence.  The limit-side
-decision therefore passes an absolute floor of LIMIT_RANK_FLOOR *
-sqrt(relative moment norm) * |limit| on top of the package rank policy,
-and is flagged only by singular values just above that floor.
+orbit map on the algebra's orthonormal basis, so both read one operator;
+the start decision also yields the start point's stabilizer, born
+orthonormal, which the verdict carries.  A subtlety: the final iterate
+is only within about sqrt(residual) of the true limit, so singular
+values of that size at the limit are artifacts of finite convergence.
+The limit-side decision therefore passes an absolute floor of
+LIMIT_RANK_FLOOR * sqrt(relative moment norm) * |limit| on top of the
+package rank policy, and is flagged only by singular values just above
+that floor.
 Inconclusive is a first-class outcome, never an exception.
 """
 
@@ -95,7 +106,8 @@ STEP_SHRINK = 0.5
 MIN_STEP = 1e-14
 
 # Regularization of the Newton system relative to the mean Hessian
-# eigenvalue tr(H) / k; bounds the step where H turns singular.
+# eigenvalue tr(H) / k, times min(1, relative moment norm); bounds the
+# step where H turns singular.
 NEWTON_REGULARIZATION = 1e-3
 
 
@@ -205,8 +217,8 @@ def moment_vector(rep: reps.Representation, p_basis: LieAlgebraBasis,
     v = reps._check_vector(rep, v)
     if d is None:
         d = reps._differential_matrix(rep, p_basis, v)
-    flat = reps._flatten(rep, v).astype(d.dtype, copy=False)
-    return _linalg.real_rows(d.T) @ _linalg.real_rows(flat)
+    coords = reps._coordinates(rep, v).astype(d.dtype, copy=False)
+    return _linalg.real_rows(d.T) @ _linalg.real_rows(coords)
 
 
 def relative_moment_norm(rep: reps.Representation, p_basis: LieAlgebraBasis,
@@ -232,14 +244,17 @@ def _basis(group) -> LieAlgebraBasis:
     return lie_algebra_basis(group)
 
 
-def _newton_direction(d: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+def _newton_direction(d: np.ndarray, coeff: np.ndarray,
+                      rel: float) -> np.ndarray:
     """p-basis coefficients c = (H + lam I)^-1 mu of the regularized
     Newton step, with H = 2 Re(D* D) the Hessian of |exp(X) . w|^2 / 2
-    read off the orbit-map matrix D at w."""
+    read off the orbit-map matrix D at w, and lam scaled down with the
+    relative moment norm ``rel`` of w."""
     k = d.shape[1]
     rows = _linalg.real_rows(d.T)
     system = 2.0 * (rows @ rows.T)
-    system.flat[::k + 1] += NEWTON_REGULARIZATION * system.trace() / k
+    system.flat[::k + 1] += (NEWTON_REGULARIZATION * min(1.0, rel)
+                             * system.trace() / k)
     # H + lam I is symmetric positive definite whenever mu != 0 (then some
     # X_i . w != 0, so tr H > 0): one Cholesky solve
     _, direction, info = lapack.dposv(system, coeff)
@@ -295,7 +310,7 @@ def norm_flow(rep: reps.Representation, group, v,
         if rel <= config.moment_tolerance:
             reason = "moment"
             break
-        direction = _newton_direction(d, coeff)
+        direction = _newton_direction(d, coeff, rel)
         x = (direction @ p_rows).view(p_basis.matrices.dtype).reshape(p_shape)
         # Armijo bar: the slope of |exp(-tX) . w|^2 at t = 0 is -2 mu . c
         decrease = 2.0 * SUFFICIENT_DECREASE * float(coeff @ direction)
@@ -345,10 +360,10 @@ def closedness_verdict(rep: reps.Representation, group, v,
     # Directions whose singular value is below the position uncertainty
     # of the limit point (about sqrt(residual) * |limit|) are the ones
     # dying in the true limit; they are floored to zero, and only values
-    # just *above* the floor make the decision ambiguous.  The algebra is
-    # orthonormalized at the default cutoff so that the floor compares
-    # unit-length directions; its own singular values are O(1), so any
-    # sane ``rtol`` keeps all of it.
+    # just *above* the floor make the decision ambiguous.  Like the start
+    # decision, it reads the orbit map on the algebra's orthonormal basis
+    # (decided at the default cutoff), so the floor compares unit-length
+    # directions.
     limit_norm = reps.norm(rep, trace.limit_point)
     floor = (LIMIT_RANK_FLOOR * np.sqrt(max(trace.moment_norms[-1], 1e-15))
              * limit_norm)

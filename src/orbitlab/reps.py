@@ -15,11 +15,22 @@ unchecked core of the same name with a leading underscore (``act`` and
 ``_act``).  Package code that has validated a vector once, such as the
 norm flow, calls the cores directly.
 
-The orbit map X -> X . v of an algebra basis, whose rank is the orbit
-dimension, is linear in v as well.  Its matrix D (columns X_i . v) is
-one product of v with an operator built once per (representation,
-basis) from the images of the unit vectors and kept on the basis; every
-rank decision and the Newton step of the norm flow read D this way.
+Coordinates are isometric: a vector's coordinates in an orthonormal
+basis of its space, read off the flattened vector at indices computed
+once per representation (all entries, or the upper triangle with the
+off-diagonal entries weighted sqrt(2) for the symmetry classes, and the
+components' coordinates concatenated for a direct sum), so that there
+are ``rep.dim`` of them and Re(coords(v) . conj coords(w)) is the inner
+product.  The orbit map X -> X . v of an algebra basis, whose rank is the
+orbit dimension, is linear in v as well.  Its matrix D is the
+``rep.dim`` x k matrix of the map between orthonormal bases when the
+algebra basis is orthonormal: column i holds the coordinates of X_i . v.
+D is one product of the coordinates of v with an operator built once per
+(representation, basis) from the images of the basis vectors of the
+space and kept on the basis.  Every rank decision reads D on the
+algebra's orthonormal basis, so the kernel of a decision is an
+orthonormal basis of the stabilizer; the norm flow reads D on its
+orthonormal p-basis.
 
 Dimensions over the complex field are complex dimensions throughout;
 report layers multiply by two where a real count is wanted.
@@ -27,6 +38,7 @@ report layers multiply by two where a real count is wanted.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -34,7 +46,8 @@ import numpy as np
 
 from . import _linalg
 from .errors import ConfigurationError, InvalidArgumentError
-from .groups import COMPLEX, PRODUCT, GroupSpec, LieAlgebraBasis
+from .groups import (COMPLEX, PRODUCT, GroupSpec, LieAlgebraBasis,
+                     orthonormal_basis)
 from .serialize import matrix_from_json, matrix_to_json
 
 DEFINING = "defining"
@@ -105,6 +118,20 @@ class Representation:
         size = math.prod(self.shape)
         # n(n +- 1)/2 for the symmetry classes
         return (size + self.sign * self.shape[0]) // 2 if self.sign else size
+
+    @functools.cached_property
+    def coordinate_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """Isometric coordinates of a vector of a kind other than the
+        direct sum: the positions read off the flattened vector and their
+        weights, computed once.  A symmetry class reads its upper triangle
+        (the diagonal too when symmetric) and weights the off-diagonal
+        entries sqrt(2), since each stands for two equal-size entries."""
+        size = math.prod(self.shape)
+        if not self.sign:
+            return np.arange(size), np.ones(size)
+        n = self.shape[0]
+        rows, cols = np.triu_indices(n, 0 if self.sign > 0 else 1)
+        return rows * n + cols, np.where(rows == cols, 1.0, math.sqrt(2.0))
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "group": self.group.to_json()}
@@ -263,12 +290,11 @@ def flatten(rep: Representation, v) -> np.ndarray:
     return _flatten(rep, _check_vector(rep, v))
 
 
-def _flatten(rep: Representation, v, stack: int | None = None) -> np.ndarray:
-    """``stack`` flattens a stack of that many vectors into rows."""
+def _flatten(rep: Representation, v) -> np.ndarray:
     if rep.kind == DIRECT_SUM:
-        return np.concatenate([_flatten(c, vc, stack)
-                               for c, vc in zip(rep.components, v)], axis=-1)
-    return v.ravel() if stack is None else v.reshape(stack, -1)
+        return np.concatenate([_flatten(c, vc)
+                               for c, vc in zip(rep.components, v)])
+    return v.ravel()
 
 
 def zero_vector(rep: Representation):
@@ -306,27 +332,45 @@ def vector_from_json(rep: Representation, data):
     return point(rep, matrix_from_json(data, rep.group.field == COMPLEX))
 
 
-def _unit_vectors(rep: Representation):
-    """The vectors of the flattened coordinate basis, in order."""
+def _coordinates(rep: Representation, v, stack: int | None = None) -> np.ndarray:
+    """Coordinates of v in an orthonormal basis of the space: ``rep.dim``
+    of them, whose real dot product with the conjugated coordinates of w
+    is ``inner_product(rep, v, w)``.  ``stack`` reads a stack of that many
+    vectors into rows."""
+    if rep.kind == DIRECT_SUM:
+        return np.concatenate([_coordinates(c, vc, stack)
+                               for c, vc in zip(rep.components, v)], axis=-1)
+    index, weight = rep.coordinate_map
+    flat = v.ravel() if stack is None else v.reshape(stack, -1)
+    return flat[..., index] * weight
+
+
+def _basis_vectors(rep: Representation):
+    """The orthonormal basis of the space whose coordinates are the unit
+    vectors, in order: each is the projection onto the symmetry class of
+    its coordinate's weight at its position."""
     if rep.kind == DIRECT_SUM:
         zeros = [zero_vector(c) for c in rep.components]
         for i, c in enumerate(rep.components):
-            for unit in _unit_vectors(c):
+            for unit in _basis_vectors(c):
                 yield tuple(unit if j == i else z for j, z in enumerate(zeros))
         return
     size = math.prod(rep.shape)
-    for unit in np.eye(size, dtype=rep.group.dtype):
-        yield unit.reshape(rep.shape)
+    for position, weight in zip(*rep.coordinate_map):
+        unit = np.zeros(size, dtype=rep.group.dtype)
+        unit[position] = weight
+        yield _resymmetrize(rep, unit.reshape(rep.shape))
 
 
 def _build_orbit_operator(rep: Representation,
                           algebra: LieAlgebraBasis) -> np.ndarray:
-    """The orbit map v -> (X_1 . v, ..., X_k . v) in flattened coordinates:
-    a (k, N, N) stack, read as the (k N) x N operator whose row block i is
-    the matrix of v -> X_i . v; column j holds the images of unit vector j."""
-    columns = [_flatten(rep, _differential_act(rep, algebra.matrices, unit),
-                        algebra.dim)
-               for unit in _unit_vectors(rep)]
+    """The orbit map v -> (X_1 . v, ..., X_k . v) in isometric coordinates:
+    a (k, N, N) stack with N = rep.dim, read as the (k N) x N operator
+    whose row block i is the matrix of v -> X_i . v; column j holds the
+    images of basis vector j."""
+    columns = [_coordinates(rep, _differential_act(rep, algebra.matrices, unit),
+                            algebra.dim)
+               for unit in _basis_vectors(rep)]
     return np.stack(columns, axis=-1)
 
 
@@ -341,22 +385,22 @@ def _orbit_operator(rep: Representation, algebra: LieAlgebraBasis) -> np.ndarray
 
 
 def _differential_matrix(rep: Representation, algebra: LieAlgebraBasis, v) -> np.ndarray:
-    """Columns are the flattened images X_i . v over the algebra basis:
-    one product of the basis's cached orbit-map operator with v."""
+    """The ``rep.dim`` x k matrix D whose column i holds the coordinates of
+    X_i . v over the algebra basis: one product of the basis's cached
+    orbit-map operator with the coordinates of v."""
     v = _check_vector(rep, v)
     n = rep.group.size
     field = rep.group.field
     if algebra.ambient_size != n or algebra.field != field:
         raise InvalidArgumentError(
             f"algebra elements must be {n}x{n} over the {field} field")
-    flat = _flatten(rep, v)
     if algebra.dim == 0:
-        return np.zeros((len(flat), 0), dtype=rep.group.dtype)
+        return np.zeros((rep.dim, 0), dtype=rep.group.dtype)
     # one N x N product per block: numpy and scipy each load their own
     # OpenBLAS, and a single (k N) x N product of a large algebra crosses
     # the threading threshold of numpy's, whose spinning threads then
     # starve the LAPACK calls made through scipy's
-    return (_orbit_operator(rep, algebra) @ flat).T
+    return (_orbit_operator(rep, algebra) @ _coordinates(rep, v)).T
 
 
 def orbit_dimension(rep: Representation, algebra: LieAlgebraBasis, v) -> int:
@@ -366,25 +410,35 @@ def orbit_dimension(rep: Representation, algebra: LieAlgebraBasis, v) -> int:
 
 def orbit_dimension_info(rep: Representation, algebra: LieAlgebraBasis, v,
                          rtol: float = _linalg.RANK_RTOL) -> _linalg.RankDecision:
-    """The rank decision of the orbit map X -> X . v on the algebra basis.
+    """The rank decision of the orbit map X -> X . v on the algebra.
 
-    Its rank is the orbit dimension and its kernel holds the basis
-    coordinates of the stabilizer, so dim orbit + dim stabilizer = dim
-    algebra; the flag marks a rank too close to the cutoff to call.
+    The map is read between orthonormal bases, on ``algebra.orthonormal``
+    (decided at the default cutoff, so ``rtol`` never changes the
+    algebra's dimension).  Its rank is the orbit dimension and its kernel
+    holds orthonormal coordinates of the stabilizer over that basis, so
+    dim orbit + dim stabilizer = dim algebra; the flag marks a rank too
+    close to the cutoff to call.
     """
-    return _linalg.matrix_rank(_differential_matrix(rep, algebra, v), rtol)
+    return _linalg.matrix_rank(
+        _differential_matrix(rep, algebra.orthonormal, v), rtol)
 
 
 def stabilizer_subalgebra(rep: Representation, algebra: LieAlgebraBasis,
                           v, rtol: float = _linalg.RANK_RTOL) -> LieAlgebraBasis:
-    """Basis of {X in the algebra : X . v = 0}, the kernel of the orbit map."""
+    """Orthonormal basis of {X in the algebra : X . v = 0}, the kernel of
+    the orbit map."""
     return _stabilizer_subalgebra(algebra,
                                   orbit_dimension_info(rep, algebra, v, rtol))
 
 
 def _stabilizer_subalgebra(algebra: LieAlgebraBasis,
                            decision: _linalg.RankDecision) -> LieAlgebraBasis:
-    """The stabilizer read off a decision of :func:`orbit_dimension_info`."""
-    mats = np.einsum("ik,ijl->kjl", decision.kernel, algebra.matrices)
-    return LieAlgebraBasis(np.ascontiguousarray(mats), algebra.field,
-                           algebra.ambient_size)
+    """The stabilizer read off a decision of :func:`orbit_dimension_info`.
+
+    The kernel's columns are orthonormal coordinates over the orthonormal
+    basis of the algebra, so the stabilizer basis is orthonormal and is
+    its own ``orthonormal``."""
+    onb = algebra.orthonormal
+    mats = decision.kernel.T @ _linalg.stack_flat(onb.matrices)
+    return orthonormal_basis(mats.reshape((-1,) + onb.matrices.shape[1:]),
+                             onb.field, onb.ambient_size)

@@ -287,6 +287,37 @@ class TestStabilizerDecision:
         assert np.array_equal(verdict.stabilizer.matrices, stab.matrices)
 
     @pytest.mark.parametrize("kind,scenario", [
+        ("theorem1", "example1"), ("theorem1", "sl4-block"),
+        ("cor2-normal", "normal-factor"), ("cor3-intersection", "sl4-block"),
+        ("cor5-direct-sum", "sym2-sum")])
+    def test_rank_decisions_keep_six_decades_of_margin(self, monkeypatch,
+                                                       kind, scenario):
+        # decades between the cutoff and the nearest nonzero singular value
+        # of every two-sided rank decision of a seed-0 run: the start-side
+        # orbit maps, which also give the stabilizers, and the structure
+        # decisions on those stabilizers.  The one-sided limit decisions
+        # have their own test in test_kempfness.py.
+        margins = []
+        original = ol._linalg.rank_from_singular_values
+
+        def recording(s, rtol=ol._linalg.RANK_RTOL, floor=0.0,
+                      one_sided=False):
+            values = np.asarray(s, dtype=float)
+            if not one_sided and values.max(initial=0.0) > 0.0:
+                cutoff = max(rtol * values.max(), floor)
+                margins.append(np.min(np.abs(np.log10(
+                    values[values > 0.0] / cutoff))))
+            return original(s, rtol, floor, one_sided)
+
+        monkeypatch.setattr(ol._linalg, "rank_from_singular_values",
+                            recording)
+        report = run_experiment(ExperimentConfig(kind=kind, scenario=scenario,
+                                                 seed=0))
+        assert report.passed
+        assert len(margins) >= report.config.trials
+        assert min(margins) >= 6.0
+
+    @pytest.mark.parametrize("kind,scenario", [
         ("theorem1", "example1"), ("cor3-intersection", "sl4-block")])
     def test_ambiguous_stabilizer_is_not_analysed(self, monkeypatch, kind,
                                                    scenario):
@@ -379,5 +410,6 @@ def test_rank_rtol_reaches_spawned_workers(tmp_path):
     assert serial["config"]["rank_rtol"] == 1e-18
     assert serial["tolerances"]["rank_rtol"] == 1e-18
     # the default cutoff gives {"3": 4}: the tiny one counts the rounding
-    # residue of the stabilizer as rank
-    assert serial["summary"]["dimension_histogram"] == {"0": 4}
+    # residue of the stabilizer as rank, all but the one exact zero
+    # singular value of the square orbit map
+    assert serial["summary"]["dimension_histogram"] == {"1": 4}

@@ -311,9 +311,9 @@ class TestClosednessVerdict:
 
     def test_theorem1_run_builds_each_orbit_operator_once(self, monkeypatch):
         # fresh scenario and basis caches, so every operator of the run is
-        # built inside it: the start and stabilizer decisions read the
-        # subgroup's basis, the Newton steps its p-basis and the limit
-        # decision its orthonormal basis
+        # built inside it: the Newton steps read the subgroup's p-basis,
+        # and every rank decision (start, stabilizer, limit) its
+        # orthonormal basis; the subgroup's own basis gets no operator
         monkeypatch.setattr(ol.groups, "_BASIS_CACHE", {})
         monkeypatch.setattr(experiments, "_SCENARIO_CACHE", {})
         built = []
@@ -330,10 +330,12 @@ class TestClosednessVerdict:
         sc = get_scenario("example1")
         algebra = ol.lie_algebra_basis(sc.subgroup)
         expected = [(sc.representation, basis) for basis in (
-            algebra, algebra.cartan.p_basis, algebra.orthonormal)]
-        assert len(built) == 3
+            algebra.cartan.p_basis, algebra.orthonormal)]
+        assert len(built) == 2
         assert all(any(r is rep and a is basis for r, a in built)
                    for rep, basis in expected)
+        assert not any(a is algebra for _, a in built)
+        assert not algebra.orbit_operators
 
     def test_closed_implies_stabilizer_not_nonreductive(self, alt6, sl6,
                                                         x_translate):

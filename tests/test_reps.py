@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orbitlab as ol
 from orbitlab.errors import InvalidArgumentError
@@ -63,11 +65,45 @@ def test_dim_is_the_rank_of_random_draws(rep):
 def test_differential_matrix_matches_elementwise_loop(rep, group):
     algebra = ol.lie_algebra_basis(group)
     v = random_point(rep, 31)
-    reference = np.array([ol.reps.flatten(rep, ol.differential_act(rep, x, v))
-                          for x in algebra.matrices]).T
+    reference = np.array([
+        ol.reps._coordinates(rep, ol.differential_act(rep, x, v))
+        for x in algebra.matrices]).T
     batched = ol.reps._differential_matrix(rep, algebra, v)
     assert batched.shape == reference.shape
     assert np.linalg.norm(batched - reference) <= 1e-14 * np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize("rep", all_reps(), ids=rep_id)
+class TestIsometricCoordinates:
+    """The coordinate map is an isometry onto rep.dim coordinates, so D is
+    the orbit map between orthonormal bases."""
+
+    @settings(derandomize=True, max_examples=5, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_coordinates_preserve_the_inner_product(self, rep, seed):
+        rng = np.random.default_rng(seed)
+        v = ol.random_vector(rep, rng)
+        w = ol.random_vector(rep, rng)
+        cv = ol.reps._coordinates(rep, v)
+        cw = ol.reps._coordinates(rep, w)
+        assert cv.shape == (rep.dim,)
+        for a, b, ca, cb in ((v, w, cv, cw), (v, v, cv, cv)):
+            exact = ol.inner_product(rep, a, b)
+            assert abs(np.vdot(cb, ca).real - exact) <= 1e-13 * (
+                ol.reps.norm(rep, a) * ol.reps.norm(rep, b))
+
+    @settings(derandomize=True, max_examples=5, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_gram_of_the_orbit_map_is_the_gram_of_the_images(self, rep, seed):
+        algebra = ol.lie_algebra_basis(rep.group)
+        v = ol.random_vector(rep, np.random.default_rng(seed))
+        images = np.array([ol.reps.flatten(rep, ol.differential_act(rep, x, v))
+                           for x in algebra.matrices])
+        gram = images.conj() @ images.T
+        d = ol.reps._differential_matrix(rep, algebra, v)
+        assert d.shape == (rep.dim, algebra.dim)
+        assert np.linalg.norm(d.conj().T @ d - gram) <= 1e-13 * np.linalg.norm(
+            gram)
 
 
 @pytest.mark.parametrize("rep", all_reps(), ids=rep_id)

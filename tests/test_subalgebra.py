@@ -276,6 +276,50 @@ def test_failed_decomposition_witness_shows_the_failure(basis):
             assert np.linalg.norm(coords - (coords @ rows.conj().T) @ rows) <= 1e-12
 
 
+def symplectic_stabilizer_at_v0():
+    """The 21-dimensional stabilizer of diag(J, J, J) in sl(6)."""
+    scenario = experiments.get_scenario("example1")
+    return ol.stabilizer_subalgebra(scenario.representation,
+                                    ol.lie_algebra_basis(scenario.group),
+                                    scenario.base_point)
+
+
+def real_rotation_stabilizer():
+    """so(2): the stabilizer of the identity in real sym2 under sl(2, R)."""
+    sl2 = ol.special_linear(2, "real")
+    return ol.stabilizer_subalgebra(ol.sym2(sl2), ol.lie_algebra_basis(sl2),
+                                    np.eye(2))
+
+
+STABILIZERS = {
+    "example1-block-at-x": block_stabilizer_at_x,
+    "sl4-block-seed0-trial0": seed0_cor3_intersection,
+    "symplectic-at-v0": symplectic_stabilizer_at_v0,
+    "real-rotations": real_rotation_stabilizer,
+}
+
+
+@pytest.mark.parametrize("name", STABILIZERS)
+def test_stabilizer_is_born_orthonormal(name, monkeypatch):
+    # the kernel of the orbit map between orthonormal bases is an
+    # orthonormal basis, recorded as the stabilizer's own orthonormal
+    # basis, so the reductivity analysis orthonormalizes nothing
+    stab = STABILIZERS[name]()
+    assert stab.dim > 0
+    assert stab.orthonormal is stab
+    assert stab.gram_residual <= 1e-12
+    calls = []
+    original = _linalg.orthonormal_span
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(_linalg, "orthonormal_span", counting)
+    reductivity_verdict(stab)
+    assert not calls
+
+
 class TestElementType:
     def test_diagonal_semisimple(self):
         assert element_type(np.diag([1.0, -1.0])) == SEMISIMPLE
