@@ -9,10 +9,19 @@ one SVD gives the rank, the ambiguity flag, the orthonormal kernel and
 the orthonormal row space.  A decision that lands too close to the
 cutoff is flagged instead of silently guessed, and callers turn that
 flag into an "inconclusive" outcome.  :func:`null_space` (which reads
-only that kernel), :func:`orthonormal_span` and :func:`subspace_distance`
-use the cutoff but drop the flag; they build bases whose singular values
-are exact zeros or O(1) (the symplectic algebra basis, the Cartan split,
-the orthonormal basis of an independent algebra basis) and compare spans.
+only that kernel) and :func:`_orthonormal_rows`, the one orthonormal
+basis of a span (behind :func:`orthonormal_span`,
+:func:`span_projection_residual` and :func:`subspace_distance`), use the
+cutoff but drop the flag; they build bases whose singular values are
+exact zeros or O(1) (the symplectic algebra basis, the Cartan split, the
+orthonormal basis of an independent algebra basis) and compare spans.
+
+Matrices become coordinate rows in one of two ways (:func:`span_rows`):
+flat over their own field, or over the reals by :func:`real_rows`, a
+view of each complex entry as its real and imaginary parts side by side.
+Euclidean products of real rows are the real trace pairing Re tr(A B*),
+and an orthonormal basis of real rows reads back as complex matrices
+through the inverse view.
 
 Every SVD of the package is one call of :func:`svd`, which calls
 LAPACK's ``?gesdd`` directly: the routine numpy's SVD runs, with the same
@@ -182,9 +191,10 @@ def stack_flat(mats: np.ndarray) -> np.ndarray:
 
 
 def span_rows(mats: np.ndarray, real_span: bool = False) -> np.ndarray:
-    """Matrices as coordinate rows: realified with ``real_span`` (see
-    :func:`realify_flat`), else flat over the matrices' own field."""
-    return realify_flat(mats) if real_span else stack_flat(mats)
+    """Matrices as coordinate rows: flat over the matrices' own field, or
+    with ``real_span`` read over the reals by :func:`real_rows`."""
+    flat = stack_flat(mats)
+    return real_rows(flat) if real_span else flat
 
 
 def real_rows(a: np.ndarray) -> np.ndarray:
@@ -192,29 +202,15 @@ def real_rows(a: np.ndarray) -> np.ndarray:
     imaginary parts side by side, so the last axis doubles, and for two
     such rows Re(a . conj(b)) = real_rows(a) . real_rows(b).  A real
     ``a`` comes back as it is.  The real part of a product of complex
-    rows is then one real product, with no conjugated copy."""
+    rows is then one real product, with no conjugated copy, and
+    orthonormality of real rows is orthonormality for Re tr(A B*)."""
     return np.ascontiguousarray(a).view(np.float64)
 
 
-def realify_flat(mats: np.ndarray) -> np.ndarray:
-    """Flatten matrices to real row vectors; complex parts become extra coordinates.
-
-    The Euclidean inner product of these rows equals Re tr(A B*), so
-    orthonormality here is orthonormality for the real trace pairing.
-    """
-    flat = stack_flat(mats)
-    if np.iscomplexobj(flat):
-        return np.concatenate([flat.real, flat.imag], axis=1)
-    return flat
-
-
-def unrealify(rows: np.ndarray, shape: tuple[int, ...], complex_field: bool) -> np.ndarray:
-    """Inverse of :func:`realify_flat` for a (k, ...) stack of rows."""
-    k = rows.shape[0]
-    if complex_field:
-        half = rows.shape[1] // 2
-        return (rows[:, :half] + 1j * rows[:, half:]).reshape((k,) + shape)
-    return rows.reshape((k,) + shape)
+def _orthonormal_rows(rows: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+    """Orthonormal basis of the row span of ``rows``, as rows."""
+    _, s, vh = svd(rows)
+    return vh[:rank_from_singular_values(s, rtol).rank]
 
 
 def orthonormal_span(mats: np.ndarray, rtol: float = RANK_RTOL,
@@ -222,14 +218,14 @@ def orthonormal_span(mats: np.ndarray, rtol: float = RANK_RTOL,
     """Orthonormal basis of the span of a matrix stack.
 
     ``real_span`` spans over the reals, orthonormal for Re tr(A B*)
-    (realified coordinates); otherwise the span is over the matrices'
-    own field, orthonormal for tr(A B*).
+    (:func:`real_rows` coordinates); otherwise the span is over the
+    matrices' own field, orthonormal for tr(A B*).
     """
     mats = np.asarray(mats)
-    _, s, vh = svd(span_rows(mats, real_span))
-    rank = rank_from_singular_values(s, rtol).rank
-    return unrealify(vh[:rank], mats.shape[1:],
-                     real_span and np.iscomplexobj(mats))
+    q = _orthonormal_rows(span_rows(mats, real_span), rtol)
+    if np.iscomplexobj(mats):
+        q = q.view(np.complex128)
+    return q.reshape((-1,) + mats.shape[1:])
 
 
 def span_projection_residual(targets: np.ndarray, span: np.ndarray,
@@ -237,13 +233,12 @@ def span_projection_residual(targets: np.ndarray, span: np.ndarray,
     """Largest relative residual of projecting each target onto the span.
 
     ``real_span`` restricts coefficients to the reals (projection in
-    realified coordinates); otherwise coefficients live in the matrices'
-    own field.
+    :func:`real_rows` coordinates); otherwise coefficients live in the
+    matrices' own field.  The span's basis is rank-revealing, so
+    dependent span matrices add no spurious direction.
     """
-    # an orthonormal basis of the span, rank-revealing, so dependent span
-    # matrices add no spurious direction
-    q = span_rows(orthonormal_span(span, real_span=real_span), real_span)
-    return projection_residual(span_rows(np.asarray(targets), real_span), q)
+    return projection_residual(span_rows(targets, real_span),
+                               _orthonormal_rows(span_rows(span, real_span)))
 
 
 def projection_residual(rows: np.ndarray, q: np.ndarray,
@@ -260,18 +255,13 @@ def projection_residual(rows: np.ndarray, q: np.ndarray,
     return float(res.max() / scale)
 
 
-def _orth_columns(rows: np.ndarray) -> np.ndarray:
-    u, s, _ = svd(rows.conj().T)
-    return u[:, :rank_from_singular_values(s).rank]
-
-
 def subspace_distance(a: np.ndarray, b: np.ndarray, real_span: bool = False) -> float:
     """Distance between the spans of two matrix stacks (0 = equal spans).
 
-    The operator norm of the difference of orthogonal projectors, i.e.
-    the sine of the largest principal angle; symmetric in the arguments
-    and exactly 1.0 when one span has a direction orthogonal to all of
-    the other.
+    The operator norm of the difference of orthogonal projectors q^H q,
+    i.e. the sine of the largest principal angle; symmetric in the
+    arguments and exactly 1.0 when one span has a direction orthogonal to
+    all of the other.
     """
     fa = span_rows(a, real_span)
     fb = span_rows(b, real_span)
@@ -279,8 +269,6 @@ def subspace_distance(a: np.ndarray, b: np.ndarray, real_span: bool = False) -> 
         return 0.0
     if fa.shape[0] == 0 or fb.shape[0] == 0:
         return 1.0
-    qa = _orth_columns(fa)
-    qb = _orth_columns(fb)
-    pa = qa @ qa.conj().T
-    pb = qb @ qb.conj().T
-    return spectral_norm(pa - pb)
+    qa = _orthonormal_rows(fa)
+    qb = _orthonormal_rows(fb)
+    return spectral_norm(qa.conj().T @ qa - qb.conj().T @ qb)

@@ -42,7 +42,6 @@ DIAGONAL = "diagonal_embedding"
 
 # Residual bars for the structural sanity checks on constructed bases.
 BRACKET_CLOSURE_TOL = 1e-10
-THETA_STABILITY_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,7 +238,7 @@ class LieAlgebraBasis:
     @functools.cached_property
     def gram_residual(self) -> float:
         """Distance of the Gram matrix under Re tr(A B*) from the identity."""
-        flat = _linalg.realify_flat(self.matrices)
+        flat = _linalg.span_rows(self.matrices, real_span=True)
         return float(np.linalg.norm(flat @ flat.T - np.eye(self.dim)))
 
     @functools.cached_property
@@ -429,36 +428,31 @@ def cartan_decompose(basis: LieAlgebraBasis) -> CartanDecomposition:
     """Split the algebra into X* = -X and X* = X parts.
 
     For a complex group the algebra is first realified (the real span of
-    the basis and i times the basis); theta-stability, i.e. closure
-    under conjugate transpose, is required and checked.
+    the basis and i times the basis).  The parts (X - X*)/2 and
+    (X + X*)/2 of the real span S span S + S* between them, so their
+    dimensions add up to the real dimension of S exactly when S is
+    theta-stable, i.e. closed under conjugate transpose; that count is
+    the check.  S is the span of ``basis.orthonormal``, so a basis of
+    dependent matrices is split as the algebra it spans.
     """
     mats = basis.matrices
     n = basis.ambient_size
     if basis.field == COMPLEX:
-        gens = np.concatenate([mats, 1j * mats]) if basis.dim else mats
+        gens = np.concatenate([mats, 1j * mats])
+        real_dim = 2 * basis.orthonormal.dim
     else:
         gens = mats
-    if gens.shape[0]:
-        adjoints = np.conj(np.transpose(gens, (0, 2, 1)))
-        residual = _linalg.span_projection_residual(adjoints, gens, real_span=True)
-        if residual > THETA_STABILITY_TOL:
-            raise NotThetaStableError(
-                f"conjugate transpose leaves the algebra (residual {residual:.2e}); "
-                "conjugate the group into a theta-stable position first")
-        k_parts = (gens - adjoints) / 2.0
-        p_parts = (gens + adjoints) / 2.0
-        k_mats = _linalg.orthonormal_span(k_parts, real_span=True)
-        p_mats = _linalg.orthonormal_span(p_parts, real_span=True)
-    else:
-        k_mats = gens
-        p_mats = gens
-    k_basis = LieAlgebraBasis(k_mats, basis.field, n)
-    p_basis = LieAlgebraBasis(p_mats, basis.field, n)
-    real_dim = gens.shape[0]
+        real_dim = basis.orthonormal.dim
+    adjoints = np.conj(np.transpose(gens, (0, 2, 1)))
+    k_basis = LieAlgebraBasis(_linalg.orthonormal_span(
+        (gens - adjoints) / 2.0, real_span=True), basis.field, n)
+    p_basis = LieAlgebraBasis(_linalg.orthonormal_span(
+        (gens + adjoints) / 2.0, real_span=True), basis.field, n)
     if k_basis.dim + p_basis.dim != real_dim:
         raise NotThetaStableError(
-            f"Cartan split dimensions {k_basis.dim}+{p_basis.dim} "
-            f"do not add up to {real_dim}")
+            "conjugate transpose leaves the algebra: Cartan split dimensions "
+            f"{k_basis.dim}+{p_basis.dim} do not add up to {real_dim}; "
+            "conjugate the group into a theta-stable position first")
     return CartanDecomposition(k_basis, p_basis)
 
 
@@ -473,6 +467,17 @@ def orthonormal_basis(matrices: np.ndarray, field: str,
     onb = LieAlgebraBasis(matrices, field, ambient_size)
     onb.__dict__["orthonormal"] = onb
     return onb
+
+
+def from_orthonormal_coordinates(onb: LieAlgebraBasis,
+                                 coords: np.ndarray) -> LieAlgebraBasis:
+    """The elements whose coordinates over the orthonormal basis ``onb``
+    are the rows of ``coords`` (real ones for a real algebra).  Orthonormal
+    rows over an orthonormal basis give an orthonormal basis, so the
+    result is recorded as its own orthonormalization."""
+    mats = coords @ _linalg.stack_flat(onb.matrices)
+    return orthonormal_basis(mats.reshape((-1,) + onb.matrices.shape[1:]),
+                             onb.field, onb.ambient_size)
 
 
 def orthonormalize(basis: LieAlgebraBasis) -> LieAlgebraBasis:

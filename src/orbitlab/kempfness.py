@@ -180,20 +180,14 @@ class ClosednessVerdict:
     stabilizer: LieAlgebraBasis  # kernel of the start orbit map
     start_ambiguous: bool        # flag of the start orbit and stabilizer dims
 
-    def to_json(self, rep: reps.Representation | None = None,
-                include_trace_arrays: bool = True) -> dict:
-        trace = self.trace.to_json(rep)
-        if not include_trace_arrays:
-            trace.pop("norms", None)
-            trace.pop("moment_norms", None)
-            trace.pop("limit_point", None)
+    def to_json(self, rep: reps.Representation | None = None) -> dict:
         return {
             "status": self.status,
             "start_orbit_dim": self.start_orbit_dim,
             "limit_orbit_dim": self.limit_orbit_dim,
             "start_norm": self.start_norm,
             "limit_norm": self.limit_norm,
-            "trace": trace,
+            "trace": self.trace.to_json(rep),
         }
 
 
@@ -284,7 +278,9 @@ def norm_flow(rep: reps.Representation, group, v,
     p_basis = _basis(group).cartan.p_basis
     v = reps._check_vector(rep, v)
 
-    start_norm = reps.norm(rep, v)
+    # overflow is what the check below catches, so it is not warned about
+    with np.errstate(over="ignore"):
+        start_norm = reps.norm(rep, v)
     if not np.isfinite(start_norm):
         raise InvalidArgumentError("the vector's norm overflows")
     if start_norm == 0.0 or p_basis.dim == 0:

@@ -47,7 +47,7 @@ import numpy as np
 from . import _linalg
 from .errors import ConfigurationError, InvalidArgumentError
 from .groups import (COMPLEX, PRODUCT, GroupSpec, LieAlgebraBasis,
-                     orthonormal_basis)
+                     from_orthonormal_coordinates)
 from .serialize import matrix_from_json, matrix_to_json
 
 DEFINING = "defining"
@@ -416,8 +416,10 @@ def orbit_dimension_info(rep: Representation, algebra: LieAlgebraBasis, v,
     (decided at the default cutoff, so ``rtol`` never changes the
     algebra's dimension).  Its rank is the orbit dimension and its kernel
     holds orthonormal coordinates of the stabilizer over that basis, so
-    dim orbit + dim stabilizer = dim algebra; the flag marks a rank too
-    close to the cutoff to call.
+    dim orbit + dim stabilizer = ``algebra.orthonormal.dim``, the
+    dimension of the algebra's span (``algebra.dim`` counts its matrices,
+    which only ``LieAlgebraBasis.from_json`` requires to be independent);
+    the flag marks a rank too close to the cutoff to call.
     """
     return _linalg.matrix_rank(
         _differential_matrix(rep, algebra.orthonormal, v), rtol)
@@ -438,7 +440,5 @@ def _stabilizer_subalgebra(algebra: LieAlgebraBasis,
     The kernel's columns are orthonormal coordinates over the orthonormal
     basis of the algebra, so the stabilizer basis is orthonormal and is
     its own ``orthonormal``."""
-    onb = algebra.orthonormal
-    mats = decision.kernel.T @ _linalg.stack_flat(onb.matrices)
-    return orthonormal_basis(mats.reshape((-1,) + onb.matrices.shape[1:]),
-                             onb.field, onb.ambient_size)
+    return from_orthonormal_coordinates(algebra.orthonormal,
+                                        decision.kernel.T)

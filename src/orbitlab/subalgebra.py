@@ -26,7 +26,8 @@ import numpy as np
 from . import _linalg
 from .errors import InvalidArgumentError
 from .groups import (BRACKET_CLOSURE_TOL, COMPLEX, LieAlgebraBasis,
-                     bracket_closure_residual, bracket_table, upper_triangle)
+                     bracket_closure_residual, bracket_table,
+                     from_orthonormal_coordinates, upper_triangle)
 from .serialize import matrix_to_json
 
 REDUCTIVE = "reductive"
@@ -50,11 +51,11 @@ class StructureData:
     coordinates of ``basis``, an orthonormal basis of it.
 
     The rows of ``derived_coords`` and ``center_coords`` are orthonormal
-    coordinate vectors of the derived algebra and of the center.
-    ``ambiguous`` flags a derived or center dimension decided inside the
-    ambiguity band.  ``killing_scale`` is |C|^2, the squared norm of all
-    structure constants, which bounds the Killing form of two unit
-    elements.
+    coordinate vectors of the derived algebra and of the center, so
+    ``derived`` and ``center`` are orthonormal bases.  ``ambiguous``
+    flags a derived or center dimension decided inside the ambiguity
+    band.  ``killing_scale`` is |C|^2, the squared norm of all structure
+    constants, which bounds the Killing form of two unit elements.
     """
 
     basis: LieAlgebraBasis
@@ -66,17 +67,11 @@ class StructureData:
 
     @functools.cached_property
     def derived(self) -> LieAlgebraBasis:
-        return self._elements(self.derived_coords)
+        return from_orthonormal_coordinates(self.basis, self.derived_coords)
 
     @functools.cached_property
     def center(self) -> LieAlgebraBasis:
-        return self._elements(self.center_coords)
-
-    def _elements(self, coords: np.ndarray) -> LieAlgebraBasis:
-        q = self.basis
-        mats = coords @ _linalg.stack_flat(q.matrices)
-        return LieAlgebraBasis(mats.reshape((-1,) + q.matrices.shape[1:]),
-                               q.field, q.ambient_size)
+        return from_orthonormal_coordinates(self.basis, self.center_coords)
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,7 +245,8 @@ def reductivity_verdict(basis: LieAlgebraBasis,
     decomposition_ok = bool(dims_ok)
     decomposition_failed = not (decomposition_ok or ambiguous)
     if decomposition_failed:
-        witness = data._elements(_decomposition_witness(data, rtol)[None])
+        witness = from_orthonormal_coordinates(
+            data.basis, _decomposition_witness(data, rtol)[None])
         witnesses.append(("failed_decomposition", witness.matrices[0]))
 
     killing_degenerate = False

@@ -156,6 +156,43 @@ class TestCartan:
         with pytest.raises(NotThetaStableError):
             ol.cartan_decompose(basis)
 
+    def test_unitary_conjugate_of_block_sl2_splits_three_and_three(self, sl2_block):
+        rng = np.random.default_rng(7)
+        u, _ = np.linalg.qr(rng.standard_normal((6, 6))
+                            + 1j * rng.standard_normal((6, 6)))
+        basis = ol.adjoint_conjugate(ol.lie_algebra_basis(sl2_block), u)
+        cartan = ol.cartan_decompose(basis)
+        assert (cartan.k_basis.dim, cartan.p_basis.dim) == (3, 3)
+
+    def test_unipotent_conjugate_of_block_sl2_is_not_theta_stable(
+            self, sl2_block, unipotent_g):
+        # I + E_02 moves the block sl(2) off its adjoint: the split counts
+        # more than the algebra's six real dimensions
+        basis = ol.adjoint_conjugate(ol.lie_algebra_basis(sl2_block),
+                                     unipotent_g)
+        with pytest.raises(NotThetaStableError,
+                           match="conjugate the group into a theta-stable "
+                                 "position first"):
+            ol.cartan_decompose(basis)
+
+    def test_diagonal_conjugate_of_block_sl2_stays_theta_stable(self, sl2_block):
+        # diag(2, 1/2, 1, ...) maps the block sl(2) onto itself
+        g = np.diag([2.0, 0.5, 1.0, 1.0, 1.0, 1.0]).astype(complex)
+        basis = ol.adjoint_conjugate(ol.lie_algebra_basis(sl2_block), g)
+        cartan = ol.cartan_decompose(basis)
+        assert (cartan.k_basis.dim, cartan.p_basis.dim) == (3, 3)
+
+    def test_dependent_basis_is_split_as_the_algebra_it_spans(self):
+        e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+        h = np.diag([1.0, -1.0])
+        sl2 = ol.LieAlgebraBasis(np.array([e12, e12, e12.T, h]), "real", 2)
+        cartan = ol.cartan_decompose(sl2)
+        assert (cartan.k_basis.dim, cartan.p_basis.dim) == (1, 2)
+        # span{E12} is one-dimensional: its parts (E12 -+ E21)/2 count two
+        line = ol.LieAlgebraBasis(np.array([e12, e12]), "real", 2)
+        with pytest.raises(NotThetaStableError):
+            ol.cartan_decompose(line)
+
 
 class TestRandomElements:
     def test_sl2_real_unimodular(self):
@@ -220,7 +257,7 @@ class TestOrthonormalBasis:
                    ol.special_linear(2, "complex")),
     ], ids=["sl2-block", "sl3-real", "product"])
     def test_spans_the_algebra_orthonormally(self, spec):
-        from orbitlab._linalg import realify_flat, stack_flat, subspace_distance
+        from orbitlab._linalg import span_rows, subspace_distance
         algebra = ol.lie_algebra_basis(spec)
         onb = ol.groups.orthonormal_basis_for(spec)
         assert onb.dim == algebra.dim
@@ -229,8 +266,7 @@ class TestOrthonormalBasis:
         real_span = spec.field != "complex"
         assert subspace_distance(onb.matrices, algebra.matrices,
                                  real_span=real_span) <= 1e-12
-        flat = (realify_flat(onb.matrices) if real_span
-                else stack_flat(onb.matrices))
+        flat = span_rows(onb.matrices, real_span)
         gram = flat @ flat.conj().T
         assert np.allclose(gram, np.eye(onb.dim), atol=1e-12)
 

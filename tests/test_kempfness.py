@@ -386,8 +386,6 @@ class TestFlowConfig:
         payload = verdict.to_json(alt6)
         text = json.dumps(payload)
         assert json.loads(text)["status"] == "non_closed"
-        slim = verdict.to_json(include_trace_arrays=False)
-        assert "norms" not in slim["trace"]
 
 
 def _relative_hessian_eigenvalues(rep, group, w):
@@ -515,5 +513,6 @@ def test_limit_rank_margin_stays_two_decades(seed0_flows):
                  * np.sqrt(max(verdict.trace.moment_norms[-1], 1e-15))
                  * ol.reps.norm(rep, limit))
         cutoff = max(_linalg.RANK_RTOL * s.max(), floor)
-        margins.append(np.min(np.abs(np.log10(s / cutoff))))
+        # an exact 0.0 is infinitely far from the cutoff
+        margins.append(np.min(np.abs(np.log10(s[s > 0.0] / cutoff))))
     assert min(margins) >= 2.0

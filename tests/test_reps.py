@@ -258,6 +258,21 @@ class TestStabilizer:
             stab = ol.stabilizer_subalgebra(alt6, algebra, x).dim
             assert orbit + stab == algebra.dim
 
+    def test_dependent_basis_dimensions_add_up_to_its_span(self):
+        # sl(2, C) plus a repeated E12, built directly: dim counts four
+        # matrices, the span and the orbit map see three
+        sl2 = ol.lie_algebra_basis(ol.special_linear(2, "complex"))
+        e12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        algebra = ol.LieAlgebraBasis(np.concatenate([sl2.matrices, e12[None]]),
+                                     "complex", 2)
+        rep = ol.sym2(ol.special_linear(2, "complex"))
+        identity = np.eye(2, dtype=complex)
+        decision = ol.orbit_dimension_info(rep, algebra, identity)
+        stab = ol.stabilizer_subalgebra(rep, algebra, identity)
+        assert (algebra.dim, algebra.orthonormal.dim) == (4, 3)
+        assert (decision.rank, stab.dim) == (2, 1)
+        assert decision.rank + stab.dim == algebra.orthonormal.dim
+
     def test_stabilizer_conjugation_covariance(self, alt6, sl6, v0):
         from orbitlab._linalg import subspace_distance
         algebra = ol.lie_algebra_basis(sl6)
