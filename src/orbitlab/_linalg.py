@@ -11,10 +11,11 @@ cutoff is flagged instead of silently guessed, and callers turn that
 flag into an "inconclusive" outcome.  :func:`null_space` (which reads
 only that kernel) and :func:`_orthonormal_rows`, the one orthonormal
 basis of a span (behind :func:`orthonormal_span`,
-:func:`span_projection_residual` and :func:`subspace_distance`), use the
-cutoff but drop the flag; they build bases whose singular values are
-exact zeros or O(1) (the symplectic algebra basis, the Cartan split, the
-orthonormal basis of an independent algebra basis) and compare spans.
+:func:`span_projection_residual` and :func:`subspace_distance`), drop
+the flag and take no ``rtol``: they decide at ``RANK_RTOL``, because
+they build fixed bases whose singular values are exact zeros or O(1)
+(the symplectic algebra basis, the Cartan split, the orthonormal basis
+of an independent algebra basis) and compare spans.
 
 Matrices become coordinate rows in one of two ways (:func:`span_rows`):
 flat over their own field, or over the reals by :func:`real_rows`, a
@@ -179,9 +180,9 @@ def matrix_rank(a: np.ndarray, rtol: float = RANK_RTOL, floor: float = 0.0,
                         vh[decision.rank:].conj().T, vh[:decision.rank])
 
 
-def null_space(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+def null_space(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the (right) null space, columns of the result."""
-    return matrix_rank(a, rtol).kernel
+    return matrix_rank(a).kernel
 
 
 def stack_flat(mats: np.ndarray) -> np.ndarray:
@@ -207,14 +208,13 @@ def real_rows(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a).view(np.float64)
 
 
-def _orthonormal_rows(rows: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the row span of ``rows``, as rows."""
     _, s, vh = svd(rows)
-    return vh[:rank_from_singular_values(s, rtol).rank]
+    return vh[:rank_from_singular_values(s).rank]
 
 
-def orthonormal_span(mats: np.ndarray, rtol: float = RANK_RTOL,
-                     real_span: bool = False) -> np.ndarray:
+def orthonormal_span(mats: np.ndarray, real_span: bool = False) -> np.ndarray:
     """Orthonormal basis of the span of a matrix stack.
 
     ``real_span`` spans over the reals, orthonormal for Re tr(A B*)
@@ -222,7 +222,7 @@ def orthonormal_span(mats: np.ndarray, rtol: float = RANK_RTOL,
     matrices' own field, orthonormal for tr(A B*).
     """
     mats = np.asarray(mats)
-    q = _orthonormal_rows(span_rows(mats, real_span), rtol)
+    q = _orthonormal_rows(span_rows(mats, real_span))
     if np.iscomplexobj(mats):
         q = q.view(np.complex128)
     return q.reshape((-1,) + mats.shape[1:])

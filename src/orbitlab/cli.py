@@ -114,13 +114,13 @@ def main():
 @rank_tol_option
 @_domain_errors_exit_2
 def closedness(input_path, out, moment_tol, max_iters, rank_tol):
-    """Decide closedness of the orbit of a vector.
+    """Decide closedness of a vector's orbit, optionally under a subgroup.
 
-    Input: {"representation": {...}, "vector": ...}
+    Input: {"representation": {...}, "vector": ..., "subgroup": {...}?}
     """
-    rep, vector, _ = _load(input_path, _problem)
+    rep, vector, group = _load(input_path, _problem)
     config = FlowConfig(moment_tol, max_iters)
-    verdict = kempfness.closedness_verdict(rep, rep.group, vector, config,
+    verdict = kempfness.closedness_verdict(rep, group, vector, config,
                                            rtol=rank_tol)
     _emit(verdict.to_json(rep), out)
     sys.exit(EXIT_OK if verdict.status != kempfness.INCONCLUSIVE
@@ -130,14 +130,14 @@ def closedness(input_path, out, moment_tol, max_iters, rank_tol):
 @main.command()
 @input_option
 @out_option
-@click.option("--tolerance", type=float, default=1e-8, show_default=True,
-              callback=_positive,
+@click.option("--tolerance", type=float, default=FlowConfig.moment_tolerance,
+              show_default=True, callback=_positive,
               help="scale-invariant minimality tolerance")
 @_domain_errors_exit_2
 def minimal(input_path, out, tolerance):
-    """Test whether a vector is a minimal vector of its orbit."""
-    rep, vector, _ = _load(input_path, _problem)
-    decomposition = cartan_decomposition_for(rep.group)
+    """Test whether a vector is minimal, optionally under a subgroup."""
+    rep, vector, group = _load(input_path, _problem)
+    decomposition = cartan_decomposition_for(group)
     rel = kempfness.relative_moment_norm(rep, decomposition.p_basis, vector)
     _emit({
         "minimal": rel <= tolerance,

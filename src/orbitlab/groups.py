@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,10 +231,11 @@ class LieAlgebraBasis:
         return orthonormalize(self)
 
     @functools.cached_property
-    def orbit_operators(self) -> dict:
-        """Orbit-map operator per Representation (the object is the key),
-        built on first use by ``reps._orbit_operator``."""
-        return {}
+    def orbit_operators(self) -> weakref.WeakKeyDictionary:
+        """Orbit-map operator per Representation (the object is the key,
+        held weakly, so a cached group basis keeps no representation
+        alive), built on first use by ``reps._orbit_operator``."""
+        return weakref.WeakKeyDictionary()
 
     @functools.cached_property
     def gram_residual(self) -> float:

@@ -49,6 +49,10 @@ on the unchecked cores of the action and the inner product.  The flow's
 stop state is one field, ``FlowTrace.reason``; whether it converged or
 collapsed, and how many steps it took, are read off the trace.
 
+Minimality is decided at one bar, ``FlowConfig.moment_tolerance``, where
+the flow stops; ``is_minimal``, the command line's ``minimal`` and the
+example1 pipeline read it.  ``GRAM_TOL`` bars the p-basis, not vectors.
+
 The closedness verdict compares orbit dimensions at the start and at the
 flow limit.  Each side is one ``_linalg.matrix_rank`` decision of the
 orbit map on the algebra's orthonormal basis, so both read one operator;
@@ -155,18 +159,16 @@ class FlowTrace:
         """The limit is certified to be the zero vector."""
         return self.reason == "collapse"
 
-    def to_json(self, rep: reps.Representation | None = None) -> dict:
-        out = {
+    def to_json(self, rep: reps.Representation) -> dict:
+        return {
             "norms": [float(x) for x in self.norms],
             "moment_norms": [float(x) for x in self.moment_norms],
             "iterations_used": self.iterations_used,
             "converged": self.converged,
             "collapsed": self.collapsed,
             "reason": self.reason,
+            "limit_point": reps.vector_to_json(rep, self.limit_point),
         }
-        if rep is not None:
-            out["limit_point"] = reps.vector_to_json(rep, self.limit_point)
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,7 +182,7 @@ class ClosednessVerdict:
     stabilizer: LieAlgebraBasis  # kernel of the start orbit map
     start_ambiguous: bool        # flag of the start orbit and stabilizer dims
 
-    def to_json(self, rep: reps.Representation | None = None) -> dict:
+    def to_json(self, rep: reps.Representation) -> dict:
         return {
             "status": self.status,
             "start_orbit_dim": self.start_orbit_dim,
@@ -224,8 +226,9 @@ def relative_moment_norm(rep: reps.Representation, p_basis: LieAlgebraBasis,
 
 
 def is_minimal(rep: reps.Representation, p_basis: LieAlgebraBasis, v,
-               tol: float = 1e-8) -> bool:
-    """True when the moment vector vanishes to scale-invariant tolerance."""
+               tol: float = FlowConfig.moment_tolerance) -> bool:
+    """True when the relative moment norm is at most ``tol``, by default
+    the bar at which the norm flow stops."""
     return relative_moment_norm(rep, p_basis, v) <= tol
 
 
@@ -352,7 +355,7 @@ def closedness_verdict(rep: reps.Representation, group, v,
     """
     algebra = _basis(group)
     start = reps.orbit_dimension_info(rep, algebra, v, rtol)
-    trace = norm_flow(rep, group, v, config)
+    trace = norm_flow(rep, algebra, v, config)
     # Directions whose singular value is below the position uncertainty
     # of the limit point (about sqrt(residual) * |limit|) are the ones
     # dying in the true limit; they are floored to zero, and only values

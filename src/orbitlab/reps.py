@@ -287,12 +287,9 @@ def _scale(rep: Representation, c, v):
 
 def flatten(rep: Representation, v) -> np.ndarray:
     """Vector as one flat coordinate array (direct sums concatenated)."""
-    return _flatten(rep, _check_vector(rep, v))
-
-
-def _flatten(rep: Representation, v) -> np.ndarray:
+    v = _check_vector(rep, v)
     if rep.kind == DIRECT_SUM:
-        return np.concatenate([_flatten(c, vc)
+        return np.concatenate([flatten(c, vc)
                                for c, vc in zip(rep.components, v)])
     return v.ravel()
 

@@ -237,9 +237,7 @@ def reductivity_verdict(basis: LieAlgebraBasis,
     dims_ok = d + z == k
     if dims_ok and d and z:
         stacked = np.concatenate([data.derived_coords, data.center_coords])
-        # the kernel is not needed, so the singular values alone decide
-        decision = _linalg.rank_from_singular_values(
-            _linalg.svd(stacked, vectors=False), rtol)
+        decision = _linalg.matrix_rank(stacked, rtol)
         ambiguous |= decision.ambiguous
         dims_ok = decision.rank == k
     decomposition_ok = bool(dims_ok)

@@ -61,6 +61,54 @@ def test_minimal_subcommand(problem_file):
     assert json.loads(result.stdout)["minimal"] is True
 
 
+@pytest.fixture(scope="module")
+def block_problem_file(tmp_path_factory):
+    """x = (I + E_02) . v0 under the block SL(2) of the first two rows."""
+    rep = ol.alt_bilinear(ol.special_linear(6, "complex"))
+    g = np.eye(6, dtype=complex)
+    g[0, 2] = 1.0
+    x = ol.act(rep, g, ol.standard_symplectic_form(6, "complex"))
+    path = tmp_path_factory.mktemp("cli") / "block_problem.json"
+    path.write_text(json.dumps({
+        "representation": rep.to_json(),
+        "vector": ol.reps.vector_to_json(rep, x),
+        "subgroup": ol.block_embedding(
+            ol.special_linear(2, "complex"), 6, 0).to_json(),
+    }))
+    return path
+
+
+def test_closedness_reads_the_subgroup(block_problem_file):
+    # under the ambient SL(6) the same vector reads closed 14 -> 14
+    result = run_cli("closedness", "--in", str(block_problem_file))
+    assert result.returncode == 0, result.stderr
+    verdict = json.loads(result.stdout)
+    assert verdict["status"] == "non_closed"
+    assert (verdict["start_orbit_dim"], verdict["limit_orbit_dim"]) == (2, 0)
+
+
+def test_minimal_reads_the_subgroup(tmp_path):
+    # diag(J, 2J, J) is minimal for the block SL(2) on the first two rows,
+    # whose moment map sees only the first J, but not for SL(6)
+    rep = ol.alt_bilinear(ol.special_linear(6, "complex"))
+    v = ol.standard_symplectic_form(6, "complex")
+    v[2:4, 2:4] *= 2.0
+    problem = {"representation": rep.to_json(),
+               "vector": ol.reps.vector_to_json(rep, v)}
+    ambient = run_cli("minimal", "--in", "-", input_text=json.dumps(problem))
+    problem["subgroup"] = ol.block_embedding(
+        ol.special_linear(2, "complex"), 6, 0).to_json()
+    block = run_cli("minimal", "--in", "-", input_text=json.dumps(problem))
+    assert ambient.returncode == block.returncode == 0
+    assert json.loads(ambient.stdout)["minimal"] is False
+    assert json.loads(block.stdout)["minimal"] is True
+
+
+def test_minimal_tolerance_default_is_the_flow_bar():
+    defaults = {p.name: p.default for p in main.commands["minimal"].params}
+    assert defaults["tolerance"] == ol.FlowConfig().moment_tolerance
+
+
 def test_stabilizer_subcommand(problem_file):
     result = run_cli("stabilizer", "--in", str(problem_file))
     assert result.returncode == 0

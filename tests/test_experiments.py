@@ -189,6 +189,18 @@ class TestExample1Experiment:
         assert report.summary["base_orbit_dim"] == 14
         assert report.summary["base_stabilizer_dim"] == 21
 
+    def test_base_point_minimality_reads_the_flow_bar(self):
+        # the report echoes moment_tolerance 1e-17, and the base point's
+        # relative moment norm, rounding of order 1e-16, must fail it
+        config = ExperimentConfig(
+            kind="example1", scenario="example1",
+            flow=ol.FlowConfig(moment_tolerance=1e-17, max_iterations=5))
+        report = run_experiment(config)
+        checks = {a["name"]: a["passed"] for a in report.trials}
+        assert report.summary["base_relative_moment_norm"] > 1e-17
+        assert checks["base_point_minimal"] is False
+        assert not report.passed
+
     def test_report_serializes(self):
         config = ExperimentConfig(kind="example1", scenario="example1")
         report = run_experiment(config)
@@ -368,6 +380,21 @@ class TestDeterminism:
         monkeypatch.setattr(ExperimentConfig, "from_json",
                             staticmethod(refuse))
         assert run_experiment(config).to_json_str(
+            include_wall_time=False) == expected
+
+    def test_pool_workers_receive_the_config_object(self, monkeypatch):
+        # the pool maps the trial function over the pickled config; with
+        # the JSON reader refused (inherited by forked workers) a pooled
+        # run still gives the serial report
+        def refuse(*args):
+            raise AssertionError("a worker re-parsed the config")
+
+        config = ExperimentConfig(kind="theorem1", scenario="example1",
+                                  trials=3, seed=4)
+        expected = run_experiment(config).to_json_str(include_wall_time=False)
+        monkeypatch.setattr(ExperimentConfig, "from_json",
+                            staticmethod(refuse))
+        assert run_experiment(config, workers=2).to_json_str(
             include_wall_time=False) == expected
 
     def test_csv_has_one_row_per_trial(self):

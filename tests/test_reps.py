@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -211,6 +213,17 @@ class TestOrbitDimension:
             g = ol.random_group_element(sl6, seed, 0.5)
             moved = ol.act(alt6, g, v0)
             assert ol.orbit_dimension(alt6, algebra, moved) == base
+
+    def test_fresh_representations_are_not_kept_alive(self, sl6, v0):
+        # orbit operators are keyed weakly on their representation, so the
+        # process-wide group basis does not grow over fresh ones
+        algebra = ol.lie_algebra_basis(sl6)
+        operators = algebra.orthonormal.orbit_operators
+        before = len(operators)
+        for _ in range(20):
+            assert ol.orbit_dimension(ol.alt_bilinear(sl6), algebra, v0) == 14
+        gc.collect()
+        assert len(operators) <= before
 
     def test_direct_sum_dimension_bounded_by_component_sum(self):
         sl2 = ol.special_linear(2, "complex")
