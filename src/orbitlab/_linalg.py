@@ -10,12 +10,11 @@ the orthonormal row space.  A decision that lands too close to the
 cutoff is flagged instead of silently guessed, and callers turn that
 flag into an "inconclusive" outcome.  :func:`null_space` (which reads
 only that kernel) and :func:`_orthonormal_rows`, the one orthonormal
-basis of a span (behind :func:`orthonormal_span`,
-:func:`span_projection_residual` and :func:`subspace_distance`), drop
-the flag and take no ``rtol``: they decide at ``RANK_RTOL``, because
-they build fixed bases whose singular values are exact zeros or O(1)
-(the symplectic algebra basis, the Cartan split, the orthonormal basis
-of an independent algebra basis) and compare spans.
+basis of a span (behind :func:`orthonormal_span`), drop the flag and
+take no ``rtol``: they decide at ``RANK_RTOL``, because they build fixed
+bases whose singular values are exact zeros or O(1) (the symplectic
+algebra basis, the Cartan split, the orthonormal basis of an algebra
+that is not theta-stable).
 
 Matrices become coordinate rows in one of two ways (:func:`span_rows`):
 flat over their own field, or over the reals by :func:`real_rows`, a
@@ -228,19 +227,6 @@ def orthonormal_span(mats: np.ndarray, real_span: bool = False) -> np.ndarray:
     return q.reshape((-1,) + mats.shape[1:])
 
 
-def span_projection_residual(targets: np.ndarray, span: np.ndarray,
-                             real_span: bool = False) -> float:
-    """Largest relative residual of projecting each target onto the span.
-
-    ``real_span`` restricts coefficients to the reals (projection in
-    :func:`real_rows` coordinates); otherwise coefficients live in the
-    matrices' own field.  The span's basis is rank-revealing, so
-    dependent span matrices add no spurious direction.
-    """
-    return projection_residual(span_rows(targets, real_span),
-                               _orthonormal_rows(span_rows(span, real_span)))
-
-
 def projection_residual(rows: np.ndarray, q: np.ndarray,
                         floor: float = 0.0) -> float:
     """Largest residual of projecting ``rows`` onto the span of the
@@ -253,22 +239,3 @@ def projection_residual(rows: np.ndarray, q: np.ndarray,
     norms = np.linalg.norm(rows, axis=1)
     scale = max(norms.max(), floor, 1e-300)
     return float(res.max() / scale)
-
-
-def subspace_distance(a: np.ndarray, b: np.ndarray, real_span: bool = False) -> float:
-    """Distance between the spans of two matrix stacks (0 = equal spans).
-
-    The operator norm of the difference of orthogonal projectors q^H q,
-    i.e. the sine of the largest principal angle; symmetric in the
-    arguments and exactly 1.0 when one span has a direction orthogonal to
-    all of the other.
-    """
-    fa = span_rows(a, real_span)
-    fb = span_rows(b, real_span)
-    if fa.shape[0] == 0 and fb.shape[0] == 0:
-        return 0.0
-    if fa.shape[0] == 0 or fb.shape[0] == 0:
-        return 1.0
-    qa = _orthonormal_rows(fa)
-    qb = _orthonormal_rows(fb)
-    return spectral_norm(qa.conj().T @ qa - qb.conj().T @ qb)

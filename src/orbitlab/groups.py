@@ -6,7 +6,9 @@ ambient size, scalar field, embedding data).  From a spec we build
 * an explicit matrix basis of the Lie algebra (:func:`lie_algebra_basis`),
 * its split into skew-Hermitian and Hermitian parts
   (:func:`cartan_decompose`, kept on the basis as ``basis.cartan``),
-  which is what norm-minimizing flows move along, and
+  which is what norm-minimizing flows move along and, as the Cartan
+  basis ``basis.orthonormal``, what every orbit dimension is decided on,
+  and
 * random elements ``exp(sum c_i X_i)`` with Gaussian coefficients
   (:func:`random_group_element`), the package's operational meaning of
   "generic group element".
@@ -203,8 +205,8 @@ class LieAlgebraBasis:
     field.  The container itself does not enforce bracket closure; see
     :func:`bracket_closure_residual`.
 
-    Data derived from the basis alone (its Cartan split, its
-    orthonormalization, its Gram residual and its Hermitian residual) is
+    Data derived from the basis alone (its Cartan split, its orthonormal
+    basis, its Gram residual and its Hermitian residual) is
     computed on first use and kept on the instance, and so is the
     orbit-map operator of each representation the basis acts through;
     the matrices must not change afterwards.
@@ -228,7 +230,21 @@ class LieAlgebraBasis:
 
     @functools.cached_property
     def orthonormal(self) -> "LieAlgebraBasis":
-        return orthonormalize(self)
+        """The basis every orbit-map rank decision reads: the Cartan basis
+        of a theta-stable algebra, ``cartan.p_basis`` itself over the
+        complex field (g = p + i p, and tr(XY) is real for Hermitian X
+        and Y, so p is orthonormal over C) and k followed by p over the
+        reals (tr(XY) = 0 for skew X and symmetric Y).  An algebra that
+        is not theta-stable gets the SVD basis of :func:`orthonormalize`."""
+        try:
+            cartan = self.cartan
+        except NotThetaStableError:
+            return orthonormalize(self)
+        if self.field == COMPLEX:
+            return cartan.p_basis
+        return orthonormal_basis(
+            np.concatenate([cartan.k_basis.matrices, cartan.p_basis.matrices]),
+            self.field, self.ambient_size)
 
     @functools.cached_property
     def orbit_operators(self) -> weakref.WeakKeyDictionary:
@@ -434,21 +450,19 @@ def cartan_decompose(basis: LieAlgebraBasis) -> CartanDecomposition:
     (X + X*)/2 of the real span S span S + S* between them, so their
     dimensions add up to the real dimension of S exactly when S is
     theta-stable, i.e. closed under conjugate transpose; that count is
-    the check.  S is the span of ``basis.orthonormal``, so a basis of
-    dependent matrices is split as the algebra it spans.
+    the check.  The real dimension of S is one rank decision of the
+    realified generators, so a basis of dependent matrices is split as
+    the algebra it spans.  Each part is recorded as its own
+    orthonormalization.
     """
     mats = basis.matrices
     n = basis.ambient_size
-    if basis.field == COMPLEX:
-        gens = np.concatenate([mats, 1j * mats])
-        real_dim = 2 * basis.orthonormal.dim
-    else:
-        gens = mats
-        real_dim = basis.orthonormal.dim
+    gens = np.concatenate([mats, 1j * mats]) if basis.field == COMPLEX else mats
+    real_dim = _linalg.matrix_rank(_linalg.span_rows(gens, real_span=True)).rank
     adjoints = np.conj(np.transpose(gens, (0, 2, 1)))
-    k_basis = LieAlgebraBasis(_linalg.orthonormal_span(
+    k_basis = orthonormal_basis(_linalg.orthonormal_span(
         (gens - adjoints) / 2.0, real_span=True), basis.field, n)
-    p_basis = LieAlgebraBasis(_linalg.orthonormal_span(
+    p_basis = orthonormal_basis(_linalg.orthonormal_span(
         (gens + adjoints) / 2.0, real_span=True), basis.field, n)
     if k_basis.dim + p_basis.dim != real_dim:
         raise NotThetaStableError(
@@ -484,15 +498,12 @@ def from_orthonormal_coordinates(onb: LieAlgebraBasis,
 
 def orthonormalize(basis: LieAlgebraBasis) -> LieAlgebraBasis:
     """A basis of the same algebra, orthonormal for the real trace pairing
-    (over the reals for a real algebra, over the complex field else)."""
+    (over the reals for a real algebra, over the complex field else), from
+    one SVD: ``basis.orthonormal`` of an algebra that is not theta-stable."""
     return orthonormal_basis(
         _linalg.orthonormal_span(basis.matrices,
                                  real_span=basis.field != COMPLEX),
         basis.field, basis.ambient_size)
-
-
-def orthonormal_basis_for(spec: GroupSpec) -> LieAlgebraBasis:
-    return lie_algebra_basis(spec).orthonormal
 
 
 def matrix_exp(x: np.ndarray) -> np.ndarray:

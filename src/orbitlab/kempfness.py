@@ -7,11 +7,13 @@ algebra direction X.  The flow implemented here descends the norm along
 the Hermitian part p of the algebra by damped, regularized Newton steps
 on the Kempf-Ness function X -> |exp(X) . v|^2 / 2.  Its gradient at v
 is the moment vector mu(v).  For X in p the operator v -> X . v is
-Hermitian, so the Hessian in p-basis coordinates is H = 2 Re(D* D),
-where D is the rep.dim x k matrix of the orbit map X -> X . v between
+Hermitian, so the Hessian in p-basis coordinates is H = 2 Re(D_p* D_p).
+D is the rep.dim x k matrix of the orbit map X -> X . v between
 orthonormal bases: column i holds the isometric coordinates of X_i . v
-(``reps._coordinates``), and on the algebra's orthonormal basis the same
-map decides orbit dimensions.  One step is
+(``reps._coordinates``) for X_i in the algebra's Cartan basis
+``algebra.orthonormal`` (p itself for a complex group, k then p for a
+real one), and D_p is its trailing p columns, all of D for a complex
+group.  The same matrix decides orbit dimensions.  One step is
 
     c = (H + lam I)^-1 mu(v_k),
     lam = NEWTON_REGULARIZATION min(1, rel) tr(H) / k,
@@ -31,13 +33,13 @@ starting orbit.
 
 Each step costs a few calls that each do real work, around one matrix.
 D is one product of the iterate's coordinates with the orbit-map
-operator that the p-basis keeps per representation
-(``reps._differential_matrix``, the one place D is built).  The moment
-vector is read off the same D, mu_i = <X_i . w, w> =
-Re(D^t conj(coords w))_i (Kempf-Ness), and so is
-H + lam I, symmetric positive definite whenever mu != 0 and solved by
-one Cholesky factorization (LAPACK ``dposv``, whose ``info`` is
-checked).  The step matrix X = sum_i c_i X_i is Hermitian, because the
+operator that the Cartan basis keeps per representation
+(``reps._differential_matrix``, the one place D is built), so each
+(representation, group) builds one operator.  The moment vector is read
+off D_p, mu_i = <X_i . w, w> = Re(D_p^t conj(coords w))_i (Kempf-Ness),
+and so is H + lam I, symmetric positive definite whenever mu != 0 and
+solved by one Cholesky factorization (LAPACK ``dposv``, whose ``info``
+is checked).  The step matrix X = sum_i c_i X_i is Hermitian, because the
 p-basis is (checked once per basis, with its orthonormality), so
 exp(-t X) is I + U diag(expm1(-t d)) U* from one eigendecomposition
 X = U diag(d) U* (``_linalg.hermitian_expm1``).  ``moment_vector`` and
@@ -55,15 +57,17 @@ example1 pipeline read it.  ``GRAM_TOL`` bars the p-basis, not vectors.
 
 The closedness verdict compares orbit dimensions at the start and at the
 flow limit.  Each side is one ``_linalg.matrix_rank`` decision of the
-orbit map on the algebra's orthonormal basis, so both read one operator;
-the start decision also yields the start point's stabilizer, born
-orthonormal, which the verdict carries.  A subtlety: the final iterate
-is only within about sqrt(residual) of the true limit, so singular
-values of that size at the limit are artifacts of finite convergence.
-The limit-side decision therefore passes an absolute floor of
-LIMIT_RANK_FLOOR * sqrt(relative moment norm) * |limit| on top of the
-package rank policy, and is flagged only by singular values just above
-that floor.
+orbit map on the Cartan basis, so both read the flow's operator.  The
+start side is ``reps.orbit_dimension_info`` at v, and also yields the
+start point's stabilizer, born orthonormal, which the verdict carries.
+The limit side reads D at the final iterate, limit / |v|, which the
+flow hands back on ``FlowTrace.limit_orbit_map`` outside the payload.  A
+subtlety: the final iterate is only within about sqrt(residual) of the
+true limit, so singular values of that size at the limit are artifacts
+of finite convergence.  The limit-side decision therefore passes an
+absolute floor of LIMIT_RANK_FLOOR * sqrt(relative moment norm) *
+|limit| / |v| on top of the package rank policy, and is flagged only by
+singular values just above that floor.
 Inconclusive is a first-class outcome, never an exception.
 """
 
@@ -145,6 +149,9 @@ class FlowTrace:
     moment_norms: np.ndarray   # relative moment norm at each iterate
     limit_point: object
     reason: str                # "moment", "collapse", "budget", "stalled"
+    # D on algebra.orthonormal at limit_point / |v| (zero after a
+    # collapse); decides the limit orbit dimension, left out of to_json
+    limit_orbit_map: np.ndarray
 
     @property
     def iterations_used(self) -> int:
@@ -235,7 +242,7 @@ def is_minimal(rep: reps.Representation, p_basis: LieAlgebraBasis, v,
 def _basis(group) -> LieAlgebraBasis:
     """The algebra basis of a ``group`` argument: a GroupSpec's cached
     basis, or the theta-stable basis itself.  Either way its Cartan split
-    and orthonormalization are derived once and kept on the basis."""
+    and its Cartan basis are derived once and kept on the basis."""
     if isinstance(group, LieAlgebraBasis):
         return group
     return lie_algebra_basis(group)
@@ -245,8 +252,8 @@ def _newton_direction(d: np.ndarray, coeff: np.ndarray,
                       rel: float) -> np.ndarray:
     """p-basis coefficients c = (H + lam I)^-1 mu of the regularized
     Newton step, with H = 2 Re(D* D) the Hessian of |exp(X) . w|^2 / 2
-    read off the orbit-map matrix D at w, and lam scaled down with the
-    relative moment norm ``rel`` of w."""
+    read off the p columns D of the orbit-map matrix at w, and lam
+    scaled down with the relative moment norm ``rel`` of w."""
     k = d.shape[1]
     rows = _linalg.real_rows(d.T)
     system = 2.0 * (rows @ rows.T)
@@ -278,7 +285,12 @@ def norm_flow(rep: reps.Representation, group, v,
     scaling), which keeps the regularization and the stopping tests
     scale-free.  Budget exhaustion is reported on the trace, not raised.
     """
-    p_basis = _basis(group).cartan.p_basis
+    algebra = _basis(group)
+    p_basis = algebra.cartan.p_basis
+    onb = algebra.orthonormal
+    # the p-basis is the trailing part of the Cartan basis (all of it for
+    # a complex group)
+    p_first = onb.dim - p_basis.dim
     v = reps._check_vector(rep, v)
 
     # overflow is what the check below catches, so it is not warned about
@@ -287,7 +299,10 @@ def norm_flow(rep: reps.Representation, group, v,
     if not np.isfinite(start_norm):
         raise InvalidArgumentError("the vector's norm overflows")
     if start_norm == 0.0 or p_basis.dim == 0:
-        return FlowTrace(np.array([start_norm]), np.array([0.0]), v, "moment")
+        # the zero vector and every point of a compact group are minimal
+        w = v if start_norm == 0.0 else reps._scale(rep, 1.0 / start_norm, v)
+        return FlowTrace(np.array([start_norm]), np.array([0.0]), v, "moment",
+                         reps._differential_matrix(rep, onb, w))
 
     # v is validated once above; the loop runs on the unchecked cores
     w = reps._scale(rep, 1.0 / start_norm, v)
@@ -299,17 +314,19 @@ def norm_flow(rep: reps.Representation, group, v,
     moment_norms = []
     reason = "budget"
 
-    for _ in range(config.max_iterations):
+    for iteration in range(config.max_iterations + 1):
         # one orbit-map matrix per iterate: the moment vector, the
-        # tolerance test and the Newton system all read it
-        d = reps._differential_matrix(rep, p_basis, w)
-        coeff = moment_vector(rep, p_basis, w, d)
+        # tolerance test and the Newton system all read its p columns
+        d = reps._differential_matrix(rep, onb, w)
+        coeff = moment_vector(rep, p_basis, w, d[:, p_first:])
         rel = math.sqrt(coeff @ coeff) / norm2
         moment_norms.append(rel)
+        if iteration == config.max_iterations:
+            break  # the budget is spent; its last iterate is measured
         if rel <= config.moment_tolerance:
             reason = "moment"
             break
-        direction = _newton_direction(d, coeff, rel)
+        direction = _newton_direction(d[:, p_first:], coeff, rel)
         x = (direction @ p_rows).view(p_basis.matrices.dtype).reshape(p_shape)
         # Armijo bar: the slope of |exp(-tX) . w|^2 at t = 0 is -2 mu . c
         decrease = 2.0 * SUFFICIENT_DECREASE * float(coeff @ direction)
@@ -329,13 +346,14 @@ def norm_flow(rep: reps.Representation, group, v,
         if norm2 <= COLLAPSE_REL_NORM2:
             reason = "collapse"
             break
-    else:
-        moment_norms.append(relative_moment_norm(rep, p_basis, w))
 
-    limit = (reps.zero_vector(rep) if reason == "collapse"
-             else reps._scale(rep, start_norm, w))
+    if reason == "collapse":
+        limit = reps.zero_vector(rep)
+        d = np.zeros_like(d)
+    else:
+        limit = reps._scale(rep, start_norm, w)
     return FlowTrace(start_norm * np.array(norms), np.array(moment_norms),
-                     limit, reason)
+                     limit, reason, d)
 
 
 def closedness_verdict(rep: reps.Representation, group, v,
@@ -360,15 +378,15 @@ def closedness_verdict(rep: reps.Representation, group, v,
     # of the limit point (about sqrt(residual) * |limit|) are the ones
     # dying in the true limit; they are floored to zero, and only values
     # just *above* the floor make the decision ambiguous.  Like the start
-    # decision, it reads the orbit map on the algebra's orthonormal basis
-    # (decided at the default cutoff), so the floor compares unit-length
-    # directions.
+    # decision, it reads the orbit map on the algebra's orthonormal basis,
+    # the flow's own matrix at the limit over |v|, so the floor compares
+    # unit-length directions at that scale.
+    start_norm = reps.norm(rep, v)
     limit_norm = reps.norm(rep, trace.limit_point)
     floor = (LIMIT_RANK_FLOOR * np.sqrt(max(trace.moment_norms[-1], 1e-15))
-             * limit_norm)
-    limit = _linalg.matrix_rank(
-        reps._differential_matrix(rep, algebra.orthonormal, trace.limit_point),
-        rtol, floor=floor, one_sided=True)
+             * (limit_norm / start_norm if start_norm else 0.0))
+    limit = _linalg.matrix_rank(trace.limit_orbit_map, rtol, floor=floor,
+                                one_sided=True)
 
     if trace.collapsed:
         status = NON_CLOSED
@@ -379,7 +397,7 @@ def closedness_verdict(rep: reps.Representation, group, v,
         status = CLOSED
     else:
         status = NON_CLOSED
-    return ClosednessVerdict(status, start.rank, limit.rank,
-                             reps.norm(rep, v), limit_norm, trace,
+    return ClosednessVerdict(status, start.rank, limit.rank, start_norm,
+                             limit_norm, trace,
                              reps._stabilizer_subalgebra(algebra, start),
                              start.ambiguous)

@@ -27,10 +27,11 @@ orbit dimension, is linear in v as well.  Its matrix D is the
 algebra basis is orthonormal: column i holds the coordinates of X_i . v.
 D is one product of the coordinates of v with an operator built once per
 (representation, basis) from the images of the basis vectors of the
-space and kept on the basis.  Every rank decision reads D on the
-algebra's orthonormal basis, so the kernel of a decision is an
-orthonormal basis of the stabilizer; the norm flow reads D on its
-orthonormal p-basis.
+space and kept on the basis.  Every rank decision reads D on
+``algebra.orthonormal``, the Cartan basis of a theta-stable algebra, so
+the kernel of a decision is an orthonormal basis of the stabilizer; the
+norm flow reads the same D, whose trailing columns are its p-basis, so
+each (representation, group) builds one operator.
 
 Dimensions over the complex field are complex dimensions throughout;
 report layers multiply by two where a real count is wanted.
@@ -285,15 +286,6 @@ def _scale(rep: Representation, c, v):
     return c * v
 
 
-def flatten(rep: Representation, v) -> np.ndarray:
-    """Vector as one flat coordinate array (direct sums concatenated)."""
-    v = _check_vector(rep, v)
-    if rep.kind == DIRECT_SUM:
-        return np.concatenate([flatten(c, vc)
-                               for c, vc in zip(rep.components, v)])
-    return v.ravel()
-
-
 def zero_vector(rep: Representation):
     if rep.kind == DIRECT_SUM:
         return tuple(zero_vector(c) for c in rep.components)
@@ -410,8 +402,8 @@ def orbit_dimension_info(rep: Representation, algebra: LieAlgebraBasis, v,
     """The rank decision of the orbit map X -> X . v on the algebra.
 
     The map is read between orthonormal bases, on ``algebra.orthonormal``
-    (decided at the default cutoff, so ``rtol`` never changes the
-    algebra's dimension).  Its rank is the orbit dimension and its kernel
+    (the Cartan basis of a theta-stable algebra, decided at the default
+    cutoff, so ``rtol`` never changes the algebra's dimension).  Its rank is the orbit dimension and its kernel
     holds orthonormal coordinates of the stabilizer over that basis, so
     dim orbit + dim stabilizer = ``algebra.orthonormal.dim``, the
     dimension of the algebra's span (``algebra.dim`` counts its matrices,

@@ -309,11 +309,14 @@ class TestClosednessVerdict:
         assert first.status == NON_CLOSED
         assert first.to_json(alt6) == second.to_json(alt6)
 
-    def test_theorem1_run_builds_each_orbit_operator_once(self, monkeypatch):
-        # fresh scenario and basis caches, so every operator of the run is
-        # built inside it: the Newton steps read the subgroup's p-basis,
-        # and every rank decision (start, stabilizer, limit) its
-        # orthonormal basis; the subgroup's own basis gets no operator
+    @staticmethod
+    def _operator_builds(monkeypatch, kind, scenario):
+        """Run 100 seed-0 trials from fresh scenario and basis caches, so
+        every operator of the run is built inside it, and check that each
+        build is on the Cartan basis of a group of the scenario: the
+        Newton steps and every rank decision (start, stabilizer, limit)
+        read it, and it is the p-basis of a complex group.  The groups'
+        own bases get no operator.  Returns the number of builds."""
         monkeypatch.setattr(ol.groups, "_BASIS_CACHE", {})
         monkeypatch.setattr(experiments, "_SCENARIO_CACHE", {})
         built = []
@@ -325,17 +328,27 @@ class TestClosednessVerdict:
 
         monkeypatch.setattr(ol.reps, "_build_orbit_operator", counting)
         report = experiments.run_experiment(ExperimentConfig(
-            kind="theorem1", scenario="example1", trials=100, seed=0))
+            kind=kind, scenario=scenario, trials=100, seed=0))
         assert report.passed
-        sc = get_scenario("example1")
-        algebra = ol.lie_algebra_basis(sc.subgroup)
-        expected = [(sc.representation, basis) for basis in (
-            algebra.cartan.p_basis, algebra.orthonormal)]
-        assert len(built) == 2
-        assert all(any(r is rep and a is basis for r, a in built)
-                   for rep, basis in expected)
-        assert not any(a is algebra for _, a in built)
-        assert not algebra.orbit_operators
+        sc = get_scenario(scenario)
+        pairs = [(sc.representation, sc.subgroup)]
+        if sc.real_group is not None:
+            pairs.append((sc.real_representation, sc.real_group))
+        for rep, group in pairs:
+            algebra = ol.lie_algebra_basis(group)
+            onb = algebra.orthonormal
+            assert any(r is rep and a is onb for r, a in built)
+            assert (onb is algebra.cartan.p_basis) == (group.field == "complex")
+            assert not algebra.orbit_operators
+        return len(built)
+
+    def test_theorem1_run_builds_each_orbit_operator_once(self, monkeypatch):
+        assert self._operator_builds(monkeypatch, "theorem1", "example1") == 1
+
+    def test_real_and_complex_group_build_one_operator_each(self,
+                                                            monkeypatch):
+        assert self._operator_builds(monkeypatch, "real-complex-agreement",
+                                     "sl2-real-complex") == 2
 
     def test_closed_implies_stabilizer_not_nonreductive(self, alt6, sl6,
                                                         x_translate):
@@ -505,14 +518,76 @@ def test_limit_rank_margin_stays_two_decades(seed0_flows):
     # value; the ambiguity band is one decade wide
     margins = []
     for rep, group, verdict in seed0_flows:
-        limit = verdict.trace.limit_point
-        onb = ol.groups.orthonormal_basis_for(group)
-        s = np.linalg.svd(ol.reps._differential_matrix(rep, onb, limit),
-                          compute_uv=False)
+        trace = verdict.trace
+        s = np.linalg.svd(trace.limit_orbit_map, compute_uv=False)
         floor = (kempfness.LIMIT_RANK_FLOOR
-                 * np.sqrt(max(verdict.trace.moment_norms[-1], 1e-15))
-                 * ol.reps.norm(rep, limit))
+                 * np.sqrt(max(trace.moment_norms[-1], 1e-15))
+                 * verdict.limit_norm / verdict.start_norm)
         cutoff = max(_linalg.RANK_RTOL * s.max(), floor)
         # an exact 0.0 is infinitely far from the cutoff
         margins.append(np.min(np.abs(np.log10(s[s > 0.0] / cutoff))))
     assert min(margins) >= 2.0
+
+
+def _edge_case_verdicts(alt6, sl6, sl2_block, x):
+    """(rep, group, verdict) of the limit decision's edge cases."""
+    so3 = ol.special_orthogonal(3, "real")
+    sl2c = ol.special_linear(2, "complex")
+    sl2r = ol.special_linear(2, "real")
+    cases = [
+        (ol.sym2(so3), so3, np.diag([1.0, 2.0, -3.0]), FlowConfig()),  # p = 0
+        (ol.sym2(sl2c), sl2c, np.array([[1.0, 0.0], [0.0, 0.0]], complex),
+         FlowConfig()),                                               # collapse
+        (alt6, sl6, x, FlowConfig(max_iterations=2)),                 # budget
+        (alt6, sl6, np.zeros((6, 6), complex), FlowConfig()),         # zero
+        (ol.sym2(sl2r), sl2r, np.array([[1.0, 0.5], [0.5, -2.0]]),
+         FlowConfig()),                                               # sl(2, R)
+        (alt6, sl6, 1e6 * x, FlowConfig()),                           # scaled
+        (alt6, sl2_block, 1e6 * x, FlowConfig()),
+    ]
+    return [(rep, group, ol.closedness_verdict(rep, group, v, config))
+            for rep, group, v, config in cases]
+
+
+def test_limit_decision_on_the_flow_matrix_is_the_limit_point_decision(
+        seed0_flows, alt6, sl6, sl2_block, x_translate):
+    # the verdict reads D at limit / |v| off the trace, with the floor
+    # divided by |v|; it must decide as D built at the limit point itself
+    # does, with the floor at the limit's own scale, on seed-0 flows of
+    # five scenarios and on the edge cases
+    scenario = get_scenario("sl2-real-complex")
+    spread = ExperimentConfig(kind="real-complex-agreement",
+                              scenario=scenario.name).spread
+    real_complex = []
+    for index in range(100):
+        # the real and the complex flow of a trial, drawn as the harness does
+        rng = np.random.default_rng(experiments.trial_seed(0, index))
+        m = ol.random_vector(scenario.real_representation, rng, spread)
+        for rep, group, v in ((scenario.real_representation,
+                               scenario.real_group, m),
+                              (scenario.representation, scenario.group,
+                               m.astype(complex))):
+            real_complex.append((rep, group, ol.closedness_verdict(rep, group,
+                                                                   v)))
+    flows = (seed0_flows + real_complex
+             + _edge_case_verdicts(alt6, sl6, sl2_block, x_translate))
+    reasons = {verdict.trace.reason for _, _, verdict in flows}
+    assert {"moment", "collapse", "budget"} <= reasons
+    for rep, group, verdict in flows:
+        trace = verdict.trace
+        residual = np.sqrt(max(trace.moment_norms[-1], 1e-15))
+        scale = (verdict.limit_norm / verdict.start_norm
+                 if verdict.start_norm else 0.0)
+        read = _linalg.matrix_rank(
+            trace.limit_orbit_map, floor=kempfness.LIMIT_RANK_FLOOR
+            * residual * scale, one_sided=True)
+        assert read.rank == verdict.limit_orbit_dim
+        # on the Cartan basis, and on the SVD basis the verdict once read
+        algebra = ol.lie_algebra_basis(group)
+        for onb in (algebra.orthonormal, ol.groups.orthonormalize(algebra)):
+            rebuilt = _linalg.matrix_rank(
+                ol.reps._differential_matrix(rep, onb, trace.limit_point),
+                floor=kempfness.LIMIT_RANK_FLOOR * residual
+                * verdict.limit_norm, one_sided=True)
+            assert ((read.rank, read.ambiguous)
+                    == (rebuilt.rank, rebuilt.ambiguous))

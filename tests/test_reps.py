@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 import orbitlab as ol
 from orbitlab.errors import InvalidArgumentError
 
+from helpers import flatten, subspace_distance
+
 
 def random_point(rep, seed, spread=1.0):
     return ol.random_vector(rep, np.random.default_rng(seed), spread)
@@ -54,7 +56,7 @@ def every_kind(field):
                          ids=rep_id)
 def test_dim_is_the_rank_of_random_draws(rep):
     rng = np.random.default_rng(30)
-    draws = [ol.reps.flatten(rep, ol.random_vector(rep, rng))
+    draws = [flatten(rep, ol.random_vector(rep, rng))
              for _ in range(rep.dim + 3)]
     assert np.linalg.matrix_rank(np.array(draws)) == rep.dim
 
@@ -99,7 +101,7 @@ class TestIsometricCoordinates:
     def test_gram_of_the_orbit_map_is_the_gram_of_the_images(self, rep, seed):
         algebra = ol.lie_algebra_basis(rep.group)
         v = ol.random_vector(rep, np.random.default_rng(seed))
-        images = np.array([ol.reps.flatten(rep, ol.differential_act(rep, x, v))
+        images = np.array([flatten(rep, ol.differential_act(rep, x, v))
                            for x in algebra.matrices])
         gram = images.conj() @ images.T
         d = ol.reps._differential_matrix(rep, algebra, v)
@@ -114,14 +116,14 @@ class TestActionAxioms:
         v = random_point(rep, 0)
         eye = np.eye(rep.group.size, dtype=rep.group.dtype)
         out = ol.act(rep, eye, v)
-        assert np.allclose(ol.reps.flatten(rep, out), ol.reps.flatten(rep, v))
+        assert np.allclose(flatten(rep, out), flatten(rep, v))
 
     def test_action_is_multiplicative(self, rep):
         g = ol.random_group_element(rep.group, 1, 0.5)
         h = ol.random_group_element(rep.group, 2, 0.5)
         v = random_point(rep, 3)
-        lhs = ol.reps.flatten(rep, ol.act(rep, g, ol.act(rep, h, v)))
-        rhs = ol.reps.flatten(rep, ol.act(rep, g @ h, v))
+        lhs = flatten(rep, ol.act(rep, g, ol.act(rep, h, v)))
+        rhs = flatten(rep, ol.act(rep, g @ h, v))
         assert np.linalg.norm(lhs - rhs) <= 1e-9 * max(np.linalg.norm(rhs), 1.0)
 
     def test_differential_matches_finite_difference(self, rep):
@@ -134,14 +136,14 @@ class TestActionAxioms:
         v = random_point(rep, 5)
         t = 1e-6
         moved = ol.act(rep, ol.matrix_exp(t * x), v)
-        fd = (ol.reps.flatten(rep, moved) - ol.reps.flatten(rep, v)) / t
-        exact = ol.reps.flatten(rep, ol.differential_act(rep, x, v))
+        fd = (flatten(rep, moved) - flatten(rep, v)) / t
+        exact = flatten(rep, ol.differential_act(rep, x, v))
         assert np.linalg.norm(fd - exact) <= 1e-6 * max(np.linalg.norm(exact), 1.0)
 
     def test_zero_algebra_element_acts_as_zero(self, rep):
         v = random_point(rep, 6)
         zero = np.zeros((rep.group.size, rep.group.size), dtype=rep.group.dtype)
-        image = ol.reps.flatten(rep, ol.differential_act(rep, zero, v))
+        image = flatten(rep, ol.differential_act(rep, zero, v))
         assert np.allclose(image, 0.0)
 
 
@@ -246,7 +248,6 @@ class TestStabilizer:
 
     def test_block_stabilizer_at_special_translate(self, alt6, sl2_block,
                                                    x_translate):
-        from orbitlab._linalg import subspace_distance
         h = ol.lie_algebra_basis(sl2_block)
         stab = ol.stabilizer_subalgebra(alt6, h, x_translate)
         assert stab.dim == 1
@@ -287,7 +288,6 @@ class TestStabilizer:
         assert decision.rank + stab.dim == algebra.orthonormal.dim
 
     def test_stabilizer_conjugation_covariance(self, alt6, sl6, v0):
-        from orbitlab._linalg import subspace_distance
         algebra = ol.lie_algebra_basis(sl6)
         g = ol.random_group_element(sl6, 21, 0.4)
         stab_v = ol.stabilizer_subalgebra(alt6, algebra, v0)
@@ -355,19 +355,19 @@ class TestValidation:
         v = random_point(rep, 17)
         data = ol.reps.vector_to_json(rep, v)
         back = ol.reps.vector_from_json(rep, data)
-        assert np.allclose(ol.reps.flatten(rep, back), ol.reps.flatten(rep, v))
+        assert np.allclose(flatten(rep, back), flatten(rep, v))
 
     @pytest.mark.parametrize("rep", all_reps(), ids=rep_id)
     def test_point_accepts_its_own_random_vector(self, rep):
         v = random_point(rep, 18)
-        np.testing.assert_array_equal(ol.reps.flatten(rep, ol.reps.point(rep, v)),
-                                      ol.reps.flatten(rep, v))
+        np.testing.assert_array_equal(flatten(rep, ol.reps.point(rep, v)),
+                                      flatten(rep, v))
 
     @pytest.mark.parametrize("rep", all_reps(), ids=rep_id)
     def test_zero_vector_has_the_random_vector_shape(self, rep):
         zero = ol.reps.zero_vector(rep)
         assert _shapes(zero) == _shapes(random_point(rep, 19))
-        assert not np.any(ol.reps.flatten(rep, zero))
+        assert not np.any(flatten(rep, zero))
 
     @pytest.mark.parametrize("rep", all_reps(), ids=rep_id)
     def test_act_rejects_a_wrong_shape_vector(self, rep):

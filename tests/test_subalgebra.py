@@ -11,6 +11,8 @@ from orbitlab.subalgebra import (AMBIGUOUS, INCONCLUSIVE, MIXED, NILPOTENT,
                                  element_type, reductivity_verdict,
                                  structure_report)
 
+from helpers import span_projection_residual, subspace_distance
+
 
 def span(matrices, field="complex", size=None):
     arr = np.array(matrices, dtype=complex if field == "complex" else float)
@@ -79,7 +81,7 @@ def loop_structure(basis):
              for i in range(k) for j in range(i + 1, k)]
     upper = np.array(pairs).reshape(len(pairs), n, n)
     derived = _linalg.orthonormal_span(upper, real_span=basis.field == "real")
-    residual = _linalg.span_projection_residual(upper, mats)
+    residual = span_projection_residual(upper, mats)
     columns = [np.concatenate([ol.bracket(mats[i], mats[j]).ravel()
                                for j in range(k)]) for i in range(k)]
     kernel = _linalg.null_space(np.array(columns).reshape(k, k * n * n).T)
@@ -158,9 +160,9 @@ def test_structure_report_matches_pairwise_bracket_loops(name):
     real_span = basis.field == "real"
 
     assert (basis.dim, data.derived.dim, data.center.dim) == REFERENCE_DIMS[name]
-    assert _linalg.subspace_distance(data.derived.matrices, derived,
+    assert subspace_distance(data.derived.matrices, derived,
                                      real_span) <= 1e-12
-    assert _linalg.subspace_distance(data.center.matrices, center,
+    assert subspace_distance(data.center.matrices, center,
                                      real_span) <= 1e-12
     reference = killing(data.derived.matrices)
     assert data.killing_on_derived.shape == reference.shape
