@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 # Default relative singular-value threshold for rank decisions.
 RANK_RTOL = 1e-9
@@ -133,6 +133,12 @@ def hermitian_expm1(h: np.ndarray) -> np.ndarray:
 def spectral_norm(a: np.ndarray) -> float:
     """Largest singular value of a nonempty matrix."""
     return float(svd(a, vectors=False)[0])
+
+
+def vector_norm(x: np.ndarray) -> float:
+    """Euclidean norm of a flat vector by BLAS ``?nrm2``, which scales as
+    it sums, so a finite norm never overflows on the way."""
+    return float((blas.dznrm2 if np.iscomplexobj(x) else blas.dnrm2)(x))
 
 
 def rank_from_singular_values(s, rtol: float = RANK_RTOL, floor: float = 0.0,

@@ -6,9 +6,7 @@ ambient size, scalar field, embedding data).  From a spec we build
 * an explicit matrix basis of the Lie algebra (:func:`lie_algebra_basis`),
 * its split into skew-Hermitian and Hermitian parts
   (:func:`cartan_decompose`, kept on the basis as ``basis.cartan``),
-  which is what norm-minimizing flows move along and, as the Cartan
-  basis ``basis.orthonormal``, what every orbit dimension is decided on,
-  and
+  whose Cartan basis every flow and orbit dimension reads, and
 * random elements ``exp(sum c_i X_i)`` with Gaussian coefficients
   (:func:`random_group_element`), the package's operational meaning of
   "generic group element".
@@ -231,20 +229,13 @@ class LieAlgebraBasis:
     @functools.cached_property
     def orthonormal(self) -> "LieAlgebraBasis":
         """The basis every orbit-map rank decision reads: the Cartan basis
-        of a theta-stable algebra, ``cartan.p_basis`` itself over the
-        complex field (g = p + i p, and tr(XY) is real for Hermitian X
-        and Y, so p is orthonormal over C) and k followed by p over the
-        reals (tr(XY) = 0 for skew X and symmetric Y).  An algebra that
-        is not theta-stable gets the SVD basis of :func:`orthonormalize`."""
+        ``cartan.basis`` of a theta-stable algebra, and the SVD basis of
+        :func:`orthonormalize` of one that is not.  A basis built
+        orthonormal (:func:`orthonormal_basis`) is its own."""
         try:
-            cartan = self.cartan
+            return self.cartan.basis
         except NotThetaStableError:
             return orthonormalize(self)
-        if self.field == COMPLEX:
-            return cartan.p_basis
-        return orthonormal_basis(
-            np.concatenate([cartan.k_basis.matrices, cartan.p_basis.matrices]),
-            self.field, self.ambient_size)
 
     @functools.cached_property
     def orbit_operators(self) -> weakref.WeakKeyDictionary:
@@ -304,13 +295,16 @@ class LieAlgebraBasis:
 class CartanDecomposition:
     """Split of the (realified) algebra into skew-Hermitian and Hermitian parts.
 
-    Both bases are orthonormal for the real trace pairing Re tr(A B*),
-    and both span over the *reals*, also for complex groups; the flow
-    that uses ``p_basis`` is a real optimization either way.
+    Both bases are orthonormal for the real trace pairing Re tr(A B*)
+    and span over the *reals*, also for complex groups.  ``basis``, the
+    Cartan basis, spans the algebra over its own field orthonormally:
+    ``p_basis`` over C (g = p + i p, and tr(XY) is real for Hermitian X
+    and Y), k then p over R (tr(XY) = 0 for skew X and symmetric Y).
     """
 
     k_basis: LieAlgebraBasis
     p_basis: LieAlgebraBasis
+    basis: LieAlgebraBasis
 
 
 def _elementary(n: int, i: int, j: int, dtype) -> np.ndarray:
@@ -452,8 +446,8 @@ def cartan_decompose(basis: LieAlgebraBasis) -> CartanDecomposition:
     theta-stable, i.e. closed under conjugate transpose; that count is
     the check.  The real dimension of S is one rank decision of the
     realified generators, so a basis of dependent matrices is split as
-    the algebra it spans.  Each part is recorded as its own
-    orthonormalization.
+    the algebra it spans.  The parts and the Cartan basis are their own
+    orthonormalization, and the split is the Cartan basis's own.
     """
     mats = basis.matrices
     n = basis.ambient_size
@@ -469,7 +463,14 @@ def cartan_decompose(basis: LieAlgebraBasis) -> CartanDecomposition:
             "conjugate transpose leaves the algebra: Cartan split dimensions "
             f"{k_basis.dim}+{p_basis.dim} do not add up to {real_dim}; "
             "conjugate the group into a theta-stable position first")
-    return CartanDecomposition(k_basis, p_basis)
+    if basis.field == COMPLEX:
+        onb = p_basis
+    else:
+        onb = orthonormal_basis(
+            np.concatenate([k_basis.matrices, p_basis.matrices]), REAL, n)
+    cartan = CartanDecomposition(k_basis, p_basis, onb)
+    onb.__dict__["cartan"] = cartan
+    return cartan
 
 
 def cartan_decomposition_for(spec: GroupSpec) -> CartanDecomposition:

@@ -10,10 +10,9 @@ is the moment vector mu(v).  For X in p the operator v -> X . v is
 Hermitian, so the Hessian in p-basis coordinates is H = 2 Re(D_p* D_p).
 D is the rep.dim x k matrix of the orbit map X -> X . v between
 orthonormal bases: column i holds the isometric coordinates of X_i . v
-(``reps._coordinates``) for X_i in the algebra's Cartan basis
-``algebra.orthonormal`` (p itself for a complex group, k then p for a
-real one), and D_p is its trailing p columns, all of D for a complex
-group.  The same matrix decides orbit dimensions.  One step is
+(``reps._coordinates``) for X_i in the Cartan basis
+``algebra.cartan.basis``, and D_p is its trailing p columns, all of D
+for a complex group.  One step is
 
     c = (H + lam I)^-1 mu(v_k),
     lam = NEWTON_REGULARIZATION min(1, rel) tr(H) / k,
@@ -34,9 +33,8 @@ starting orbit.
 Each step costs a few calls that each do real work, around one matrix.
 D is one product of the iterate's coordinates with the orbit-map
 operator that the Cartan basis keeps per representation
-(``reps._differential_matrix``, the one place D is built), so each
-(representation, group) builds one operator.  The moment vector is read
-off D_p, mu_i = <X_i . w, w> = Re(D_p^t conj(coords w))_i (Kempf-Ness),
+(``reps._differential_matrix``).  The moment vector is read off D_p,
+mu_i = <X_i . w, w> = Re(D_p^t conj(coords w))_i (Kempf-Ness),
 and so is H + lam I, symmetric positive definite whenever mu != 0 and
 solved by one Cholesky factorization (LAPACK ``dposv``, whose ``info``
 is checked).  The step matrix X = sum_i c_i X_i is Hermitian, because the
@@ -56,12 +54,11 @@ the flow stops; ``is_minimal``, the command line's ``minimal`` and the
 example1 pipeline read it.  ``GRAM_TOL`` bars the p-basis, not vectors.
 
 The closedness verdict compares orbit dimensions at the start and at the
-flow limit.  Each side is one ``_linalg.matrix_rank`` decision of the
-orbit map on the Cartan basis, so both read the flow's operator.  The
-start side is ``reps.orbit_dimension_info`` at v, and also yields the
-start point's stabilizer, born orthonormal, which the verdict carries.
-The limit side reads D at the final iterate, limit / |v|, which the
-flow hands back on ``FlowTrace.limit_orbit_map`` outside the payload.  A
+flow limit, each one ``_linalg.matrix_rank`` decision of the orbit map
+between orthonormal bases, whose rank is the same on any of them.  The
+start side is ``reps.orbit_dimension_info`` at v, which also yields the
+stabilizer the verdict carries; the limit side reads the flow's last D,
+``FlowTrace.limit_orbit_map``, at limit / |v|.  A
 subtlety: the final iterate is only within about sqrt(residual) of the
 true limit, so singular values of that size at the limit are artifacts
 of finite convergence.  The limit-side decision therefore passes an
@@ -149,7 +146,7 @@ class FlowTrace:
     moment_norms: np.ndarray   # relative moment norm at each iterate
     limit_point: object
     reason: str                # "moment", "collapse", "budget", "stalled"
-    # D on algebra.orthonormal at limit_point / |v| (zero after a
+    # D on algebra.cartan.basis at limit_point / |v| (zero after a
     # collapse); decides the limit orbit dimension, left out of to_json
     limit_orbit_map: np.ndarray
 
@@ -285,9 +282,9 @@ def norm_flow(rep: reps.Representation, group, v,
     scaling), which keeps the regularization and the stopping tests
     scale-free.  Budget exhaustion is reported on the trace, not raised.
     """
-    algebra = _basis(group)
-    p_basis = algebra.cartan.p_basis
-    onb = algebra.orthonormal
+    cartan = _basis(group).cartan
+    p_basis = cartan.p_basis
+    onb = cartan.basis
     # the p-basis is the trailing part of the Cartan basis (all of it for
     # a complex group)
     p_first = onb.dim - p_basis.dim
@@ -377,10 +374,8 @@ def closedness_verdict(rep: reps.Representation, group, v,
     # Directions whose singular value is below the position uncertainty
     # of the limit point (about sqrt(residual) * |limit|) are the ones
     # dying in the true limit; they are floored to zero, and only values
-    # just *above* the floor make the decision ambiguous.  Like the start
-    # decision, it reads the orbit map on the algebra's orthonormal basis,
-    # the flow's own matrix at the limit over |v|, so the floor compares
-    # unit-length directions at that scale.
+    # just *above* the floor make the decision ambiguous.  The flow's
+    # matrix is taken at the limit over |v|, so the floor is too.
     start_norm = reps.norm(rep, v)
     limit_norm = reps.norm(rep, trace.limit_point)
     floor = (LIMIT_RANK_FLOOR * np.sqrt(max(trace.moment_norms[-1], 1e-15))

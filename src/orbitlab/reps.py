@@ -29,9 +29,8 @@ D is one product of the coordinates of v with an operator built once per
 (representation, basis) from the images of the basis vectors of the
 space and kept on the basis.  Every rank decision reads D on
 ``algebra.orthonormal``, the Cartan basis of a theta-stable algebra, so
-the kernel of a decision is an orthonormal basis of the stabilizer; the
-norm flow reads the same D, whose trailing columns are its p-basis, so
-each (representation, group) builds one operator.
+the kernel of a decision is an orthonormal basis of the stabilizer, and
+the norm flow reads the same operator.
 
 Dimensions over the complex field are complex dimensions throughout;
 report layers multiply by two where a real count is wanted.
@@ -58,6 +57,11 @@ EXTERNAL_TENSOR = "external_tensor"
 DIRECT_SUM = "direct_sum"
 
 SYMMETRY_TOL = 1e-12
+
+# Orbit dimensions floor singular values at ORBIT_NOISE |v|: at a point
+# fixed by the group, D = 0 computes as noise up to about 34 eps |v|
+# (Sp(8) on alt_bilinear at its form), 30 times below the flag band.
+ORBIT_NOISE = 1e4 * np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,16 +406,19 @@ def orbit_dimension_info(rep: Representation, algebra: LieAlgebraBasis, v,
     """The rank decision of the orbit map X -> X . v on the algebra.
 
     The map is read between orthonormal bases, on ``algebra.orthonormal``
-    (the Cartan basis of a theta-stable algebra, decided at the default
-    cutoff, so ``rtol`` never changes the algebra's dimension).  Its rank is the orbit dimension and its kernel
-    holds orthonormal coordinates of the stabilizer over that basis, so
+    (decided at the default cutoff, so ``rtol`` never changes the
+    algebra's dimension), with the floor ``ORBIT_NOISE * |v|``.  The
+    rank is the orbit dimension and the kernel holds
+    orthonormal coordinates of the stabilizer over that basis, so
     dim orbit + dim stabilizer = ``algebra.orthonormal.dim``, the
     dimension of the algebra's span (``algebra.dim`` counts its matrices,
     which only ``LieAlgebraBasis.from_json`` requires to be independent);
     the flag marks a rank too close to the cutoff to call.
     """
+    v = _check_vector(rep, v)
     return _linalg.matrix_rank(
-        _differential_matrix(rep, algebra.orthonormal, v), rtol)
+        _differential_matrix(rep, algebra.orthonormal, v), rtol,
+        floor=ORBIT_NOISE * _linalg.vector_norm(_coordinates(rep, v)))
 
 
 def stabilizer_subalgebra(rep: Representation, algebra: LieAlgebraBasis,

@@ -1,14 +1,10 @@
-"""Helpers that only the tests use: flat vectors, the orthonormal basis
-of a group's algebra, and residuals and distances between spans."""
+"""Helpers that only the tests use: flat vectors, and residuals and
+distances between spans."""
 
 import numpy as np
 
 import orbitlab as ol
 from orbitlab import _linalg
-
-
-def orthonormal_basis_for(spec: ol.GroupSpec) -> ol.LieAlgebraBasis:
-    return ol.lie_algebra_basis(spec).orthonormal
 
 
 def flatten(rep: ol.Representation, v) -> np.ndarray:

@@ -268,24 +268,27 @@ def test_experiment_rank_tol_is_used_and_echoed(tmp_path):
     args = ["experiment", "--scenario", "sl4-block", "--trials", "4",
             "--seed", "0"]
     outs = {}
-    for name, extra in [("default", []),
-                        ("w1", ["--rank-tol", "1e-18", "--workers", "1"]),
-                        ("w2", ["--rank-tol", "1e-18", "--workers", "2"])]:
+    # the coarse cutoff lands decisions near it, so those runs are
+    # inconclusive
+    for name, extra, code in [
+            ("default", [], 0),
+            ("w1", ["--rank-tol", "0.1", "--workers", "1"], 3),
+            ("w2", ["--rank-tol", "0.1", "--workers", "2"], 3)]:
         outs[name] = tmp_path / f"{name}.json"
         result = run_cli(*args, *extra, "--out", str(outs[name]))
-        assert result.returncode == 0, result.stderr
+        assert result.returncode == code, result.stderr
     reports = {name: json.loads(path.read_text())
                for name, path in outs.items()}
     for report in reports.values():
         report.pop("wall_time_ms")
     assert reports["w1"] == reports["w2"]
-    assert reports["w1"]["config"]["rank_rtol"] == 1e-18
-    assert reports["w1"]["tolerances"]["rank_rtol"] == 1e-18
+    assert reports["w1"]["config"]["rank_rtol"] == 0.1
+    assert reports["w1"]["tolerances"]["rank_rtol"] == 0.1
     assert reports["default"]["config"]["rank_rtol"] == 1e-9
-    # the tiny cutoff counts rounding residue as rank: in isometric
-    # coordinates one of the three stabilizer directions has an exact zero
-    # singular value, the other two do not
-    assert reports["w1"]["summary"]["dimension_histogram"] == {"1": 4}
+    # the coarse cutoff drops the smaller singular values of the orbit
+    # map, so the stabilizers grow
+    assert reports["w1"]["summary"]["dimension_histogram"] == {
+        "7": 1, "4": 2, "3": 1}
     assert reports["default"]["summary"]["dimension_histogram"] == {"3": 4}
 
 

@@ -9,7 +9,7 @@ from orbitlab import _linalg
 from orbitlab.errors import (ConfigurationError, InvalidArgumentError,
                              NotThetaStableError)
 
-from helpers import orthonormal_basis_for, subspace_distance
+from helpers import subspace_distance
 
 
 def oracle_symplectic_nullity(form):
@@ -282,7 +282,7 @@ class TestOrthonormalBasis:
     def test_spans_the_algebra_orthonormally(self, spec):
         from orbitlab._linalg import span_rows
         algebra = ol.lie_algebra_basis(spec)
-        onb = orthonormal_basis_for(spec)
+        onb = ol.lie_algebra_basis(spec).orthonormal
         assert onb.dim == algebra.dim
         assert (onb.field, onb.ambient_size) == (algebra.field,
                                                  algebra.ambient_size)
@@ -294,9 +294,9 @@ class TestOrthonormalBasis:
         assert np.allclose(gram, np.eye(onb.dim), atol=1e-12)
 
     def test_cached_per_group(self, sl2_block):
-        onb = orthonormal_basis_for(sl2_block)
+        onb = ol.lie_algebra_basis(sl2_block).orthonormal
         same = ol.block_embedding(ol.special_linear(2, "complex"), 6, 0)
-        assert orthonormal_basis_for(same) is onb
+        assert ol.lie_algebra_basis(same).orthonormal is onb
         # an orthonormal basis is its own orthonormalization: no second SVD
         assert onb.orthonormal is onb
         # a complex theta-stable algebra decides on its p-basis itself
@@ -307,12 +307,15 @@ class TestOrthonormalBasis:
         algebra = ol.lie_algebra_basis(spec)
         onb = algebra.orthonormal
         cartan = algebra.cartan
+        assert onb is cartan.basis
         if spec.field == "complex":
             assert onb is cartan.p_basis
         else:
             assert np.array_equal(onb.matrices, np.concatenate(
                 [cartan.k_basis.matrices, cartan.p_basis.matrices]))
+        # the Cartan basis spans the algebra, and its split is the same
         assert onb.orthonormal is onb
+        assert onb.cartan is cartan
 
     @pytest.mark.parametrize("spec", _decision_groups(), ids=_decision_id)
     def test_decides_as_the_svd_basis(self, spec):
@@ -337,18 +340,25 @@ class TestOrthonormalBasis:
 
     # A nonzero point fixed by the whole group has D = 0 in exact
     # arithmetic, but D of rounding noise, which a cutoff relative to the
-    # largest singular value counts as rank.  The SVD basis reads sp(4)
-    # at its form as orbit dimension 6; the Cartan basis reads so(3, C)
-    # at the identity as 1 where the SVD basis gives an exact 0.
-    @pytest.mark.xfail(strict=True, reason="the relative rank cutoff reads "
-                       "a fixed point's rounding noise as orbit dimension")
+    # largest singular value alone counts as rank (6 for sp(4) at its
+    # form, 1 for so(3, C) at the identity); the noise floor reads 0, and
+    # the verdict at such a point is closed, 0 = 0.
     @pytest.mark.parametrize("rep,v", [
         (ol.alt_bilinear(ol.symplectic(size=4)),
          ol.standard_symplectic_form(4)),
         (ol.sym2(ol.special_orthogonal(3)), np.eye(3, dtype=complex)),
-    ], ids=["sp4-form", "so3-identity"])
+        (ol.alt_bilinear(ol.symplectic(size=8, field="real")),
+         3.0 * ol.standard_symplectic_form(8, "real")),
+        (ol.sym2(ol.special_orthogonal(6)), 1e-5 * np.eye(6, dtype=complex)),
+    ], ids=["sp4-form", "so3-identity", "sp8-real-form", "so6-identity"])
     def test_a_fixed_point_has_orbit_dimension_zero(self, rep, v):
-        assert ol.orbit_dimension(rep, ol.lie_algebra_basis(rep.group), v) == 0
+        algebra = ol.lie_algebra_basis(rep.group)
+        decision = ol.orbit_dimension_info(rep, algebra, v)
+        assert (decision.rank, decision.ambiguous) == (0, False)
+        assert ol.stabilizer_subalgebra(rep, algebra, v).dim == algebra.dim
+        verdict = ol.closedness_verdict(rep, algebra, v)
+        assert ((verdict.status, verdict.start_orbit_dim,
+                 verdict.limit_orbit_dim) == ("closed", 0, 0))
 
     def test_not_theta_stable_algebra_keeps_the_svd_basis(self):
         # a non-unitary conjugate of the block sl(2) leaves theta-stability

@@ -309,6 +309,42 @@ class TestClosednessVerdict:
         assert first.status == NON_CLOSED
         assert first.to_json(alt6) == second.to_json(alt6)
 
+    def test_a_basis_built_orthonormal_gets_the_same_verdict(
+            self, alt6, sl6, sl2_block, x_translate, v0):
+        # a basis built orthonormal is its own ``orthonormal`` and need not
+        # be its Cartan basis; the flow reads its Cartan split, so the
+        # Cartan basis of a group's algebra and a theta-stable stabilizer,
+        # sp(6) at the form, decide as the same algebras given plainly
+        sp6 = ol.stabilizer_subalgebra(alt6, ol.lie_algebra_basis(sl6), v0)
+        plain_sp6 = ol.LieAlgebraBasis(sp6.matrices.copy(), sp6.field,
+                                       sp6.ambient_size)
+        sl3r = ol.special_linear(3, "real")
+        m = np.array([[2.0, 1.0, 0.0], [1.0, -1.0, 0.5], [0.0, 0.5, 3.0]])
+        cases = [
+            (alt6, sl2_block, ol.lie_algebra_basis(sl2_block).orthonormal,
+             x_translate),
+            (alt6, plain_sp6, sp6, ol.act(alt6, ol.random_group_element(
+                sl6, 2, 0.5), v0)),
+            (alt6, plain_sp6, sp6, ol.act(alt6, ol.random_group_element(
+                sl6, 3, 0.5), v0)),
+            (ol.sym2(sl3r), sl3r, ol.lie_algebra_basis(sl3r).orthonormal, m),
+        ]
+        statuses = set()
+        for rep, plain, built, v in cases:
+            assert built.orthonormal is built
+            expected = ol.closedness_verdict(rep, plain, v)
+            verdict = ol.closedness_verdict(rep, built, v)
+            statuses.add(verdict.status)
+            assert ((verdict.status, verdict.start_orbit_dim,
+                     verdict.limit_orbit_dim)
+                    == (expected.status, expected.start_orbit_dim,
+                        expected.limit_orbit_dim))
+            assert verdict.limit_norm == pytest.approx(expected.limit_norm,
+                                                       rel=1e-8)
+            assert (verdict.trace.moment_norms[-1]
+                    <= FlowConfig().moment_tolerance)
+        assert statuses == {CLOSED, NON_CLOSED}
+
     @staticmethod
     def _operator_builds(monkeypatch, kind, scenario):
         """Run 100 seed-0 trials from fresh scenario and basis caches, so
