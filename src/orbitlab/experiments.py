@@ -318,7 +318,6 @@ def tolerance_echo(config: ExperimentConfig) -> dict:
         "moment_tolerance": config.flow.moment_tolerance,
         "limit_rank_floor_factor": kempfness.LIMIT_RANK_FLOOR,
         "eigen_merge_rtol": subalgebra.EIGEN_MERGE_RTOL,
-        "nilpotent_tol": subalgebra.NILPOTENT_TOL,
         "prevalence_bar": PREVALENCE_BAR,
         "inconclusive_cap": INCONCLUSIVE_CAP,
     }

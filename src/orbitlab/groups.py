@@ -73,11 +73,16 @@ class GroupSpec:
             raise ConfigurationError("size must be positive")
         if self.family == SP:
             v = self.form
-            if v is None or v.shape != (self.size, self.size):
-                raise ConfigurationError("symplectic family needs a size x size form")
-            if np.linalg.norm(v + v.T) > 1e-12 * max(np.linalg.norm(v), 1.0):
+            if (v is None or v.shape != (self.size, self.size)
+                    or not np.isfinite(v).all()):
+                raise ConfigurationError(
+                    "symplectic family needs a finite size x size form")
+            if np.linalg.norm(v + v.T) > 1e-12 * np.linalg.norm(v):
                 raise ConfigurationError("symplectic form must be antisymmetric")
-            if abs(np.linalg.det(v)) < 1e-12:
+            # full rank at the package's cutoff, so invertibility does not
+            # depend on the form's scale; a flagged rank is rejected too
+            invertible = _linalg.matrix_rank(v)
+            if invertible.rank < self.size or invertible.ambiguous:
                 raise ConfigurationError("symplectic form must be invertible")
         elif self.family == PRODUCT:
             if not self.members:

@@ -329,8 +329,12 @@ def norm_flow(rep: reps.Representation, group, v,
         decrease = 2.0 * SUFFICIENT_DECREASE * float(coeff @ direction)
         step = INITIAL_STEP
         while step >= MIN_STEP:
-            candidate = reps._act(rep, matrix_exp(-step * x), w)
-            cand2 = reps._inner_product(rep, candidate, candidate)
+            g = matrix_exp(-step * x)
+            # a huge trial step may overflow: the Armijo test below
+            # rejects an inf or NaN cand2 and halves the step
+            with np.errstate(over="ignore", invalid="ignore"):
+                candidate = reps._act(rep, g, w)
+                cand2 = reps._inner_product(rep, candidate, candidate)
             if cand2 <= norm2 - step * decrease:
                 break
             step *= STEP_SHRINK

@@ -7,8 +7,9 @@ criterion for semisimplicity), and every center element must be a
 semisimple matrix.  The analysis runs on the structure constants of an
 orthonormal basis (de Graaf, *Lie Algebras: Theory and Algorithms*,
 2000).  Every rank decision of it (the derived and center dimensions,
-the decomposition rank and the Killing rank) degrades to an
-inconclusive verdict when it lands too close to the cutoff.  Example
+the decomposition rank, the Killing rank and the Jordan type of each
+center element) degrades to an inconclusive verdict when it lands too
+close to the cutoff.  Example
 witnesses are attached whenever a check definitively fails, that is
 when it fails and no decision it reads was flagged.
 
@@ -40,9 +41,9 @@ MIXED = "mixed"
 AMBIGUOUS = "ambiguous"
 
 # Eigenvalues closer than this (relative to the operator norm) merge
-# into one cluster; clusters closer than 10x the radius are ambiguous.
+# into one cluster; clusters closer than 10x the radius are ambiguous,
+# and 10x the radius floors each cluster's multiplicity rank decision.
 EIGEN_MERGE_RTOL = 1e-6
-NILPOTENT_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,10 +164,15 @@ def _cluster_eigenvalues(eigs: np.ndarray, radius: float):
 def element_type(x: np.ndarray) -> str:
     """Classify a matrix as semisimple, nilpotent, mixed or ambiguous.
 
-    Nilpotency is tested by powering the operator-norm-normalized
-    matrix; semisimplicity by comparing geometric and algebraic
-    multiplicities per eigenvalue cluster.  Cluster separations within
-    10x of the merge radius make the call ambiguous.
+    Each call is a rank decision of the package's one cutoff,
+    :func:`_linalg.rank_from_singular_values`, on x^ = x / |x|_2, and a
+    flagged decision makes the call ambiguous.  x is nilpotent when
+    x^^n has rank 0, decided on its largest singular value alone with
+    the cutoff floored at ``RANK_RTOL``.  Otherwise x is semisimple when
+    every eigenvalue cluster c has geometric multiplicity
+    n - rank(x^ - cI), floored at 10x the merge radius, equal to its
+    size.  Cluster separations within 10x of the merge radius make the
+    call ambiguous as well.
     """
     x = np.asarray(x)
     n = x.shape[0]
@@ -174,25 +180,24 @@ def element_type(x: np.ndarray) -> str:
     if opnorm == 0.0:
         return NILPOTENT
     xn = x / opnorm
-    power = np.linalg.matrix_power(xn, n)
-    if _linalg.spectral_norm(power) <= NILPOTENT_TOL:
-        return NILPOTENT
+    nilpotent = _linalg.rank_from_singular_values(
+        [_linalg.spectral_norm(np.linalg.matrix_power(xn, n))],
+        floor=_linalg.RANK_RTOL)
+    if nilpotent.ambiguous or nilpotent.rank == 0:
+        return AMBIGUOUS if nilpotent.ambiguous else NILPOTENT
 
-    eigs = np.linalg.eigvals(x)
-    radius = EIGEN_MERGE_RTOL * opnorm
-    clusters = _cluster_eigenvalues(eigs, radius)
+    clusters = _cluster_eigenvalues(np.linalg.eigvals(xn), EIGEN_MERGE_RTOL)
     centers = [np.mean(c) for c in clusters]
     for i in range(len(centers)):
         for j in range(i + 1, len(centers)):
-            if abs(centers[i] - centers[j]) <= 10.0 * radius:
+            if abs(centers[i] - centers[j]) <= 10.0 * EIGEN_MERGE_RTOL:
                 return AMBIGUOUS
     for center, cluster in zip(centers, clusters):
-        mult = len(cluster)
-        shifted = x - center * np.eye(n, dtype=x.dtype)
-        s = _linalg.svd(shifted, vectors=False)
-        geometric = int((s <= 10.0 * radius).sum())
-        if geometric != mult:
-            return MIXED
+        geometric = _linalg.rank_from_singular_values(
+            _linalg.svd(xn - center * np.eye(n), vectors=False),
+            floor=10.0 * EIGEN_MERGE_RTOL)
+        if geometric.ambiguous or n - geometric.rank != len(cluster):
+            return AMBIGUOUS if geometric.ambiguous else MIXED
     return SEMISIMPLE
 
 

@@ -142,6 +142,15 @@ def test_reductive_subcommand():
     assert json.loads(result.stdout)["verdict"] == "not_reductive"
 
 
+def test_reductive_on_an_ambiguous_jordan_type_exits_3():
+    # the center element's nilpotent part lies in the rank cutoff's band
+    payload = json.dumps({"algebra": {
+        "field": "real", "size": 2, "matrices": [[[1.0, 1e-5], [0.0, 1.0]]]}})
+    result = run_cli("reductive", "--in", "-", input_text=payload)
+    assert result.returncode == 3
+    assert json.loads(result.stdout)["verdict"] == "inconclusive"
+
+
 def test_experiment_example1_exit_zero_and_keys(tmp_path):
     out = tmp_path / "report.json"
     result = run_cli("experiment", "--scenario", "example1",

@@ -43,6 +43,27 @@ def test_symplectic_dimension_matches_nullity_oracle(v0):
     assert basis.dim == 21
 
 
+def test_symplectic_span_does_not_depend_on_the_form_scale(v0):
+    # invertibility is a rank decision, so a small form is no less
+    # invertible (its determinant at scale 1e-3 is 1e-18)
+    base = ol.lie_algebra_basis(ol.symplectic(form=v0))
+    for scale in (1e-3, 1e-7):
+        basis = ol.lie_algebra_basis(ol.symplectic(form=scale * v0))
+        assert basis.dim == 21
+        assert subspace_distance(basis.matrices, base.matrices) <= 1e-12
+
+
+@pytest.mark.parametrize("form,message", [
+    (np.zeros((6, 6)), "invertible"),
+    (scipy.linalg.block_diag(*[ol.standard_symplectic_form(2, "real")] * 2,
+                             np.zeros((2, 2))), "invertible"),
+    (np.full((2, 2), np.nan), "finite"),
+])
+def test_singular_or_non_finite_symplectic_form_rejected(form, message):
+    with pytest.raises(ConfigurationError, match=message):
+        ol.symplectic(form=form)
+
+
 def test_torus_and_embeddings_dimensions():
     assert ol.lie_algebra_basis(ol.torus(4, "complex")).dim == 4
     inner = ol.special_linear(2, "complex")

@@ -489,6 +489,17 @@ class TestNewtonStep:
         assert verdict.status == NON_CLOSED
         assert verdict.trace.collapsed
 
+    def test_overflowing_trial_step_is_rejected_not_raised(self, alt6, sl6,
+                                                           v0, x_translate):
+        # the sp(6) flow from a translate of v0 proposes a full Newton step
+        # whose action overflows; the line search halves it instead of
+        # warning (pytest turns RuntimeWarnings into errors)
+        stab = ol.stabilizer_subalgebra(alt6, ol.lie_algebra_basis(sl6), v0)
+        verdict = ol.closedness_verdict(alt6, stab, x_translate)
+        assert verdict.status == NON_CLOSED
+        assert (verdict.start_orbit_dim, verdict.limit_orbit_dim) == (8, 0)
+        assert verdict.trace.reason == "moment"
+
 
 def _trial_verdict(kind, scenario_name, seed, index):
     """The closedness verdict of one experiment trial, drawn as the

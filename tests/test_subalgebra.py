@@ -350,6 +350,21 @@ class TestElementType:
         assert element_type(1e6 * x) == NILPOTENT
         assert element_type(1e-6 * np.diag([1.0, -1.0])) == SEMISIMPLE
 
+    # Band edges of the geometric-multiplicity decision of a Jordan block:
+    # the singular value s of x^ - I against the cutoff 10x the merge
+    # radius (1e-5), ambiguous within a factor 10 of it on either side.
+    @pytest.mark.parametrize("s,kind", [
+        (1e-3, MIXED), (3e-5, AMBIGUOUS), (1e-5, AMBIGUOUS),
+        (1e-7, SEMISIMPLE)])
+    def test_jordan_block_band_edges(self, s, kind):
+        assert element_type(np.array([[1.0, s], [0.0, 1.0]])) == kind
+
+    # Band edges of the nilpotency decision: |x^^2| = t against the
+    # cutoff RANK_RTOL; t = 1e-9 sits on it, t = 1e-11 below the band.
+    @pytest.mark.parametrize("t,kind", [(1e-9, AMBIGUOUS), (1e-11, NILPOTENT)])
+    def test_nilpotency_band_edges(self, t, kind):
+        assert element_type(np.array([[0.0, 1.0], [t, 0.0]])) == kind
+
 
 class TestReductivityVerdict:
     def test_zero_algebra_reductive(self):
@@ -362,6 +377,15 @@ class TestReductivityVerdict:
         assert report.verdict == NOT_REDUCTIVE
         kinds = [k for k, _ in report.witnesses]
         assert "non_semisimple_center_element" in kinds
+
+    def test_ambiguous_center_element_is_inconclusive(self):
+        # the real line of a Jordan block whose nilpotent part sits in the
+        # band of the multiplicity decision: no verdict, no witness
+        report = reductivity_verdict(
+            span([[[1.0, 1e-5], [0.0, 1.0]]], field="real"))
+        assert report.verdict == INCONCLUSIVE
+        assert report.center_all_semisimple is None
+        assert report.witnesses == []
 
     def test_torus_line_reductive(self):
         report = reductivity_verdict(span([np.diag([1.0, -1.0, 0.0]) + 0j]))
