@@ -9,9 +9,9 @@ orthonormal basis (de Graaf, *Lie Algebras: Theory and Algorithms*,
 2000).  Every rank decision of it (the derived and center dimensions,
 the decomposition rank, the Killing rank and the Jordan type of each
 center element) degrades to an inconclusive verdict when it lands too
-close to the cutoff.  Example
-witnesses are attached whenever a check definitively fails, that is
-when it fails and no decision it reads was flagged.
+close to the cutoff.  Example witnesses are attached whenever a check
+definitively fails, that is when it fails and no decision it reads was
+flagged.
 
 Everything here is decided at the Lie-algebra level, i.e. for the
 identity component of the corresponding group.
@@ -164,9 +164,9 @@ def _cluster_eigenvalues(eigs: np.ndarray, radius: float):
 def element_type(x: np.ndarray) -> str:
     """Classify a matrix as semisimple, nilpotent, mixed or ambiguous.
 
-    Each call is a rank decision of the package's one cutoff,
+    Every decision is a rank decision of the package's one cutoff,
     :func:`_linalg.rank_from_singular_values`, on x^ = x / |x|_2, and a
-    flagged decision makes the call ambiguous.  x is nilpotent when
+    flagged one makes the call ambiguous.  x is nilpotent when
     x^^n has rank 0, decided on its largest singular value alone with
     the cutoff floored at ``RANK_RTOL``.  Otherwise x is semisimple when
     every eigenvalue cluster c has geometric multiplicity
