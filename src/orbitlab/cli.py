@@ -159,9 +159,11 @@ def stabilizer(input_path, out, rank_tol):
     """
     rep, vector, group = _load(input_path, _problem)
     algebra = lie_algebra_basis(group)
-    stab = reps.stabilizer_subalgebra(rep, algebra, vector, rank_tol)
-    _emit({"dimension": stab.dim, "basis": stab.to_json()}, out)
-    sys.exit(EXIT_OK)
+    decision = reps.orbit_dimension_info(rep, algebra, vector, rank_tol)
+    stab = reps._stabilizer_subalgebra(algebra, decision)
+    _emit({"dimension": stab.dim, "rank_ambiguous": decision.ambiguous,
+           "basis": stab.to_json()}, out)
+    sys.exit(EXIT_INCONCLUSIVE if decision.ambiguous else EXIT_OK)
 
 
 @main.command()

@@ -44,10 +44,11 @@ X = U diag(d) U* (``_linalg.hermitian_expm1``).  ``moment_vector`` and
 ``matrix_exp`` are looked up on this module at every step, so a tracer
 that wraps them sees each call.
 
-``norm_flow`` validates its vector once on entry; the line search runs
-on the unchecked cores of the action and the inner product.  The flow's
-stop state is one field, ``FlowTrace.reason``; whether it converged or
-collapsed, and how many steps it took, are read off the trace.
+``norm_flow`` validates its vector once on entry (``reps.norm`` rejects
+a norm that overflows); the line search runs on the unchecked cores of
+the action and the inner product.  The flow's stop state is one field,
+``FlowTrace.reason``; whether it converged or collapsed, and how many
+steps it took, are read off the trace.
 
 Minimality is decided at one bar, ``FlowConfig.moment_tolerance``, where
 the flow stops; ``is_minimal``, the command line's ``minimal`` and the
@@ -55,10 +56,12 @@ example1 pipeline read it.  ``GRAM_TOL`` bars the p-basis, not vectors.
 
 The closedness verdict compares orbit dimensions at the start and at the
 flow limit, each one ``_linalg.matrix_rank`` decision of the orbit map
-between orthonormal bases, whose rank is the same on any of them.  The
-start side is ``reps.orbit_dimension_info`` at v, which also yields the
-stabilizer the verdict carries; the limit side reads the flow's last D,
-``FlowTrace.limit_orbit_map``, at limit / |v|.  A
+between orthonormal bases, whose rank is the same on any of them.  Both
+read the flow's own D on the Cartan basis, so a verdict builds one orbit
+operator: the start side reads the first, ``FlowTrace.start_orbit_map``
+at v / |v|, with the noise floor ``reps.ORBIT_NOISE`` at that unit
+scale, and its kernel is the stabilizer the verdict carries; the limit
+side reads the last, ``FlowTrace.limit_orbit_map``, at limit / |v|.  A
 subtlety: the final iterate is only within about sqrt(residual) of the
 true limit, so singular values of that size at the limit are artifacts
 of finite convergence.  The limit-side decision therefore passes an
@@ -76,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from . import _linalg, reps
+from . import _linalg, groups, reps
 from .errors import InvalidArgumentError
 from .groups import LieAlgebraBasis, lie_algebra_basis
 from .serialize import is_integer, is_real
@@ -146,8 +149,10 @@ class FlowTrace:
     moment_norms: np.ndarray   # relative moment norm at each iterate
     limit_point: object
     reason: str                # "moment", "collapse", "budget", "stalled"
-    # D on algebra.cartan.basis at limit_point / |v| (zero after a
-    # collapse); decides the limit orbit dimension, left out of to_json
+    # D on algebra.cartan.basis at v / |v| and at limit_point / |v| (zero
+    # after a collapse); they decide the start and the limit orbit
+    # dimensions and are left out of to_json
+    start_orbit_map: np.ndarray
     limit_orbit_map: np.ndarray
 
     @property
@@ -223,6 +228,7 @@ def moment_vector(rep: reps.Representation, p_basis: LieAlgebraBasis,
 
 def relative_moment_norm(rep: reps.Representation, p_basis: LieAlgebraBasis,
                          v) -> float:
+    reps.norm(rep, v)  # raises when the norm overflows
     norm2 = reps.inner_product(rep, v, v)
     if norm2 == 0.0:
         return 0.0
@@ -289,20 +295,17 @@ def norm_flow(rep: reps.Representation, group, v,
     # a complex group)
     p_first = onb.dim - p_basis.dim
     v = reps._check_vector(rep, v)
-
-    # overflow is what the check below catches, so it is not warned about
-    with np.errstate(over="ignore"):
-        start_norm = reps.norm(rep, v)
-    if not np.isfinite(start_norm):
-        raise InvalidArgumentError("the vector's norm overflows")
+    start_norm = reps.norm(rep, v)
+    # v is validated once above; the flow runs on the unchecked cores
+    w = v if start_norm == 0.0 else reps._scale(rep, 1.0 / start_norm, v)
+    # one orbit-map matrix per iterate: the moment vector, the tolerance
+    # test and the Newton system all read its p columns
+    start_map = d = reps._differential_matrix(rep, onb, w)
     if start_norm == 0.0 or p_basis.dim == 0:
         # the zero vector and every point of a compact group are minimal
-        w = v if start_norm == 0.0 else reps._scale(rep, 1.0 / start_norm, v)
         return FlowTrace(np.array([start_norm]), np.array([0.0]), v, "moment",
-                         reps._differential_matrix(rep, onb, w))
+                         start_map, start_map)
 
-    # v is validated once above; the loop runs on the unchecked cores
-    w = reps._scale(rep, 1.0 / start_norm, v)
     # the step matrix sum_i c_i X_i is one real product with these rows
     p_rows = _linalg.real_rows(_linalg.stack_flat(p_basis.matrices))
     p_shape = p_basis.matrices.shape[1:]
@@ -312,9 +315,6 @@ def norm_flow(rep: reps.Representation, group, v,
     reason = "budget"
 
     for iteration in range(config.max_iterations + 1):
-        # one orbit-map matrix per iterate: the moment vector, the
-        # tolerance test and the Newton system all read its p columns
-        d = reps._differential_matrix(rep, onb, w)
         coeff = moment_vector(rep, p_basis, w, d[:, p_first:])
         rel = math.sqrt(coeff @ coeff) / norm2
         moment_norms.append(rel)
@@ -347,6 +347,7 @@ def norm_flow(rep: reps.Representation, group, v,
         if norm2 <= COLLAPSE_REL_NORM2:
             reason = "collapse"
             break
+        d = reps._differential_matrix(rep, onb, w)
 
     if reason == "collapse":
         limit = reps.zero_vector(rep)
@@ -354,7 +355,7 @@ def norm_flow(rep: reps.Representation, group, v,
     else:
         limit = reps._scale(rep, start_norm, w)
     return FlowTrace(start_norm * np.array(norms), np.array(moment_norms),
-                     limit, reason, d)
+                     limit, reason, start_map, d)
 
 
 def closedness_verdict(rep: reps.Representation, group, v,
@@ -372,9 +373,11 @@ def closedness_verdict(rep: reps.Representation, group, v,
     decisions.  The start decision's kernel is the stabilizer of v,
     carried on the verdict with that decision's ambiguity flag.
     """
-    algebra = _basis(group)
-    start = reps.orbit_dimension_info(rep, algebra, v, rtol)
-    trace = norm_flow(rep, algebra, v, config)
+    onb = _basis(group).cartan.basis
+    trace = norm_flow(rep, onb, v, config)
+    # D is taken at v / |v|: the floor ORBIT_NOISE |v| at unit scale
+    start = _linalg.matrix_rank(trace.start_orbit_map, rtol,
+                                floor=reps.ORBIT_NOISE)
     # Directions whose singular value is below the position uncertainty
     # of the limit point (about sqrt(residual) * |limit|) are the ones
     # dying in the true limit; they are floored to zero, and only values
@@ -398,5 +401,6 @@ def closedness_verdict(rep: reps.Representation, group, v,
         status = NON_CLOSED
     return ClosednessVerdict(status, start.rank, limit.rank, start_norm,
                              limit_norm, trace,
-                             reps._stabilizer_subalgebra(algebra, start),
+                             groups.from_orthonormal_coordinates(
+                                 onb, start.kernel.T),
                              start.ambiguous)

@@ -13,7 +13,9 @@ componentwise on a tuple of component vectors.
 Each public operation validates its arguments and then calls an
 unchecked core of the same name with a leading underscore (``act`` and
 ``_act``).  Package code that has validated a vector once, such as the
-norm flow, calls the cores directly.
+norm flow, calls the cores directly.  The one check left in a core is
+the fit of an algebra basis to the representation's group, made once per
+(representation, basis) when the orbit-map operator is built.
 
 Coordinates are isometric: a vector's coordinates in an orthonormal
 basis of its space, read off the flattened vector at indices computed
@@ -27,10 +29,12 @@ orbit dimension, is linear in v as well.  Its matrix D is the
 algebra basis is orthonormal: column i holds the coordinates of X_i . v.
 D is one product of the coordinates of v with an operator built once per
 (representation, basis) from the images of the basis vectors of the
-space and kept on the basis.  Every rank decision reads D on
+space and kept on the basis.  ``orbit_dimension_info`` reads D on
 ``algebra.orthonormal``, the Cartan basis of a theta-stable algebra, so
-the kernel of a decision is an orthonormal basis of the stabilizer, and
-the norm flow reads the same operator.
+the kernel of a decision is an orthonormal basis of the stabilizer.  The
+norm flow reads D on the Cartan basis too, and the closedness verdict
+decides its start orbit dimension and stabilizer on the flow's first D
+instead of calling ``orbit_dimension_info``.
 
 Dimensions over the complex field are complex dimensions throughout;
 report layers multiply by two where a real count is wanted.
@@ -277,7 +281,13 @@ def _inner_product(rep: Representation, v, w) -> float:
 
 
 def norm(rep: Representation, v) -> float:
-    return float(np.sqrt(max(inner_product(rep, v, v), 0.0)))
+    """sqrt(inner_product(v, v)); a norm that overflows is an error."""
+    # overflow is what the check below catches, so it is not warned about
+    with np.errstate(over="ignore"):
+        out = float(np.sqrt(max(inner_product(rep, v, v), 0.0)))
+    if not math.isfinite(out):
+        raise InvalidArgumentError("the vector's norm overflows")
+    return out
 
 
 def scale(rep: Representation, c, v):
@@ -325,17 +335,17 @@ def vector_from_json(rep: Representation, data):
     return point(rep, matrix_from_json(data, rep.group.field == COMPLEX))
 
 
-def _coordinates(rep: Representation, v, stack: int | None = None) -> np.ndarray:
+def _coordinates(rep: Representation, v) -> np.ndarray:
     """Coordinates of v in an orthonormal basis of the space: ``rep.dim``
     of them, whose real dot product with the conjugated coordinates of w
-    is ``inner_product(rep, v, w)``.  ``stack`` reads a stack of that many
-    vectors into rows."""
+    is ``inner_product(rep, v, w)``.  They are read off the trailing
+    ``rep.shape`` axes, so a stack of vectors gives a stack of rows."""
     if rep.kind == DIRECT_SUM:
-        return np.concatenate([_coordinates(c, vc, stack)
+        return np.concatenate([_coordinates(c, vc)
                                for c, vc in zip(rep.components, v)], axis=-1)
     index, weight = rep.coordinate_map
-    flat = v.ravel() if stack is None else v.reshape(stack, -1)
-    return flat[..., index] * weight
+    lead = v.shape[:v.ndim - len(rep.shape)]
+    return v.reshape(lead + (math.prod(rep.shape),))[..., index] * weight
 
 
 def _basis_vectors(rep: Representation):
@@ -361,17 +371,22 @@ def _build_orbit_operator(rep: Representation,
     a (k, N, N) stack with N = rep.dim, read as the (k N) x N operator
     whose row block i is the matrix of v -> X_i . v; column j holds the
     images of basis vector j."""
-    columns = [_coordinates(rep, _differential_act(rep, algebra.matrices, unit),
-                            algebra.dim)
+    columns = [_coordinates(rep, _differential_act(rep, algebra.matrices, unit))
                for unit in _basis_vectors(rep)]
     return np.stack(columns, axis=-1)
 
 
 def _orbit_operator(rep: Representation, algebra: LieAlgebraBasis) -> np.ndarray:
     """The orbit-map operator, built once per (representation, basis) and
-    kept on the basis."""
+    kept on the basis; the basis is checked against the representation's
+    group when its operator is built."""
     operator = algebra.orbit_operators.get(rep)
     if operator is None:
+        n = rep.group.size
+        field = rep.group.field
+        if algebra.ambient_size != n or algebra.field != field:
+            raise InvalidArgumentError(
+                f"algebra elements must be {n}x{n} over the {field} field")
         operator = _build_orbit_operator(rep, algebra)
         algebra.orbit_operators[rep] = operator
     return operator
@@ -381,14 +396,6 @@ def _differential_matrix(rep: Representation, algebra: LieAlgebraBasis, v) -> np
     """The ``rep.dim`` x k matrix D whose column i holds the coordinates of
     X_i . v over the algebra basis: one product of the basis's cached
     orbit-map operator with the coordinates of v."""
-    v = _check_vector(rep, v)
-    n = rep.group.size
-    field = rep.group.field
-    if algebra.ambient_size != n or algebra.field != field:
-        raise InvalidArgumentError(
-            f"algebra elements must be {n}x{n} over the {field} field")
-    if algebra.dim == 0:
-        return np.zeros((rep.dim, 0), dtype=rep.group.dtype)
     # one N x N product per block: numpy and scipy each load their own
     # OpenBLAS, and a single (k N) x N product of a large algebra crosses
     # the threading threshold of numpy's, whose spinning threads then

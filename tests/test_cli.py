@@ -323,6 +323,29 @@ def test_rank_tol_does_not_leak_into_the_process(problem_file):
     assert _linalg.RANK_RTOL == 1e-9
 
 
+# With rtol >= 0.1 the largest singular value falls inside the ambiguity
+# band: the stabilizer carries the orbit-dimension decision's flag and
+# exit code, as orbit-dim does, instead of printing a guessed dimension.
+def test_stabilizer_reports_an_ambiguous_decision():
+    rep = ol.sym2(ol.special_linear(2, "complex"))
+    v = np.array([[1.0, 0.3], [0.3, 2.0]], dtype=complex)
+    payload = json.dumps({"representation": rep.to_json(),
+                          "vector": ol.reps.vector_to_json(rep, v)})
+    outputs = {}
+    for command in ("orbit-dim", "stabilizer"):
+        for rank_tol in ("0.5", "1e-9"):
+            result = CliRunner().invoke(main, [command, "--rank-tol", rank_tol],
+                                        input=payload)
+            outputs[command, rank_tol] = (result.exit_code,
+                                          json.loads(result.stdout))
+    for rank_tol, code, flag in (("0.5", 3, True), ("1e-9", 0, False)):
+        orbit_code, orbit = outputs["orbit-dim", rank_tol]
+        stab_code, stab = outputs["stabilizer", rank_tol]
+        assert orbit_code == stab_code == code
+        assert orbit["rank_ambiguous"] is stab["rank_ambiguous"] is flag
+    assert outputs["stabilizer", "1e-9"][1]["dimension"] == 1
+
+
 # A loose cutoff puts the stabilizer dimension inside the ambiguity band;
 # the stabilizer is then inconclusive instead of being analysed as if it
 # were a bracket-closed basis (a configuration error before).
@@ -394,6 +417,7 @@ def _problem(group, vector, **extra):
     (["minimal", "--tolerance", "nan"], _problem(_SL2, _pairs([1.0, 0.0]))),
     (["minimal", "--tolerance", "-1"], _problem(_SL2, _pairs([1.0, 0.0]))),
     (["closedness"], _problem(_SL2, _pairs([1e308, 1e308]))),
+    (["minimal"], _problem(_SL2, _pairs([1e308, 1e308]))),
     (["stabilizer"], _problem(_SL2, _pairs([1.0, 0.0]), subgroup={
         "family": "torus", "size": 2, "field": "real"})),
     (["orbit-dim"], _problem(_SL2, _pairs([1.0, 0.0]), subgroup={
@@ -403,6 +427,7 @@ def _problem(group, vector, **extra):
         "subgroup-a-list", "boolean-size", "fractional-size", "string-size",
         "fractional-offset", "float-copies", "complex-vector-without-pairs",
         "nan-tolerance", "negative-tolerance", "norm-overflow",
+        "minimal-norm-overflow",
         "real-subgroup-stabilizer", "real-subgroup-orbit-dim"])
 def test_malformed_input_exits_2(args, payload):
     result = CliRunner().invoke(main, [*args, "--in", "-"],

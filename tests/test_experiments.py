@@ -15,6 +15,8 @@ from orbitlab.experiments import (ExperimentConfig, _summarize_flow,
                                   scenario_catalog, trial_seed)
 from orbitlab.kempfness import CLOSED
 
+from helpers import subspace_distance
+
 
 class TestCatalog:
     def test_contains_all_builtin_scenarios(self):
@@ -291,12 +293,29 @@ class TestStabilizerDecision:
             assert record["start_orbit_dim"] + record["stabilizer_dim"] == dim
 
     def test_verdict_carries_the_stabilizer_of_its_start_point(
-            self, alt6, sl2_block, x_translate):
-        verdict = ol.closedness_verdict(alt6, sl2_block, x_translate)
-        stab = ol.stabilizer_subalgebra(alt6, ol.lie_algebra_basis(sl2_block),
-                                        x_translate)
-        assert (verdict.stabilizer.dim, verdict.start_ambiguous) == (1, False)
-        assert np.array_equal(verdict.stabilizer.matrices, stab.matrices)
+            self, alt6, sl6, sl2_block, x_translate):
+        # the verdict reads the kernel off the flow's first D, at v / |v|,
+        # so its basis may differ from the public decision's at v by a
+        # phase: the dimension, the flag and the span agree
+        sl2 = ol.special_linear(2, "complex")
+        sl2_real = ol.special_linear(2, "real")
+        eye = np.eye(2, dtype=complex)
+        cases = [
+            (alt6, sl2_block, x_translate, 1),
+            (alt6, sl6, x_translate, 21),
+            (ol.direct_sum(ol.sym2(sl2), ol.sym2(sl2)), sl2, (eye, 2.0 * eye),
+             1),
+            (ol.sym2(sl2_real), sl2_real, np.array([[1.0, 0.3], [0.3, 2.0]]),
+             1)]
+        for rep, group, v, dim in cases:
+            verdict = ol.closedness_verdict(rep, group, v)
+            algebra = ol.lie_algebra_basis(group)
+            decision = ol.orbit_dimension_info(rep, algebra, v)
+            stab = ol.stabilizer_subalgebra(rep, algebra, v)
+            assert ((verdict.stabilizer.dim, verdict.start_ambiguous)
+                    == (stab.dim, decision.ambiguous) == (dim, False))
+            assert subspace_distance(verdict.stabilizer.matrices,
+                                     stab.matrices) <= 1e-12
 
     @pytest.mark.parametrize("kind,scenario", [
         ("theorem1", "example1"), ("theorem1", "sl4-block"),

@@ -386,6 +386,25 @@ class TestClosednessVerdict:
         assert self._operator_builds(monkeypatch, "real-complex-agreement",
                                      "sl2-real-complex") == 2
 
+    def test_verdict_under_a_basis_built_orthonormal_builds_one_operator(
+            self, monkeypatch, alt6, sl6, v0, x_translate):
+        # sp(6) at the form is its own ``orthonormal`` but not its Cartan
+        # basis; the start decision reads the flow's first D, so both
+        # decisions and the Newton steps share the Cartan basis's operator
+        sp6 = ol.stabilizer_subalgebra(alt6, ol.lie_algebra_basis(sl6), v0)
+        built = []
+        original = ol.reps._build_orbit_operator
+
+        def counting(rep, algebra):
+            built.append(algebra)
+            return original(rep, algebra)
+
+        monkeypatch.setattr(ol.reps, "_build_orbit_operator", counting)
+        verdict = ol.closedness_verdict(alt6, sp6, x_translate)
+        assert ((verdict.status, verdict.start_orbit_dim,
+                 verdict.limit_orbit_dim) == (NON_CLOSED, 8, 0))
+        assert len(built) == 1 and built[0] is sp6.cartan.basis
+
     def test_closed_implies_stabilizer_not_nonreductive(self, alt6, sl6,
                                                         x_translate):
         verdict = ol.closedness_verdict(alt6, sl6, x_translate)
