@@ -1,8 +1,8 @@
 """Watch the norm-minimizing flow distinguish three kinds of orbits.
 
-The flow moves a vector inside its orbit by damped Newton steps along
-the Hermitian part of the Lie algebra, always downhill in norm.  Where it
-ends up tells the story:
+The flow moves a vector inside its orbit by Newton steps along the
+Hermitian part of the Lie algebra, each to the lowest norm on its ray.
+Where it ends up tells the story:
 
   * closed orbit      - the flow stops at a minimal vector of the same
                         dimension as the start;

@@ -31,10 +31,10 @@ without numpy's per-call overhead.  It checks ``info`` and raises
 failed convergence never reads as a silent rank; an empty matrix never
 reaches LAPACK.
 
-The exponential of a Hermitian matrix, the norm flow's step, is one
-direct LAPACK call as well: :func:`hermitian_expm1` gives exp(h) - I as
-U diag(expm1(d)) U* from ``?heevd``, so a small step keeps its full
-relative precision.
+The eigendecomposition of a Hermitian matrix, the norm flow's step, is
+one direct LAPACK call as well (:func:`eigh`, ``?heevd``), and
+:func:`hermitian_expm1` gives exp(h) - I from it as U diag(expm1(d)) U*,
+so a small step keeps its full relative precision.
 """
 
 from __future__ import annotations
@@ -112,14 +112,13 @@ def svd(a: np.ndarray, vectors: bool = True, full_matrices: bool = False):
     return np.ascontiguousarray(u), s, np.ascontiguousarray(vh)
 
 
-def hermitian_expm1(h: np.ndarray) -> np.ndarray:
-    """exp(h) - I of a Hermitian (real symmetric) matrix ``h``, as
-    U diag(expm1(d)) U* from one eigendecomposition h = U diag(d) U*.
+def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues d (ascending) and eigenvectors U of a Hermitian (real
+    symmetric) matrix ``h`` = U diag(d) U*.
 
-    The decomposition is one direct call of LAPACK's ``?heevd``
-    (``?syevd``), which reads the upper triangle of ``h`` only.  It
-    checks ``info`` and raises ``numpy.linalg.LinAlgError`` on a nonzero
-    value.
+    One direct call of LAPACK's ``?heevd`` (``?syevd``), which reads the
+    upper triangle of ``h`` only.  It checks ``info`` and raises
+    ``numpy.linalg.LinAlgError`` on a nonzero value.
     """
     h = np.asarray(h)
     evd = lapack.zheevd if np.iscomplexobj(h) else lapack.dsyevd
@@ -127,6 +126,13 @@ def hermitian_expm1(h: np.ndarray) -> np.ndarray:
     if info:
         raise np.linalg.LinAlgError(
             f"eigendecomposition failed ({evd.__name__} info {info})")
+    return d, u
+
+
+def hermitian_expm1(h: np.ndarray) -> np.ndarray:
+    """exp(h) - I of a Hermitian (real symmetric) matrix ``h``, as
+    U diag(expm1(d)) U* from one eigendecomposition (:func:`eigh`)."""
+    d, u = eigh(h)
     return (u * np.expm1(d)) @ u.conj().T
 
 
@@ -137,7 +143,10 @@ def spectral_norm(a: np.ndarray) -> float:
 
 def vector_norm(x: np.ndarray) -> float:
     """Euclidean norm of a flat vector by BLAS ``?nrm2``, which scales as
-    it sums, so a finite norm never overflows on the way."""
+    it sums, so a finite norm never overflows on the way; an empty vector,
+    whose norm is 0, never reaches BLAS."""
+    if x.size == 0:
+        return 0.0
     return float((blas.dznrm2 if np.iscomplexobj(x) else blas.dnrm2)(x))
 
 

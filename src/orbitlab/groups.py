@@ -325,7 +325,7 @@ def _sl_matrices(n: int, dtype) -> np.ndarray:
         d[i, i] = 1.0
         d[i + 1, i + 1] = -1.0
         mats.append(d)
-    return np.array(mats)
+    return np.array(mats) if mats else np.zeros((0, n, n), dtype=dtype)
 
 
 def _so_matrices(n: int, dtype) -> np.ndarray:

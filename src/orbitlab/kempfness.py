@@ -4,7 +4,7 @@ The norm functional g -> |g . v|^2 on a reductive matrix group attains
 its infimum exactly when the orbit is closed, and its critical points
 are the minimal vectors: points where <X . v, v> = 0 for every Hermitian
 algebra direction X.  The flow implemented here descends the norm along
-the Hermitian part p of the algebra by damped, regularized Newton steps
+the Hermitian part p of the algebra by regularized Newton steps
 on the Kempf-Ness function X -> |exp(X) . v|^2 / 2.  Its gradient at v
 is the moment vector mu(v).  For X in p the operator v -> X . v is
 Hermitian, so the Hessian in p-basis coordinates is H = 2 Re(D_p* D_p).
@@ -18,17 +18,36 @@ for a complex group.  One step is
     lam = NEWTON_REGULARIZATION min(1, rel) tr(H) / k,
     v_{k+1} = act(exp(-t sum_i c_i X_i), v_k),
 
-with t = 1, 1/2, 1/4, ... until the Armijo condition holds, where rel
-is the relative moment norm |mu(v_k)| / |v_k|^2.  lam keeps the step
+with t the exact minimizer of the norm along the ray, where rel is the
+relative moment norm |mu(v_k)| / |v_k|^2.  lam keeps the step
 bounded where H is singular: along the stabilizer directions of a
 minimal vector, and as a whole when the iterate nears a smaller orbit
 in the closure.  It shrinks with rel (regularized Newton methods for
 singular solutions, Li, Fukushima, Qi and Yamashita, Comput. Optim.
 Appl. 28, 2004), so the tail converges faster than the rate
 NEWTON_REGULARIZATION that a fixed share of tr(H) / k would set.  The
-function is geodesically convex, so the damped steps still descend to
-the closed orbit in the closure, and every iterate stays exactly on the
-starting orbit.
+function is geodesically convex (Kempf and Ness, LNM 732, 1979), so the
+steps descend to the closed orbit in the closure, and every iterate
+stays exactly on the starting orbit.
+
+Convexity along each one-parameter subgroup also makes the ray exactly
+solvable, as in geodesically convex scaling (Burgisser et al.,
+arXiv:1910.12375).  The step matrix X = sum_i c_i X_i is Hermitian,
+because the p-basis is (checked once per basis, with its
+orthonormality), so one eigendecomposition X = U diag(d) U* per
+diagonal block the representation reads (``_linalg.eigh``) diagonalizes
+its action: with coefficients W = U* . w, f(t) = |exp(-tX) . w|^2 is
+sum_m |W_m|^2 exp(-2 t s_m), s_m the weight of entry m
+(``reps._weights``).  ``_ray_length`` minimizes f exactly: it goes
+straight to the collapse bar when every weight on the support is
+positive, and otherwise solves f' = 0 by a safeguarded Newton iteration
+from t = 1 whose exponents are shifted so that none overflows.  A trial
+point is evaluated in expm1 form, w + U (expm1(-t s) o W) U^t, and its
+decrease as -2 Re <w, change> - |change|^2, so a small step keeps its
+relative precision; the point is accepted when that decrease reaches
+SUFFICIENT_DECREASE times the one the ray predicts, else t halves.
+Exact minimization makes the unit Newton step the start of the search,
+not its end: an example1 flow takes one step.
 
 Each step costs a few calls that each do real work, around one matrix.
 D is one product of the iterate's coordinates with the orbit-map
@@ -37,16 +56,15 @@ operator that the Cartan basis keeps per representation
 mu_i = <X_i . w, w> = Re(D_p^t conj(coords w))_i (Kempf-Ness),
 and so is H + lam I, symmetric positive definite whenever mu != 0 and
 solved by one Cholesky factorization (LAPACK ``dposv``, whose ``info``
-is checked).  The step matrix X = sum_i c_i X_i is Hermitian, because the
-p-basis is (checked once per basis, with its orthonormality), so
-exp(-t X) is I + U diag(expm1(-t d)) U* from one eigendecomposition
-X = U diag(d) U* (``_linalg.hermitian_expm1``).  ``moment_vector`` and
-``matrix_exp`` are looked up on this module at every step, so a tracer
-that wraps them sees each call.
+is checked).  The ray then costs one eigendecomposition per block, two
+small products for W and one per trial point.  ``moment_vector`` and
+``matrix_exp`` (which gives every trial point its expm1(-t s)) are
+looked up on this module at every step, so a tracer that wraps them
+sees each call.
 
 ``norm_flow`` validates its vector once on entry (``reps.norm`` rejects
-a norm that overflows); the line search runs on the unchecked cores of
-the action and the inner product.  The flow's stop state is one field,
+a norm that overflows); the line search runs on the unchecked core of
+the action.  The flow's stop state is one field,
 ``FlowTrace.reason``; whether it converged or collapsed, and how many
 steps it took, are read off the trace.
 
@@ -55,8 +73,10 @@ the flow stops; ``is_minimal``, the command line's ``minimal`` and the
 example1 pipeline read it.  ``GRAM_TOL`` bars the p-basis, not vectors.
 
 The closedness verdict compares orbit dimensions at the start and at the
-flow limit, each one ``_linalg.matrix_rank`` decision of the orbit map
-between orthonormal bases, whose rank is the same on any of them.  Both
+flow limit, each one rank decision of the orbit map between orthonormal
+bases, whose rank is the same on any of them: ``_linalg.matrix_rank`` at
+the start, whose kernel is kept, and the singular values alone at the
+limit, where only the rank and its flag are read.  Both
 read the flow's own D on the Cartan basis, so a verdict builds one orbit
 operator: the start side reads the first, ``FlowTrace.start_orbit_map``
 at v / |v|, with the noise floor ``reps.ORBIT_NOISE`` at that unit
@@ -103,15 +123,28 @@ LIMIT_RANK_FLOOR = 10.0
 # pass the moment test and fake a closed verdict.
 COLLAPSE_REL_NORM2 = 1e-12
 
-# Armijo sufficient-decrease coefficient for the line search.
+# The line search minimizes the norm along each Newton ray exactly; a
+# trial point is accepted when its decrease is at least this share of
+# the decrease its one-dimensional model predicts.
 SUFFICIENT_DECREASE = 1e-4
 
-# Newton line search: the step length starts at the full Newton step,
-# halves on every rejection, and the flow stalls once it drops below
+# The one-dimensional search starts at the full Newton step; a rejected
+# trial point halves the step, and the flow stalls once it drops below
 # MIN_STEP.
 INITIAL_STEP = 1.0
 STEP_SHRINK = 0.5
 MIN_STEP = 1e-14
+
+# A weight of the step within this share of the largest weight counts as
+# zero: the step's eigenvalues carry rounding of about eps |X|.
+ZERO_WEIGHT = 1e-12
+
+# The search takes its last Newton step from |log(descending / ascending
+# slope)| <= RAY_TOL, which leaves a relative slope of order RAY_TOL^2;
+# the iteration converges quadratically, so RAY_ITERATIONS is a backstop.
+RAY_TOL = 1e-6
+RAY_ITERATIONS = 100
+_SIGNS = np.array([[1.0], [-1.0]])
 
 # Regularization of the Newton system relative to the mean Hessian
 # eigenvalue tr(H) / k, times min(1, relative moment norm); bounds the
@@ -271,12 +304,98 @@ def _newton_direction(d: np.ndarray, coeff: np.ndarray,
     return direction
 
 
-def matrix_exp(x: np.ndarray) -> np.ndarray:
-    """exp(x) of a Hermitian matrix x, the flow's step: I plus
-    :func:`_linalg.hermitian_expm1`, from one eigendecomposition."""
-    out = _linalg.hermitian_expm1(x)
+def matrix_exp(x: np.ndarray, t: float = 1.0) -> np.ndarray:
+    """exp(t x) of a Hermitian matrix x: I plus
+    :func:`_linalg.hermitian_expm1`, from one eigendecomposition.
+
+    A real 1-D ``x`` is a Hermitian operator already on its eigenbasis,
+    given by its eigenvalues; the result is then its change
+    exp(t x) - 1 per eigenvalue, expm1(t x), which keeps a small step's
+    full relative precision.  The norm flow passes the weights of its step
+    on the eigen-coefficients of its iterate, once per trial point.
+    """
+    if x.ndim == 1:
+        return np.expm1(t * x)
+    out = _linalg.hermitian_expm1(t * x)
     out.flat[::len(out) + 1] += 1.0
     return out
+
+
+def _eigen_step(rep: reps.Representation,
+                x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The weights and the eigenvectors U of the step X = U diag(d) U*.
+
+    One eigendecomposition per diagonal block the representation reads
+    (``rep.blocks``), so U is block diagonal like X; the weights are those
+    of diag(d) on the entries of a vector (``reps._weights``), and
+    exp(-tX) . w = U (exp(-t weights) o (U* . w)) U^t entrywise.
+    """
+    if len(rep.blocks) == 1:
+        d, u = _linalg.eigh(x)
+    else:
+        d = np.empty(len(x))
+        u = np.zeros_like(x)
+        for block in rep.blocks:
+            d[block], u[block, block] = _linalg.eigh(x[block, block])
+    return reps._weights(rep, d), u
+
+
+def _ray_length(a: np.ndarray, s: np.ndarray) -> float:
+    """The t > 0 minimizing f(t) = sum_m a_m exp(-2 t s_m), the squared
+    norm along the Newton ray, with a_m >= 0 the squared moduli of the
+    iterate's eigen-coefficients and s_m their weights, 0 where a_m is.
+
+    f is convex.  When no weight on the support is negative, f falls to
+    its infimum at t = infinity, the mass of the zero weights (those
+    within ZERO_WEIGHT of the largest), and the step goes to where the
+    positive weights' mass, at most (sum_{s>0} a) exp(-2 t min_{s>0} s),
+    is below the rounding of that infimum, or below half the collapse
+    bar when the infimum is too.  Otherwise the minimizer is the root of
+    phi(t) = log P(t) - log N(t), with P and N the descending and
+    ascending halves of -f'(t) / 2.  phi falls with slope -2 times the
+    sum of a P-weighted mean of s and an N-weighted mean of |s|, so it is
+    nearly linear, and the safeguarded Newton iteration from t = 1 stops
+    after a step from |phi| <= RAY_TOL, whose error is of order phi^2.
+    The exponents are shifted by the smallest weight, so no term
+    overflows.
+    """
+    low = s.min()
+    if low >= 0.0:
+        positive = s > ZERO_WEIGHT * s.max()
+        if not positive.any():
+            return INITIAL_STEP
+        infimum = a[~positive].sum()
+        target = (0.5 * COLLAPSE_REL_NORM2 if infimum < 0.5 * COLLAPSE_REL_NORM2
+                  else np.finfo(float).eps * infimum)
+        return max(INITIAL_STEP, math.log(a[positive].sum() / target)
+                   / (2.0 * s[positive].min()))
+    # rows a s+, a s-, a s+^2, a s-^2 against e = exp(2 t (low - s)) <= 1
+    # give P, N and their slopes in one product per iteration
+    halves = np.maximum(s * _SIGNS, 0.0)
+    moments = np.empty((4, len(s)))
+    np.multiply(a, halves, out=moments[:2])
+    np.multiply(moments[:2], halves, out=moments[2:])
+    shifted = low - s
+    lo, hi = 0.0, math.inf
+    t = INITIAL_STEP
+    for _ in range(RAY_ITERATIONS):
+        p, n, dp, dn = (moments @ np.exp((2.0 * t) * shifted)).tolist()
+        if p == 0.0:
+            # the descending half underflowed: far past the minimizer
+            hi = t
+            t = 0.5 * (lo + hi)
+            continue
+        phi = math.log(p) - math.log(n)
+        newton = t + phi / (2.0 * (dp / p + dn / n))
+        if abs(phi) <= RAY_TOL:
+            return newton
+        if phi > 0.0:
+            lo = t
+        else:
+            hi = t
+        # from phi > 0 Newton moves right, so hi is finite when it leaves
+        t = newton if lo < newton < hi else 0.5 * (lo + hi)
+    return t
 
 
 def norm_flow(rep: reps.Representation, group, v,
@@ -309,7 +428,8 @@ def norm_flow(rep: reps.Representation, group, v,
     # the step matrix sum_i c_i X_i is one real product with these rows
     p_rows = _linalg.real_rows(_linalg.stack_flat(p_basis.matrices))
     p_shape = p_basis.matrices.shape[1:]
-    norm2 = reps._inner_product(rep, w, w)
+    flat = reps._flat(rep, w)
+    norm2 = float(np.vdot(flat, flat).real)
     norms = [np.sqrt(norm2)]
     moment_norms = []
     reason = "budget"
@@ -325,24 +445,32 @@ def norm_flow(rep: reps.Representation, group, v,
             break
         direction = _newton_direction(d[:, p_first:], coeff, rel)
         x = (direction @ p_rows).view(p_basis.matrices.dtype).reshape(p_shape)
-        # Armijo bar: the slope of |exp(-tX) . w|^2 at t = 0 is -2 mu . c
-        decrease = 2.0 * SUFFICIENT_DECREASE * float(coeff @ direction)
-        step = INITIAL_STEP
+        weights, u = _eigen_step(rep, x)
+        coeffs = reps._flat(rep, reps._act(rep, u.conj().T, w))
+        a = coeffs.real ** 2 + coeffs.imag ** 2
+        # a weight off the support moves nothing; zeroed, it never overflows
+        weights = np.where(a > 0.0, weights, 0.0)
+        step = _ray_length(a, weights)
         while step >= MIN_STEP:
-            g = matrix_exp(-step * x)
-            # a huge trial step may overflow: the Armijo test below
-            # rejects an inf or NaN cand2 and halves the step
-            with np.errstate(over="ignore", invalid="ignore"):
-                candidate = reps._act(rep, g, w)
-                cand2 = reps._inner_product(rep, candidate, candidate)
-            if cand2 <= norm2 - step * decrease:
+            # the trial point in expm1 form, w + U (expm1(-t s) o coeffs) U^t,
+            # and its decrease -2 Re <w, change> - |change|^2, both exact to
+            # rounding however small the change
+            change = reps._flat(rep, reps._act(rep, u, reps._unflat(
+                rep, matrix_exp(weights, -step) * coeffs)))
+            decrease = -(2.0 * np.vdot(flat, change).real
+                         + np.vdot(change, change).real)
+            predicted = -float(a @ np.expm1(-2.0 * step * weights))
+            if decrease > 0.0 and decrease >= SUFFICIENT_DECREASE * predicted:
                 break
             step *= STEP_SHRINK
         else:
             reason = "stalled"
             break
-        w = candidate
-        norm2 = cand2
+        flat = flat + change
+        w = reps._unflat(rep, flat)
+        # the exact decrease accepted the point; its own squared norm is
+        # recorded, and a rise of a rounding error is not
+        norm2 = min(norm2, float(np.vdot(flat, flat).real))
         norms.append(np.sqrt(norm2))
         if norm2 <= COLLAPSE_REL_NORM2:
             reason = "collapse"
@@ -387,8 +515,10 @@ def closedness_verdict(rep: reps.Representation, group, v,
     limit_norm = reps.norm(rep, trace.limit_point)
     floor = (LIMIT_RANK_FLOOR * np.sqrt(max(trace.moment_norms[-1], 1e-15))
              * (limit_norm / start_norm if start_norm else 0.0))
-    limit = _linalg.matrix_rank(trace.limit_orbit_map, rtol, floor=floor,
-                                one_sided=True)
+    # only the rank and its flag are read: singular values alone
+    limit = _linalg.rank_from_singular_values(
+        _linalg.svd(trace.limit_orbit_map, vectors=False), rtol, floor=floor,
+        one_sided=True)
 
     if trace.collapsed:
         status = NON_CLOSED

@@ -36,6 +36,11 @@ norm flow reads D on the Cartan basis too, and the closedness verdict
 decides its start orbit dimension and stabilizer on the flow's first D
 instead of calling ``orbit_dimension_info``.
 
+A vector's entries also read flat (``_flat``, components concatenated),
+and a diagonal algebra element diag(d) scales each entry by the
+exponential of its weight (``_weights``); the norm flow's line search
+reads its iterate that way on the eigenbasis of its step.
+
 Dimensions over the complex field are complex dimensions throughout;
 report layers multiply by two where a real count is wanted.
 """
@@ -83,6 +88,9 @@ class Representation:
     ``left`` and ``right`` diagonal blocks of g (``right`` is None for
     column vectors), and the symmetry ``sign`` of the projection applied
     after each action (+1 symmetric, -1 antisymmetric, 0 none).
+    ``blocks`` partitions the rows of g into the diagonal blocks the
+    action reads, for a direct sum the finest any component reads: an
+    algebra element X acts through X[b, b] for b in ``blocks`` only.
     """
 
     kind: str
@@ -92,20 +100,23 @@ class Representation:
     left: slice | None = field(init=False, repr=False)
     right: slice | None = field(init=False, repr=False)
     sign: int = field(init=False, repr=False)
+    blocks: tuple[slice, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.group.size
         whole = slice(None)
         if self.kind == DEFINING:
-            layout = ((n,), whole, None, 0)
+            layout = ((n,), whole, None, 0, (whole,))
         elif self.kind in (SYM2, ALT_BILINEAR):
-            layout = ((n, n), whole, whole, 1 if self.kind == SYM2 else -1)
+            layout = ((n, n), whole, whole, 1 if self.kind == SYM2 else -1,
+                      (whole,))
         elif self.kind == EXTERNAL_TENSOR:
             if self.group.family != PRODUCT or len(self.group.members) != 2:
                 raise ConfigurationError(
                     "external tensor needs a two-factor product group")
             a, b = (m.size for m in self.group.members)
-            layout = ((a, b), slice(0, a), slice(a, n), 0)
+            layout = ((a, b), slice(0, a), slice(a, n), 0,
+                      (slice(0, a), slice(a, n)))
         elif self.kind == DIRECT_SUM:
             if not self.components:
                 raise ConfigurationError("direct sum needs components")
@@ -113,10 +124,14 @@ class Representation:
                 if c.group.cache_key() != self.group.cache_key():
                     raise ConfigurationError(
                         "direct sum components must share the group")
-            layout = (None, None, None, 0)
+            # the components share the group, so an external tensor's two
+            # factor blocks refine every other component's whole
+            layout = (None, None, None, 0,
+                      max((c.blocks for c in self.components), key=len))
         else:
             raise ConfigurationError(f"unknown representation kind {self.kind!r}")
-        for name, value in zip(("shape", "left", "right", "sign"), layout):
+        for name, value in zip(("shape", "left", "right", "sign", "blocks"),
+                               layout):
             object.__setattr__(self, name, value)
 
     @property
@@ -127,6 +142,13 @@ class Representation:
         size = math.prod(self.shape)
         # n(n +- 1)/2 for the symmetry classes
         return (size + self.sign * self.shape[0]) // 2 if self.sign else size
+
+    @functools.cached_property
+    def entries(self) -> int:
+        """Number of entries of a vector, all components together."""
+        if self.kind == DIRECT_SUM:
+            return sum(c.entries for c in self.components)
+        return math.prod(self.shape)
 
     @functools.cached_property
     def coordinate_map(self) -> tuple[np.ndarray, np.ndarray]:
@@ -348,6 +370,38 @@ def _coordinates(rep: Representation, v) -> np.ndarray:
     return v.reshape(lead + (math.prod(rep.shape),))[..., index] * weight
 
 
+def _flat(rep: Representation, v) -> np.ndarray:
+    """All entries of v in one flat array, components in order (a view
+    unless v is a direct-sum tuple)."""
+    if rep.kind == DIRECT_SUM:
+        return np.concatenate([_flat(c, vc) for c, vc in zip(rep.components, v)])
+    return v.reshape(-1)
+
+
+def _unflat(rep: Representation, x: np.ndarray):
+    """The vector whose :func:`_flat` entries are ``x``."""
+    if rep.kind == DIRECT_SUM:
+        out, start = [], 0
+        for c in rep.components:
+            out.append(_unflat(c, x[start:start + c.entries]))
+            start += c.entries
+        return tuple(out)
+    return x.reshape(rep.shape)
+
+
+def _weights(rep: Representation, d: np.ndarray) -> np.ndarray:
+    """Weights of the diagonal algebra element diag(d), in :func:`_flat`
+    order: diag(d) . E_ij = (d_L,i + d_R,j) E_ij before the projection
+    (d_L,i for column vectors), with d_L and d_R the entries of d on the
+    left and right blocks."""
+    if rep.kind == DIRECT_SUM:
+        return np.concatenate([_weights(c, d) for c in rep.components])
+    left = d[rep.left]
+    if rep.right is None:
+        return left
+    return (left[:, None] + d[rep.right]).reshape(-1)
+
+
 def _basis_vectors(rep: Representation):
     """The orthonormal basis of the space whose coordinates are the unit
     vectors, in order: each is the projection onto the symmetry class of
@@ -370,9 +424,12 @@ def _build_orbit_operator(rep: Representation,
     """The orbit map v -> (X_1 . v, ..., X_k . v) in isometric coordinates:
     a (k, N, N) stack with N = rep.dim, read as the (k N) x N operator
     whose row block i is the matrix of v -> X_i . v; column j holds the
-    images of basis vector j."""
+    images of basis vector j; a space of dimension 0 gives a (k, 0, 0)
+    stack."""
     columns = [_coordinates(rep, _differential_act(rep, algebra.matrices, unit))
                for unit in _basis_vectors(rep)]
+    if not columns:
+        return np.zeros((algebra.dim, 0, 0), dtype=algebra.matrices.dtype)
     return np.stack(columns, axis=-1)
 
 

@@ -9,11 +9,7 @@ from orbitlab import _linalg
 
 def flatten(rep: ol.Representation, v) -> np.ndarray:
     """Vector as one flat coordinate array (direct sums concatenated)."""
-    v = ol.reps._check_vector(rep, v)
-    if rep.kind == ol.reps.DIRECT_SUM:
-        return np.concatenate([flatten(c, vc)
-                               for c, vc in zip(rep.components, v)])
-    return v.ravel()
+    return ol.reps._flat(rep, ol.reps._check_vector(rep, v))
 
 
 def span_projection_residual(targets: np.ndarray, span: np.ndarray,

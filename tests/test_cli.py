@@ -47,6 +47,22 @@ def test_closedness_of_zero_vector_exits_zero():
     assert json.loads(result.stdout)["status"] == "closed"
 
 
+@pytest.mark.parametrize("family", ["special_linear", "torus"])
+def test_closedness_under_a_size_one_group_exits_zero(family):
+    # sl(1) is empty and 1 x 1 antisymmetric matrices are only 0: the
+    # trivial action, decided as the closed orbit 0 -> 0
+    payload = json.dumps({
+        "representation": {"kind": "alt_bilinear", "group": {
+            "family": family, "size": 1, "field": "complex"}},
+        "vector": [[[0, 0]]],
+    })
+    result = run_cli("closedness", "--in", "-", input_text=payload)
+    assert result.returncode == 0, result.stderr
+    verdict = json.loads(result.stdout)
+    assert verdict["status"] == "closed"
+    assert verdict["start_orbit_dim"] == verdict["limit_orbit_dim"] == 0
+
+
 def test_closedness_of_base_form(problem_file):
     result = run_cli("closedness", "--in", str(problem_file))
     assert result.returncode == 0

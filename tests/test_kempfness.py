@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -156,8 +159,11 @@ class TestNormFlow:
         trace = ol.norm_flow(alt6, sl2_block, x_translate)
         assert trace.converged
         assert np.all(np.diff(trace.norms) <= 0)
-        # the limit is the base form itself, outside the block orbit
-        assert np.linalg.norm(trace.limit_point - v0) <= 1e-3
+        # the limit is the base form itself, outside the block orbit: the
+        # exact line search follows the ray to its infimum at t = infinity,
+        # to the rounding of the norm, in one step
+        assert trace.iterations_used == 1
+        assert np.linalg.norm(trace.limit_point - v0) <= 1e-6
 
     def test_norms_monotone_on_random_starts(self, alt6, sl6, v0):
         for seed in range(5):
@@ -657,3 +663,102 @@ def test_limit_decision_on_the_flow_matrix_is_the_limit_point_decision(
                 * verdict.limit_norm, one_sided=True)
             assert ((read.rank, read.ambiguous)
                     == (rebuilt.rank, rebuilt.ambiguous))
+
+
+class TestExactLineSearch:
+    """The Newton ray exp(-tX) . w is searched exactly: its squared norm is
+    f(t) = sum_m a_m exp(-2 t s_m) over the eigen-coefficients of w."""
+
+    def test_finite_minimizer_is_the_root_of_the_slope(self):
+        # f = 4 exp(-2t) + exp(2t) has f' = 0 at exp(4t) = 4
+        t = kempfness._ray_length(np.array([4.0, 1.0]), np.array([1.0, -1.0]))
+        assert t == pytest.approx(math.log(4.0) / 4.0, rel=1e-12)
+
+    def test_positive_weights_step_to_the_collapse_bar(self):
+        # the flow zeroes the weights off the support, here one of -2
+        a = np.array([1.0, 0.0, 0.0])
+        s = np.array([2.0, 0.0, 0.0])
+        t = kempfness._ray_length(a, s)
+        assert a @ np.exp(-2.0 * t * s) == pytest.approx(
+            0.5 * kempfness.COLLAPSE_REL_NORM2, rel=1e-12)
+
+    def test_zero_weights_keep_their_mass_and_the_rest_decays(self):
+        # the infimum 1 at t = infinity is reached to its rounding
+        a = np.array([1.0, 1.0])
+        s = np.array([0.5, 1e-17])
+        t = kempfness._ray_length(a, s)
+        assert a[0] * math.exp(-2.0 * t * s[0]) == pytest.approx(
+            np.finfo(float).eps, rel=1e-12)
+
+    def test_all_positive_support_collapses_without_warning(self,
+                                                            monkeypatch):
+        # the demo's nullcone start: every weight on the support of the
+        # first ray is positive, so the step goes straight to the bar
+        rays = []
+        search = kempfness._ray_length
+
+        def recording(a, s):
+            rays.append((a, s))
+            return search(a, s)
+
+        monkeypatch.setattr(kempfness, "_ray_length", recording)
+        sl2 = ol.special_linear(2, "complex")
+        m_null = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = ol.norm_flow(ol.sym2(sl2), sl2, m_null)
+        a, s = rays[0]
+        assert np.all(s[a > 0.0] > 0.0)
+        assert trace.reason == "collapse"
+        assert trace.iterations_used <= 2
+
+    def test_accepted_step_is_stationary_on_its_ray(self, monkeypatch):
+        # at the accepted t the slope of f vanishes relative to the sum of
+        # its terms' magnitudes, and no trial point is rejected
+        rays, trials = [], []
+        search, exp = kempfness._ray_length, kempfness.matrix_exp
+
+        def recording_search(a, s):
+            t = search(a, s)
+            rays.append((a, s, t))
+            return t
+
+        def recording_exp(x, t=1.0):
+            trials.append(-t)
+            return exp(x, t)
+
+        monkeypatch.setattr(kempfness, "_ray_length", recording_search)
+        monkeypatch.setattr(kempfness, "matrix_exp", recording_exp)
+        for kind, name in (("theorem1", "example1"), ("theorem1", "sl4-block"),
+                           ("cor2-normal", "normal-factor"),
+                           ("cor5-direct-sum", "sym2-sum")):
+            for index in range(20):
+                _trial_verdict(kind, name, 0, index)
+        assert trials == [t for _, _, t in rays]
+        # rays with a negative weight on the support have a finite minimizer
+        finite = [(a, s, t) for a, s, t in rays if s[a > 0.0].min() < 0.0]
+        assert len(finite) >= 80
+        for a, s, t in finite:
+            e = np.exp(2.0 * t * (s.min() - s))
+            assert abs(a @ (s * e)) <= 1e-8 * (a @ (np.abs(s) * e))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_every_example1_flow_takes_one_step(seed):
+    for index in range(100):
+        verdict = _trial_verdict("theorem1", "example1", seed, index)
+        assert verdict.trace.iterations_used == 1
+
+
+@pytest.mark.parametrize("family", ["special_linear", "torus"])
+def test_size_one_group_acts_trivially_on_the_zero_space(family):
+    # 1 x 1 antisymmetric matrices: a space of dimension 0, where the only
+    # vector is its own closed orbit
+    group = ol.GroupSpec.from_json({"family": family, "size": 1,
+                                    "field": "complex"})
+    rep = ol.alt_bilinear(group)
+    verdict = ol.closedness_verdict(rep, group, np.zeros((1, 1), complex))
+    assert verdict.status == CLOSED
+    assert (verdict.start_orbit_dim, verdict.limit_orbit_dim) == (0, 0)
+    assert ol.orbit_dimension(rep, ol.lie_algebra_basis(group),
+                              np.zeros((1, 1), complex)) == 0

@@ -140,11 +140,44 @@ class TestActionAxioms:
         exact = flatten(rep, ol.differential_act(rep, x, v))
         assert np.linalg.norm(fd - exact) <= 1e-6 * max(np.linalg.norm(exact), 1.0)
 
+    def test_diagonal_element_scales_each_entry_by_its_weight(self, rep):
+        # exp(diag(d)) . v scales entry m of v by exp(weight m): the
+        # eigen-coefficient form the norm flow's line search reads
+        d = np.random.default_rng(7).standard_normal(rep.group.size)
+        v = random_point(rep, 8)
+        g = np.diag(np.exp(d)).astype(rep.group.dtype)
+        flat = ol.reps._flat(rep, v)
+        expected = np.exp(ol.reps._weights(rep, d)) * flat
+        assert np.allclose(ol.reps._flat(rep, ol.act(rep, g, v)), expected)
+        back = ol.reps._unflat(rep, flat)
+        assert np.array_equal(flatten(rep, back), flat)
+
+    def test_blocks_partition_the_rows_the_action_reads(self, rep):
+        rows = np.concatenate([np.arange(rep.group.size)[block]
+                               for block in rep.blocks])
+        assert np.array_equal(rows, np.arange(rep.group.size))
+        tensors = rep.kind == "external_tensor" or any(
+            c.kind == "external_tensor" for c in rep.components)
+        assert len(rep.blocks) == (2 if tensors else 1)
+
     def test_zero_algebra_element_acts_as_zero(self, rep):
         v = random_point(rep, 6)
         zero = np.zeros((rep.group.size, rep.group.size), dtype=rep.group.dtype)
         image = flatten(rep, ol.differential_act(rep, zero, v))
         assert np.allclose(image, 0.0)
+
+
+def test_direct_sum_reads_the_finest_blocks():
+    prod = ol.product(ol.special_linear(2, "complex"),
+                      ol.special_linear(3, "complex"))
+    tensor = ol.external_tensor(prod)
+    rep = ol.direct_sum(ol.defining(prod), tensor)
+    assert rep.blocks == tensor.blocks == (slice(0, 2), slice(2, 5))
+    d = np.arange(5.0)
+    v = random_point(rep, 9)
+    g = np.diag(np.exp(d)).astype(complex)
+    expected = np.exp(ol.reps._weights(rep, d)) * ol.reps._flat(rep, v)
+    assert np.allclose(ol.reps._flat(rep, ol.act(rep, g, v)), expected)
 
 
 class TestExample1Action:
