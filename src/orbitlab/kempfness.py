@@ -41,7 +41,11 @@ sum_m |W_m|^2 exp(-2 t s_m), s_m the weight of entry m
 (``reps._weights``).  ``_ray_length`` minimizes f exactly: it goes
 straight to the collapse bar when every weight on the support is
 positive, and otherwise solves f' = 0 by a safeguarded Newton iteration
-from t = 1 whose exponents are shifted so that none overflows.  A trial
+from t = 1 whose exponents are shifted so that none overflows.  The
+support leaves out coefficients at the rounding floor (SUPPORT_FLOOR):
+those keep their value, so a long ray into the nullcone does not blow
+rounding noise of negative weight up into a component off it, which the
+flow would then settle on as a tiny minimal vector.  A trial
 point is evaluated in expm1 form, w + U (expm1(-t s) o W) U^t, and its
 decrease as -2 Re <w, change> - |change|^2, so a small step keeps its
 relative precision; the point is accepted when that decrease reaches
@@ -136,8 +140,20 @@ STEP_SHRINK = 0.5
 MIN_STEP = 1e-14
 
 # A weight of the step within this share of the largest weight counts as
-# zero: the step's eigenvalues carry rounding of about eps |X|.
-ZERO_WEIGHT = 1e-12
+# zero in the ray's model: the step's eigenvalues carry rounding, and a
+# stabilizer basis read off a null space carries its own (a weight of
+# 5e-12 of the largest showed up on the sp(6) flow of the special
+# translate, where the exact weight is 0).
+ZERO_WEIGHT = 1e-9
+
+# An eigen-coefficient whose squared modulus is at most this, on the
+# flow's unit start scale, is rounding noise, not support: the rotation
+# into the step's eigenbasis leaves about eps |w| in every coefficient
+# that is zero in exact arithmetic, and the flow carries that absolute
+# noise as its iterate shrinks.  Along a ray to the collapse bar a noise
+# coefficient of negative weight would grow by e^50 or more and pass for
+# a component off the nullcone, so noise keeps its value instead.
+SUPPORT_FLOOR = (100.0 * np.finfo(float).eps) ** 2
 
 # The search takes its last Newton step from |log(descending / ascending
 # slope)| <= RAY_TOL, which leaves a relative slope of order RAY_TOL^2;
@@ -343,11 +359,12 @@ def _eigen_step(rep: reps.Representation,
 def _ray_length(a: np.ndarray, s: np.ndarray) -> float:
     """The t > 0 minimizing f(t) = sum_m a_m exp(-2 t s_m), the squared
     norm along the Newton ray, with a_m >= 0 the squared moduli of the
-    iterate's eigen-coefficients and s_m their weights, 0 where a_m is.
+    iterate's eigen-coefficients and s_m their weights, 0 off the support
+    (a_m at most SUPPORT_FLOOR).
 
-    f is convex.  When no weight on the support is negative, f falls to
-    its infimum at t = infinity, the mass of the zero weights (those
-    within ZERO_WEIGHT of the largest), and the step goes to where the
+    f is convex; weights within ZERO_WEIGHT of the largest count as 0.
+    When no weight on the support is negative, f falls to its infimum at
+    t = infinity, the mass of the zero weights, and the step goes to where the
     positive weights' mass, at most (sum_{s>0} a) exp(-2 t min_{s>0} s),
     is below the rounding of that infimum, or below half the collapse
     bar when the infimum is too.  Otherwise the minimizer is the root of
@@ -359,11 +376,17 @@ def _ray_length(a: np.ndarray, s: np.ndarray) -> float:
     The exponents are shifted by the smallest weight, so no term
     overflows.
     """
+    size = np.abs(s)
+    s = np.where(size > ZERO_WEIGHT * size.max(), s, 0.0)
+    if a @ s <= 0.0:
+        # the Newton direction descends, but near convergence rounding and
+        # the zero band can hide its slope -2 sum a s; the model then has
+        # nothing to add to the unit step, and the safeguard judges that
+        # step on its exact decrease
+        return INITIAL_STEP
     low = s.min()
     if low >= 0.0:
-        positive = s > ZERO_WEIGHT * s.max()
-        if not positive.any():
-            return INITIAL_STEP
+        positive = s > 0.0
         infimum = a[~positive].sum()
         target = (0.5 * COLLAPSE_REL_NORM2 if infimum < 0.5 * COLLAPSE_REL_NORM2
                   else np.finfo(float).eps * infimum)
@@ -448,8 +471,9 @@ def norm_flow(rep: reps.Representation, group, v,
         weights, u = _eigen_step(rep, x)
         coeffs = reps._flat(rep, reps._act(rep, u.conj().T, w))
         a = coeffs.real ** 2 + coeffs.imag ** 2
-        # a weight off the support moves nothing; zeroed, it never overflows
-        weights = np.where(a > 0.0, weights, 0.0)
+        # weights off the support are zeroed: noise neither sets the step
+        # nor grows with it, and no trial point overflows
+        weights = np.where(a > SUPPORT_FLOOR, weights, 0.0)
         step = _ray_length(a, weights)
         while step >= MIN_STEP:
             # the trial point in expm1 form, w + U (expm1(-t s) o coeffs) U^t,

@@ -743,6 +743,45 @@ class TestExactLineSearch:
             assert abs(a @ (s * e)) <= 1e-8 * (a @ (np.abs(s) * e))
 
 
+def _degenerate_form(kind, n, field, seed):
+    """A form of SL(n) on the nullcone, moved by a random group element:
+    a symmetric form of rank n - 1 (det = 0) or an antisymmetric one of
+    rank n - 2 (Pf = 0), whose orbit closures hold 0."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if field == "complex" else x
+
+    group = ol.special_linear(n, field)
+    if kind == "sym2":
+        rep = ol.sym2(group)
+        a = draw(n, n - 1)
+        form = a @ np.diag(draw(n - 1)) @ a.T
+    else:
+        rep = ol.alt_bilinear(group)
+        a = draw(n, n - 2)
+        form = a @ np.kron(np.eye((n - 2) // 2), [[0.0, 1.0], [-1.0, 0.0]]) @ a.T
+    return rep, group, ol.act(rep, ol.random_group_element(group, seed, 1.0),
+                              form)
+
+
+@pytest.mark.parametrize("kind,n,field", [("sym2", 3, "complex"),
+                                          ("sym2", 3, "real"),
+                                          ("sym2", 4, "complex"),
+                                          ("alt", 6, "complex")])
+def test_nullcone_forms_collapse(kind, n, field):
+    # a flow that shrinks the form by many small steps can drift off the
+    # nullcone on rounding noise and settle on a tiny "minimal vector";
+    # the exact ray leaves noise-level coefficients alone and reaches the
+    # collapse bar
+    for seed in range(12):
+        rep, group, x = _degenerate_form(kind, n, field, seed)
+        verdict = ol.closedness_verdict(rep, group, x)
+        assert verdict.status == NON_CLOSED
+        assert verdict.trace.collapsed
+
+
 @pytest.mark.parametrize("seed", [0, 1, 3])
 def test_every_example1_flow_takes_one_step(seed):
     for index in range(100):
