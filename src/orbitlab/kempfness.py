@@ -41,7 +41,8 @@ sum_m |W_m|^2 exp(-2 t s_m), s_m the weight of entry m
 (``reps._weights``).  ``_ray_length`` minimizes f exactly: it goes
 straight to the collapse bar when every weight on the support is
 positive, and otherwise solves f' = 0 by a safeguarded Newton iteration
-from t = 1 whose exponents are shifted so that none overflows.  The
+from t = 0 whose exponents are shifted so that none overflows; no ray
+goes further than RAY_REACH in its fastest exponent.  The
 support leaves out coefficients at the rounding floor (SUPPORT_FLOOR):
 those keep their value, so a long ray into the nullcone does not blow
 rounding noise of negative weight up into a component off it, which the
@@ -50,8 +51,9 @@ point is evaluated in expm1 form, w + U (expm1(-t s) o W) U^t, and its
 decrease as -2 Re <w, change> - |change|^2, so a small step keeps its
 relative precision; the point is accepted when that decrease reaches
 SUFFICIENT_DECREASE times the one the ray predicts, else t halves.
-Exact minimization makes the unit Newton step the start of the search,
-not its end: an example1 flow takes one step.
+The unit Newton step is only the fallback where rounding hides the
+ray's slope: an example1 flow takes one step, and its search one
+evaluation of the model.
 
 Each step costs a few calls that each do real work, around one matrix.
 D is one product of the iterate's coordinates with the orbit-map
@@ -132,19 +134,22 @@ COLLAPSE_REL_NORM2 = 1e-12
 # the decrease its one-dimensional model predicts.
 SUFFICIENT_DECREASE = 1e-4
 
-# The one-dimensional search starts at the full Newton step; a rejected
-# trial point halves the step, and the flow stalls once it drops below
-# MIN_STEP.
+# The full Newton step stands where the ray's model has nothing to add,
+# and bounds a step to infinity from below; a rejected trial point halves
+# the step, and the flow stalls once it drops below MIN_STEP.
 INITIAL_STEP = 1.0
 STEP_SHRINK = 0.5
 MIN_STEP = 1e-14
 
-# A weight of the step within this share of the largest weight counts as
-# zero in the ray's model: the step's eigenvalues carry rounding, and a
-# stabilizer basis read off a null space carries its own (a weight of
-# 5e-12 of the largest showed up on the sp(6) flow of the special
-# translate, where the exact weight is 0).
-ZERO_WEIGHT = 1e-9
+# No ray goes further than t max|s| = RAY_REACH, its fastest exponent:
+# a step's weights carry rounding, and a stabilizer basis read off a null
+# space carries its own (weights of 3e-12 where the exact ones are 0 on
+# the sp(6) flow of the special translate), which a ray of length 1e12
+# would turn into a move off the orbit.  Collapsing the norm by the bar
+# 1e-12 takes t max|s| of about 14 when the slowest positive weight is
+# within a factor 20 of the fastest; a shorter ray is continued by the
+# next Newton step.
+RAY_REACH = 300.0
 
 # An eigen-coefficient whose squared modulus is at most this, on the
 # flow's unit start scale, is rounding noise, not support: the rotation
@@ -160,6 +165,10 @@ SUPPORT_FLOOR = (100.0 * np.finfo(float).eps) ** 2
 # the iteration converges quadratically, so RAY_ITERATIONS is a backstop.
 RAY_TOL = 1e-6
 RAY_ITERATIONS = 100
+
+# A slope of the ray's model below this share of the sum of its terms'
+# magnitudes is rounding, not descent.
+RAY_SLOPE_FLOOR = 1e-10
 _SIGNS = np.array([[1.0], [-1.0]])
 
 # Regularization of the Newton system relative to the mean Hessian
@@ -360,65 +369,72 @@ def _ray_length(a: np.ndarray, s: np.ndarray) -> float:
     """The t > 0 minimizing f(t) = sum_m a_m exp(-2 t s_m), the squared
     norm along the Newton ray, with a_m >= 0 the squared moduli of the
     iterate's eigen-coefficients and s_m their weights, 0 off the support
-    (a_m at most SUPPORT_FLOOR).
+    (a_m at most SUPPORT_FLOOR), capped at RAY_REACH / max |s|.
 
-    f is convex; weights within ZERO_WEIGHT of the largest count as 0.
-    When no weight on the support is negative, f falls to its infimum at
-    t = infinity, the mass of the zero weights, and the step goes to where the
+    f is convex.  When no weight on the support is negative, f falls to
+    its infimum at t = infinity, the mass of the zero weights, and the
+    step goes to where the
     positive weights' mass, at most (sum_{s>0} a) exp(-2 t min_{s>0} s),
     is below the rounding of that infimum, or below half the collapse
     bar when the infimum is too.  Otherwise the minimizer is the root of
     phi(t) = log P(t) - log N(t), with P and N the descending and
     ascending halves of -f'(t) / 2.  phi falls with slope -2 times the
     sum of a P-weighted mean of s and an N-weighted mean of |s|, so it is
-    nearly linear, and the safeguarded Newton iteration from t = 1 stops
-    after a step from |phi| <= RAY_TOL, whose error is of order phi^2.
+    nearly linear.  The safeguarded Newton iteration starts at t = 0,
+    where P and N are plain sums, so its first step is the root of the
+    two-exponential model fitted there, and it stops after a step from
+    |phi| <= RAY_TOL, whose error is of order phi^2.
     The exponents are shifted by the smallest weight, so no term
     overflows.
     """
-    size = np.abs(s)
-    s = np.where(size > ZERO_WEIGHT * size.max(), s, 0.0)
-    if a @ s <= 0.0:
-        # the Newton direction descends, but near convergence rounding and
-        # the zero band can hide its slope -2 sum a s; the model then has
-        # nothing to add to the unit step, and the safeguard judges that
-        # step on its exact decrease
-        return INITIAL_STEP
     low = s.min()
     if low >= 0.0:
         positive = s > 0.0
+        if not positive.any():
+            return INITIAL_STEP
         infimum = a[~positive].sum()
         target = (0.5 * COLLAPSE_REL_NORM2 if infimum < 0.5 * COLLAPSE_REL_NORM2
                   else np.finfo(float).eps * infimum)
-        return max(INITIAL_STEP, math.log(a[positive].sum() / target)
-                   / (2.0 * s[positive].min()))
+        t = math.log(a[positive].sum() / target) / (2.0 * s[positive].min())
+        return min(max(INITIAL_STEP, t), RAY_REACH / s.max())
     # rows a s+, a s-, a s+^2, a s-^2 against e = exp(2 t (low - s)) <= 1
     # give P, N and their slopes in one product per iteration
     halves = np.maximum(s * _SIGNS, 0.0)
     moments = np.empty((4, len(s)))
     np.multiply(a, halves, out=moments[:2])
     np.multiply(moments[:2], halves, out=moments[2:])
+    reach = RAY_REACH / halves.max()
+    # at t = 0 every e is 1, so P, N and their slopes are plain sums
+    values = moments.sum(axis=1)
+    p, n = values[:2].tolist()
+    if p - n <= RAY_SLOPE_FLOOR * (p + n):
+        # the Newton direction descends, but near convergence its slope
+        # -2 sum a s can drown in the rounding of the sum: the model then
+        # has nothing to add to the unit step, which the safeguard judges
+        # on its exact decrease
+        return INITIAL_STEP
     shifted = low - s
-    lo, hi = 0.0, math.inf
-    t = INITIAL_STEP
+    lo, hi, t = 0.0, math.inf, 0.0
     for _ in range(RAY_ITERATIONS):
-        p, n, dp, dn = (moments @ np.exp((2.0 * t) * shifted)).tolist()
+        p, n, dp, dn = values.tolist()
         if p == 0.0:
             # the descending half underflowed: far past the minimizer
             hi = t
             t = 0.5 * (lo + hi)
-            continue
-        phi = math.log(p) - math.log(n)
-        newton = t + phi / (2.0 * (dp / p + dn / n))
-        if abs(phi) <= RAY_TOL:
-            return newton
-        if phi > 0.0:
-            lo = t
         else:
-            hi = t
-        # from phi > 0 Newton moves right, so hi is finite when it leaves
-        t = newton if lo < newton < hi else 0.5 * (lo + hi)
-    return t
+            phi = math.log(p) - math.log(n)
+            newton = t + phi / (2.0 * (dp / p + dn / n))
+            if abs(phi) <= RAY_TOL:
+                return min(newton, reach)
+            if phi > 0.0:
+                lo = t
+            else:
+                hi = t
+            # from phi > 0 Newton moves right, so hi is finite when it
+            # leaves the bracket
+            t = newton if lo < newton < hi else 0.5 * (lo + hi)
+        values = moments @ np.exp((2.0 * t) * shifted)
+    return min(t, reach)
 
 
 def norm_flow(rep: reps.Representation, group, v,
