@@ -169,6 +169,8 @@ RAY_ITERATIONS = 100
 # A slope of the ray's model below this share of the sum of its terms'
 # magnitudes is rounding, not descent.
 RAY_SLOPE_FLOOR = 1e-10
+
+# splits the weights into their positive and negative halves
 _SIGNS = np.array([[1.0], [-1.0]])
 
 # Regularization of the Newton system relative to the mean Hessian
@@ -373,19 +375,18 @@ def _ray_length(a: np.ndarray, s: np.ndarray) -> float:
 
     f is convex.  When no weight on the support is negative, f falls to
     its infimum at t = infinity, the mass of the zero weights, and the
-    step goes to where the
-    positive weights' mass, at most (sum_{s>0} a) exp(-2 t min_{s>0} s),
-    is below the rounding of that infimum, or below half the collapse
-    bar when the infimum is too.  Otherwise the minimizer is the root of
-    phi(t) = log P(t) - log N(t), with P and N the descending and
-    ascending halves of -f'(t) / 2.  phi falls with slope -2 times the
-    sum of a P-weighted mean of s and an N-weighted mean of |s|, so it is
-    nearly linear.  The safeguarded Newton iteration starts at t = 0,
-    where P and N are plain sums, so its first step is the root of the
-    two-exponential model fitted there, and it stops after a step from
-    |phi| <= RAY_TOL, whose error is of order phi^2.
-    The exponents are shifted by the smallest weight, so no term
-    overflows.
+    step goes to where the positive weights' mass, at most
+    (sum_{s>0} a) exp(-2 t min_{s>0} s), is below the rounding of that
+    infimum, or below half the collapse bar when the infimum is too.
+    Otherwise the minimizer is the root of phi(t) = log P(t) - log N(t),
+    with P and N the descending and ascending halves of -f'(t) / 2.  phi
+    falls with slope -2 times the sum of a P-weighted mean of s and an
+    N-weighted mean of |s|, so it is nearly linear.  The safeguarded
+    Newton iteration starts at t = 0, where P and N are plain sums, so
+    its first step is the root of the two-exponential model fitted there,
+    and it stops after a step from |phi| <= RAY_TOL, whose error is of
+    order phi^2.  The exponents are shifted by the smallest weight, so no
+    term overflows.
     """
     low = s.min()
     if low >= 0.0:
