@@ -8,7 +8,8 @@ one exactly reproduced counterexample where genericity fails.
 """
 
 from .errors import (ConfigurationError, InvalidArgumentError,
-                     NotThetaStableError, OrbitLabError)
+                     NotBracketClosedError, NotThetaStableError,
+                     OrbitLabError)
 from .groups import (CartanDecomposition, GroupSpec, LieAlgebraBasis,
                      adjoint_conjugate, block_embedding, bracket,
                      bracket_closure_residual, cartan_decompose,
@@ -32,8 +33,8 @@ from .experiments import (ExperimentConfig, ExperimentReport, Scenario,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigurationError", "InvalidArgumentError", "NotThetaStableError",
-    "OrbitLabError",
+    "ConfigurationError", "InvalidArgumentError", "NotBracketClosedError",
+    "NotThetaStableError", "OrbitLabError",
     "CartanDecomposition", "GroupSpec", "LieAlgebraBasis",
     "adjoint_conjugate", "block_embedding", "bracket",
     "bracket_closure_residual", "cartan_decompose",

@@ -13,6 +13,15 @@ class InvalidArgumentError(OrbitLabError):
     """An operation was called with inconsistent or malformed arguments."""
 
 
+class NotBracketClosedError(InvalidArgumentError):
+    """A basis read as a Lie algebra is not closed under the bracket.
+
+    A stabilizer read off a null space at a badly conditioned point can
+    miss closure by more than rounding; an experiment's trial then calls
+    its reductivity inconclusive instead of ending the run.
+    """
+
+
 class NotThetaStableError(OrbitLabError):
     """The algebra is not closed under conjugate transpose.
 

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _linalg, groups, kempfness, reps, subalgebra
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NotBracketClosedError
 from .groups import GroupSpec, lie_algebra_basis, random_group_element
 from .kempfness import (CLOSED, INCONCLUSIVE, NON_CLOSED, FlowConfig,
                         closedness_verdict, relative_moment_norm)
@@ -332,10 +332,15 @@ def trial_seed(base_seed: int, index: int) -> int:
 def _stabilizer_verdict(stab: groups.LieAlgebraBasis, ambiguous: bool,
                         rtol: float) -> tuple[str, subalgebra.SubalgebraReport | None]:
     """Reductivity verdict of a stabilizer and its report.  A stabilizer
-    whose dimension was ambiguous is inconclusive and is not analysed."""
+    whose dimension was ambiguous, or that misses bracket closure (read
+    off a null space at a badly conditioned point), is inconclusive and
+    is not analysed."""
     if ambiguous:
         return subalgebra.INCONCLUSIVE, None
-    report = subalgebra.reductivity_verdict(stab, rtol=rtol)
+    try:
+        report = subalgebra.reductivity_verdict(stab, rtol=rtol)
+    except NotBracketClosedError:
+        return subalgebra.INCONCLUSIVE, None
     return report.verdict, report
 
 

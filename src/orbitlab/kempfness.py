@@ -38,7 +38,7 @@ orthonormality), so one eigendecomposition X = U diag(d) U* per
 diagonal block the representation reads (``_linalg.eigh``) diagonalizes
 its action: with coefficients W = U* . w, f(t) = |exp(-tX) . w|^2 is
 sum_m |W_m|^2 exp(-2 t s_m), s_m the weight of entry m
-(``reps._weights``).  ``_ray_length`` minimizes f exactly: it goes
+(``rep.weight_map @ d``).  ``_ray_length`` minimizes f exactly: it goes
 straight to the collapse bar when every weight on the support is
 positive, and otherwise solves f' = 0 by a safeguarded Newton iteration
 from t = 0 whose exponents are shifted so that none overflows; no ray
@@ -69,10 +69,11 @@ looked up on this module at every step, so a tracer that wraps them
 sees each call.
 
 ``norm_flow`` validates its vector once on entry (``reps.norm`` rejects
-a norm that overflows); the line search runs on the unchecked core of
-the action.  The flow's stop state is one field,
-``FlowTrace.reason``; whether it converged or collapsed, and how many
-steps it took, are read off the trace.
+a norm that overflows) and holds its iterate as the flat entry array;
+the line search runs on the unchecked core of the action, and the
+public form is rebuilt only for ``moment_vector`` and the limit point.
+The flow's stop state is one field, ``FlowTrace.reason``; whether it
+converged or collapsed, and how many steps it took, are read off it.
 
 Minimality is decided at one bar, ``FlowConfig.moment_tolerance``, where
 the flow stops; ``is_minimal``, the command line's ``minimal`` and the
@@ -354,8 +355,8 @@ def _eigen_step(rep: reps.Representation,
 
     One eigendecomposition per diagonal block the representation reads
     (``rep.blocks``), so U is block diagonal like X; the weights are those
-    of diag(d) on the entries of a vector (``reps._weights``), and
-    exp(-tX) . w = U (exp(-t weights) o (U* . w)) U^t entrywise.
+    of diag(d) on the flat entries of a vector (``rep.weight_map @ d``),
+    and exp(-tX) . w = U (exp(-t weights) o (U* . w)) U^t entrywise.
     """
     if len(rep.blocks) == 1:
         d, u = _linalg.eigh(x)
@@ -364,7 +365,7 @@ def _eigen_step(rep: reps.Representation,
         u = np.zeros_like(x)
         for block in rep.blocks:
             d[block], u[block, block] = _linalg.eigh(x[block, block])
-    return reps._weights(rep, d), u
+    return rep.weight_map @ d, u
 
 
 def _ray_length(a: np.ndarray, s: np.ndarray) -> float:
@@ -453,29 +454,30 @@ def norm_flow(rep: reps.Representation, group, v,
     # the p-basis is the trailing part of the Cartan basis (all of it for
     # a complex group)
     p_first = onb.dim - p_basis.dim
-    v = reps._check_vector(rep, v)
     start_norm = reps.norm(rep, v)
-    # v is validated once above; the flow runs on the unchecked cores
-    w = v if start_norm == 0.0 else reps._scale(rep, 1.0 / start_norm, v)
+    # v is validated once here; the flow runs on the unchecked cores, with
+    # its iterate held flat
+    flat = reps._check_vector(rep, v)
+    w = flat if start_norm == 0.0 else (1.0 / start_norm) * flat
     # one orbit-map matrix per iterate: the moment vector, the tolerance
     # test and the Newton system all read its p columns
     start_map = d = reps._differential_matrix(rep, onb, w)
     if start_norm == 0.0 or p_basis.dim == 0:
         # the zero vector and every point of a compact group are minimal
-        return FlowTrace(np.array([start_norm]), np.array([0.0]), v, "moment",
-                         start_map, start_map)
+        return FlowTrace(np.array([start_norm]), np.array([0.0]),
+                         reps._unflat(rep, flat), "moment", start_map, start_map)
 
     # the step matrix sum_i c_i X_i is one real product with these rows
     p_rows = _linalg.real_rows(_linalg.stack_flat(p_basis.matrices))
     p_shape = p_basis.matrices.shape[1:]
-    flat = reps._flat(rep, w)
-    norm2 = float(np.vdot(flat, flat).real)
+    norm2 = float(np.vdot(w, w).real)
     norms = [np.sqrt(norm2)]
     moment_norms = []
     reason = "budget"
 
     for iteration in range(config.max_iterations + 1):
-        coeff = moment_vector(rep, p_basis, w, d[:, p_first:])
+        coeff = moment_vector(rep, p_basis, reps._unflat(rep, w),
+                              d[:, p_first:])
         rel = math.sqrt(coeff @ coeff) / norm2
         moment_norms.append(rel)
         if iteration == config.max_iterations:
@@ -486,7 +488,7 @@ def norm_flow(rep: reps.Representation, group, v,
         direction = _newton_direction(d[:, p_first:], coeff, rel)
         x = (direction @ p_rows).view(p_basis.matrices.dtype).reshape(p_shape)
         weights, u = _eigen_step(rep, x)
-        coeffs = reps._flat(rep, reps._act(rep, u.conj().T, w))
+        coeffs = reps._act(rep, u.conj().T, w)
         a = coeffs.real ** 2 + coeffs.imag ** 2
         # weights off the support are zeroed: noise neither sets the step
         # nor grows with it, and no trial point overflows
@@ -496,9 +498,8 @@ def norm_flow(rep: reps.Representation, group, v,
             # the trial point in expm1 form, w + U (expm1(-t s) o coeffs) U^t,
             # and its decrease -2 Re <w, change> - |change|^2, both exact to
             # rounding however small the change
-            change = reps._flat(rep, reps._act(rep, u, reps._unflat(
-                rep, matrix_exp(weights, -step) * coeffs)))
-            decrease = -(2.0 * np.vdot(flat, change).real
+            change = reps._act(rep, u, matrix_exp(weights, -step) * coeffs)
+            decrease = -(2.0 * np.vdot(w, change).real
                          + np.vdot(change, change).real)
             predicted = -float(a @ np.expm1(-2.0 * step * weights))
             if decrease > 0.0 and decrease >= SUFFICIENT_DECREASE * predicted:
@@ -507,11 +508,10 @@ def norm_flow(rep: reps.Representation, group, v,
         else:
             reason = "stalled"
             break
-        flat = flat + change
-        w = reps._unflat(rep, flat)
+        w = w + change
         # the exact decrease accepted the point; its own squared norm is
         # recorded, and a rise of a rounding error is not
-        norm2 = min(norm2, float(np.vdot(flat, flat).real))
+        norm2 = min(norm2, float(np.vdot(w, w).real))
         norms.append(np.sqrt(norm2))
         if norm2 <= COLLAPSE_REL_NORM2:
             reason = "collapse"
@@ -522,7 +522,7 @@ def norm_flow(rep: reps.Representation, group, v,
         limit = reps.zero_vector(rep)
         d = np.zeros_like(d)
     else:
-        limit = reps._scale(rep, start_norm, w)
+        limit = reps._unflat(rep, start_norm * w)
     return FlowTrace(start_norm * np.array(norms), np.array(moment_norms),
                      limit, reason, start_map, d)
 

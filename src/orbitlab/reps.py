@@ -4,42 +4,40 @@ Every kind except the direct sum is one layout: a vector v of a fixed
 shape, moved by v -> g_L v g_R^t, where g_L and g_R are diagonal blocks
 of g (g_R is absent for column vectors), followed by the projection onto
 the symmetry class (symmetric, antisymmetric or none).  The
-differential is X . v = X_L v + v X_R^t, projected the same way.
-Vectors are kept as full square (or rectangular) matrices, so the
-formulas read as written; re-projecting after each action keeps
-rounding from drifting off the subspace.  A direct sum acts
-componentwise on a tuple of component vectors.
+differential is X . v = X_L v + v X_R^t, projected the same way;
+re-projecting after each action keeps rounding from drifting off the
+subspace.  A direct sum acts componentwise.
 
-Each public operation validates its arguments and then calls an
-unchecked core of the same name with a leading underscore (``act`` and
-``_act``).  Package code that has validated a vector once, such as the
-norm flow, calls the cores directly.  The one check left in a core is
-the fit of an algebra basis to the representation's group, made once per
-(representation, basis) when the orbit-map operator is built.
+Inside the package a vector is one flat array of its entries,
+components concatenated, read in runs of consecutive components of one
+layout, each a stack of matrices: an action, a differential or a
+projection is one batched product per run, and nothing recurses over
+components.  diag(d) scales each entry by the exponential of its
+weight, ``rep.weight_map @ d``, which the norm flow's line search reads.
+Each public operation turns its vector from the public form (a matrix,
+or a tuple of component vectors for a direct sum) into the flat array
+once, by ``_check_vector``, calls an unchecked core of the same name
+with a leading underscore (``act`` and ``_act``) and gives a vector back
+by ``_unflat``.  Package code that has validated a vector once, such as
+the norm flow, calls the cores directly.  The one check left in a core
+is the fit of an algebra basis to the representation's group, made once
+per (representation, basis) when the orbit-map operator is built.
 
 Coordinates are isometric: a vector's coordinates in an orthonormal
-basis of its space, read off the flattened vector at indices computed
-once per representation (all entries, or the upper triangle with the
-off-diagonal entries weighted sqrt(2) for the symmetry classes, and the
-components' coordinates concatenated for a direct sum), so that there
-are ``rep.dim`` of them and Re(coords(v) . conj coords(w)) is the inner
-product.  The orbit map X -> X . v of an algebra basis, whose rank is the
-orbit dimension, is linear in v as well.  Its matrix D is the
-``rep.dim`` x k matrix of the map between orthonormal bases when the
+basis of its space, read off the flat vector at indices computed once
+per representation (all entries, or the upper triangle with the
+off-diagonal entries weighted sqrt(2) for the symmetry classes), so
+that there are ``rep.dim`` of them and Re(coords(v) . conj coords(w)) is
+the inner product.  The orbit map X -> X . v of an algebra basis, whose
+rank is the orbit dimension, is linear in v as well.  Its matrix D is
+the ``rep.dim`` x k matrix of the map between orthonormal bases when the
 algebra basis is orthonormal: column i holds the coordinates of X_i . v.
 D is one product of the coordinates of v with an operator built once per
-(representation, basis) from the images of the basis vectors of the
-space and kept on the basis.  ``orbit_dimension_info`` reads D on
-``algebra.orthonormal``, the Cartan basis of a theta-stable algebra, so
-the kernel of a decision is an orthonormal basis of the stabilizer.  The
-norm flow reads D on the Cartan basis too, and the closedness verdict
-decides its start orbit dimension and stabilizer on the flow's first D
-instead of calling ``orbit_dimension_info``.
-
-A vector's entries also read flat (``_flat``, components concatenated),
-and a diagonal algebra element diag(d) scales each entry by the
-exponential of its weight (``_weights``); the norm flow's line search
-reads its iterate that way on the eigenbasis of its step.
+(representation, basis) from the images of one stack of the basis
+vectors of the space and kept on the basis.  ``orbit_dimension_info``
+reads D on ``algebra.orthonormal``, the Cartan basis of a theta-stable
+algebra, so the kernel of a decision is an orthonormal basis of the
+stabilizer; the norm flow reads D on the Cartan basis too.
 
 Dimensions over the complex field are complex dimensions throughout;
 report layers multiply by two where a real count is wanted.
@@ -48,6 +46,7 @@ report layers multiply by two where a real count is wanted.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -83,14 +82,17 @@ class Representation:
     kind = external_tensor (A, B) . M = A M B^t      for a two-factor product
     kind = direct_sum      componentwise             on tuples of vectors
 
-    Every kind but the direct sum is one layout, set from the kind here
-    and read by every operation below: ``shape`` of a vector, the
-    ``left`` and ``right`` diagonal blocks of g (``right`` is None for
-    column vectors), and the symmetry ``sign`` of the projection applied
-    after each action (+1 symmetric, -1 antisymmetric, 0 none).
+    Every kind but the direct sum is one layout, set from the kind here:
+    ``shape`` of a vector, the ``left`` and ``right`` diagonal blocks of
+    g (``right`` is None for column vectors) and the ``sign`` of the
+    symmetry projection (+1 symmetric, -1 antisymmetric, 0 none).
     ``blocks`` partitions the rows of g into the diagonal blocks the
-    action reads, for a direct sum the finest any component reads: an
-    algebra element X acts through X[b, b] for b in ``blocks`` only.
+    action reads (the finest any component reads): X acts through X[b, b]
+    for b in ``blocks`` only.
+
+    ``runs`` groups consecutive components of one layout, nested sums
+    flattened, as (layout, span of the flat vector, stack shape (count,
+    rows, cols)), a column vector read as n x 1; a leaf kind is one run.
     """
 
     kind: str
@@ -101,6 +103,8 @@ class Representation:
     right: slice | None = field(init=False, repr=False)
     sign: int = field(init=False, repr=False)
     blocks: tuple[slice, ...] = field(init=False, repr=False)
+    runs: tuple[tuple["Representation", slice, tuple], ...] = field(
+        init=False, repr=False)
 
     def __post_init__(self):
         n = self.group.size
@@ -133,36 +137,60 @@ class Representation:
         for name, value in zip(("shape", "left", "right", "sign", "blocks"),
                                layout):
             object.__setattr__(self, name, value)
-
-    @property
-    def dim(self) -> int:
-        """Dimension of the vector space over the group's field."""
-        if self.kind == DIRECT_SUM:
-            return sum(c.dim for c in self.components)
-        size = math.prod(self.shape)
-        # n(n +- 1)/2 for the symmetry classes
-        return (size + self.sign * self.shape[0]) // 2 if self.sign else size
+        leaves = ([layout for c in self.components
+                   for layout, _, (count, *_) in c.runs for _ in range(count)]
+                  if self.kind == DIRECT_SUM else [self])
+        runs, start = [], 0
+        for _, same in itertools.groupby(leaves, key=lambda leaf: leaf.kind):
+            same = list(same)
+            stack = (len(same), *same[0].shape, 1)[:3]
+            runs.append((same[0], slice(start, start + math.prod(stack)), stack))
+            start += math.prod(stack)
+        object.__setattr__(self, "runs", tuple(runs))
 
     @functools.cached_property
+    def dim(self) -> int:
+        """Dimension of the vector space over the group's field."""
+        return len(self.coordinate_map[0])
+
+    @property
     def entries(self) -> int:
         """Number of entries of a vector, all components together."""
-        if self.kind == DIRECT_SUM:
-            return sum(c.entries for c in self.components)
-        return math.prod(self.shape)
+        return self.runs[-1][1].stop
 
     @functools.cached_property
     def coordinate_map(self) -> tuple[np.ndarray, np.ndarray]:
-        """Isometric coordinates of a vector of a kind other than the
-        direct sum: the positions read off the flattened vector and their
-        weights, computed once.  A symmetry class reads its upper triangle
-        (the diagonal too when symmetric) and weights the off-diagonal
-        entries sqrt(2), since each stands for two equal-size entries."""
-        size = math.prod(self.shape)
-        if not self.sign:
-            return np.arange(size), np.ones(size)
-        n = self.shape[0]
-        rows, cols = np.triu_indices(n, 0 if self.sign > 0 else 1)
-        return rows * n + cols, np.where(rows == cols, 1.0, math.sqrt(2.0))
+        """Isometric coordinates: the positions read off the flat vector
+        and their weights.  A symmetry class reads its upper triangle (the
+        diagonal too when symmetric) and weights the off-diagonal entries
+        sqrt(2), since each stands for two equal-size entries."""
+        index, weight = [], []
+        for layout, span, (count, rows, cols) in self.runs:
+            if layout.sign:
+                r, c = np.triu_indices(rows, 0 if layout.sign > 0 else 1)
+                at, w = r * cols + c, np.where(r == c, 1.0, math.sqrt(2.0))
+            else:
+                at, w = np.arange(rows * cols), np.ones(rows * cols)
+            starts = span.start + rows * cols * np.arange(count)
+            index.append((starts[:, None] + at).reshape(-1))
+            weight.append(np.tile(w, count))
+        return np.concatenate(index), np.concatenate(weight)
+
+    @functools.cached_property
+    def weight_map(self) -> np.ndarray:
+        """The integer matrix W whose product W d is the weight of diag(d) on
+        each flat entry: diag(d) . E_ij = (d_L,i + d_R,j) E_ij before the
+        projection (d_L,i for column vectors), d_L and d_R the entries of
+        d on the left and right blocks."""
+        eye = np.eye(self.group.size)
+        out = np.zeros((self.entries, self.group.size))
+        for layout, span, stack in self.runs:
+            # a row slice of out is contiguous, so its reshape is a view
+            block = out[span].reshape(stack + (-1,))
+            block += eye[layout.left][:, None]
+            if layout.right is not None:
+                block += eye[layout.right]
+        return out
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "group": self.group.to_json()}
@@ -221,84 +249,111 @@ def _coerce_element(rep: Representation, g) -> np.ndarray:
     return g
 
 
-def _check_vector(rep: Representation, v):
+def _check_vector(rep: Representation, v) -> np.ndarray:
+    """The flat entries of a vector given in its public form: a matrix of
+    ``rep.shape``, or a tuple of component vectors for a direct sum."""
     if rep.kind == DIRECT_SUM:
         if not isinstance(v, (tuple, list)) or len(v) != len(rep.components):
             raise InvalidArgumentError(
                 "direct-sum vector must be a tuple of components")
-        return tuple(_check_vector(c, vc) for c, vc in zip(rep.components, v))
+        return np.concatenate([_check_vector(c, vc)
+                               for c, vc in zip(rep.components, v)])
     v = np.asarray(v)
     if v.shape != rep.shape:
         raise InvalidArgumentError(f"vector must have shape {rep.shape}")
-    return v
+    return v.reshape(-1)
 
 
-def _resymmetrize(rep: Representation, m: np.ndarray) -> np.ndarray:
-    """Project (a stack of) matrices onto the symmetry class."""
-    if not rep.sign:
+def _unflat(rep: Representation, x: np.ndarray):
+    """The public form of the flat vector ``x``: views of its entries."""
+    if rep.kind == DIRECT_SUM:
+        stops = np.cumsum([c.entries for c in rep.components])
+        return tuple(_unflat(c, x[stop - c.entries:stop])
+                     for c, stop in zip(rep.components, stops))
+    return x.reshape(rep.shape)
+
+
+def _stacks(rep: Representation, x: np.ndarray):
+    """Each run's layout and its stack of matrices off x's last axis."""
+    lead = x.shape[:-1]
+    return [(layout, x[..., span].reshape(lead + stack))
+            for layout, span, stack in rep.runs]
+
+
+def _joined(stacks: list) -> np.ndarray:
+    """The flat vectors of per-run stacks of matrices, runs in order."""
+    return np.concatenate([m.reshape(m.shape[:-3] + (math.prod(m.shape[-3:]),))
+                           for m in stacks], axis=-1)
+
+
+def _resymmetrize(layout: Representation, m: np.ndarray) -> np.ndarray:
+    """Project (a stack of) matrices onto the layout's symmetry class."""
+    if not layout.sign:
         return m
     mt = m.swapaxes(-1, -2)
-    return (m + mt) / 2.0 if rep.sign > 0 else (m - mt) / 2.0
+    return (m + mt) / 2.0 if layout.sign > 0 else (m - mt) / 2.0
 
 
 def point(rep: Representation, v):
-    """Validate and normalize a vector into the representation space."""
-    v = _check_vector(rep, v)
-    if rep.kind == DIRECT_SUM:
-        return tuple(point(c, vc) for c, vc in zip(rep.components, v))
-    arr = np.asarray(v)
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+    """Validate and normalize a vector into the representation space.
+
+    Each component meets its symmetry class to SYMMETRY_TOL of its own
+    norm, so a large component does not hide a small one's violation."""
+    x = _check_vector(rep, v)
+    if not (np.all(np.isfinite(x.real)) and np.all(np.isfinite(x.imag))):
         raise InvalidArgumentError("vector has non-finite entries")
-    if rep.sign:
-        sym = _resymmetrize(rep, v)
-        scale = max(np.linalg.norm(v), 1.0)
-        if np.linalg.norm(v - sym) > SYMMETRY_TOL * scale:
+    projected = []
+    for layout, m in _stacks(rep, x):
+        projected.append(_resymmetrize(layout, m))
+        # a norm that overflows is the caller's to reject (``norm``)
+        with np.errstate(over="ignore", invalid="ignore"):
+            size = np.linalg.norm(m, axis=(-2, -1))
+            off = np.linalg.norm(m - projected[-1], axis=(-2, -1))
+        if np.any(off > SYMMETRY_TOL * np.maximum(size, 1.0)):
             raise InvalidArgumentError(
-                f"matrix violates the {rep.kind} symmetry class")
-        return sym
-    return v
+                f"matrix violates the {layout.kind} symmetry class")
+    return _unflat(rep, _joined(projected))
 
 
 def act(rep: Representation, g, v):
     """Apply the group action of g to the vector v."""
-    return _act(rep, _coerce_element(rep, g), _check_vector(rep, v))
+    return _unflat(rep, _act(rep, _coerce_element(rep, g),
+                             _check_vector(rep, v)))
 
 
-def _act(rep: Representation, g: np.ndarray, v):
-    if rep.kind == DIRECT_SUM:
-        return tuple(_act(c, g, vc) for c, vc in zip(rep.components, v))
-    out = g[rep.left, rep.left] @ v
-    if rep.right is None:
-        return out
-    return _resymmetrize(rep, out @ g[rep.right, rep.right].T)
+def _act(rep: Representation, g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    out = []
+    for layout, span, stack in rep.runs:
+        m = g[layout.left, layout.left] @ x[span].reshape(stack)
+        if layout.right is not None:
+            m = _resymmetrize(layout, m @ g[layout.right, layout.right].T)
+        out.append(m.reshape(-1))
+    return out[0] if len(out) == 1 else np.concatenate(out)
 
 
 def differential_act(rep: Representation, x: np.ndarray, v):
     """Infinitesimal action: d/dt act(exp(tX), v) at t = 0."""
-    return _differential_act(rep, _coerce_element(rep, x), _check_vector(rep, v))
+    return _unflat(rep, _differential_act(rep, _coerce_element(rep, x),
+                                          _check_vector(rep, v)))
 
 
-def _differential_act(rep: Representation, x: np.ndarray, v):
-    """Also maps a stack of algebra elements to the stack of images."""
-    if rep.kind == DIRECT_SUM:
-        return tuple(_differential_act(c, x, vc)
-                     for c, vc in zip(rep.components, v))
-    out = x[..., rep.left, rep.left] @ v
-    if rep.right is None:
-        return out
-    return _resymmetrize(
-        rep, out + v @ x[..., rep.right, rep.right].swapaxes(-1, -2))
+def _differential_act(rep: Representation, x: np.ndarray,
+                      v: np.ndarray) -> np.ndarray:
+    """Also maps stacks: the leading axes of the algebra elements ``x``
+    and of the flat vectors ``v`` broadcast against each other."""
+    out = []
+    for layout, m in _stacks(rep, v):
+        image = x[..., None, layout.left, layout.left] @ m
+        if layout.right is not None:
+            image = _resymmetrize(layout, image + m @ x[
+                ..., None, layout.right, layout.right].swapaxes(-1, -2))
+        out.append(image)
+    return _joined(out)
 
 
 def inner_product(rep: Representation, v, w) -> float:
     """Real trace-form inner product; positive definite on every kind."""
-    return _inner_product(rep, _check_vector(rep, v), _check_vector(rep, w))
-
-
-def _inner_product(rep: Representation, v, w) -> float:
-    if rep.kind == DIRECT_SUM:
-        return sum(_inner_product(c, vc, wc)
-                   for c, vc, wc in zip(rep.components, v, w))
+    v, w = _check_vector(rep, v), _check_vector(rep, w)
     return float((v * np.conj(w)).sum().real)
 
 
@@ -313,38 +368,36 @@ def norm(rep: Representation, v) -> float:
 
 
 def scale(rep: Representation, c, v):
-    return _scale(rep, c, _check_vector(rep, v))
-
-
-def _scale(rep: Representation, c, v):
-    if rep.kind == DIRECT_SUM:
-        return tuple(_scale(comp, c, vc) for comp, vc in zip(rep.components, v))
-    return c * v
+    return _unflat(rep, c * _check_vector(rep, v))
 
 
 def zero_vector(rep: Representation):
-    if rep.kind == DIRECT_SUM:
-        return tuple(zero_vector(c) for c in rep.components)
-    return np.zeros(rep.shape, dtype=rep.group.dtype)
+    return _unflat(rep, np.zeros(rep.entries, dtype=rep.group.dtype))
 
 
 def random_vector(rep: Representation, rng: np.random.Generator,
                   spread: float = 1.0):
-    """Gaussian sample from the representation space (symmetry respected)."""
-    if rep.kind == DIRECT_SUM:
-        return tuple(random_vector(c, rng, spread) for c in rep.components)
-    sample = rng.standard_normal(rep.shape)
-    if rep.group.field == COMPLEX:
-        sample = sample + 1j * rng.standard_normal(rep.shape)
-    return _resymmetrize(rep, spread * sample)
+    """Gaussian sample from the representation space (symmetry respected).
+
+    The entries are drawn component by component, the real part of each
+    before its imaginary part over the complex field."""
+    parts = 2 if rep.group.field == COMPLEX else 1
+    out = []
+    for layout, _, (count, *shape) in rep.runs:
+        sample = rng.standard_normal((count, parts, *shape))
+        sample = sample[:, 0] + 1j * sample[:, 1] if parts == 2 else sample[:, 0]
+        out.append(_resymmetrize(layout, spread * sample))
+    return _unflat(rep, _joined(out))
 
 
 def vector_to_json(rep: Representation, v):
-    v = _check_vector(rep, v)
+    # [re, im] pairs over the complex field, also for a real array
+    x = _check_vector(rep, v)
+    v = _unflat(rep, x.astype(complex) if rep.group.field == COMPLEX else x)
     if rep.kind == DIRECT_SUM:
         return {"components": [vector_to_json(c, vc)
                                for c, vc in zip(rep.components, v)]}
-    return matrix_to_json(np.asarray(v))
+    return matrix_to_json(v)
 
 
 def vector_from_json(rep: Representation, data):
@@ -357,66 +410,12 @@ def vector_from_json(rep: Representation, data):
     return point(rep, matrix_from_json(data, rep.group.field == COMPLEX))
 
 
-def _coordinates(rep: Representation, v) -> np.ndarray:
-    """Coordinates of v in an orthonormal basis of the space: ``rep.dim``
-    of them, whose real dot product with the conjugated coordinates of w
-    is ``inner_product(rep, v, w)``.  They are read off the trailing
-    ``rep.shape`` axes, so a stack of vectors gives a stack of rows."""
-    if rep.kind == DIRECT_SUM:
-        return np.concatenate([_coordinates(c, vc)
-                               for c, vc in zip(rep.components, v)], axis=-1)
+def _coordinates(rep: Representation, x: np.ndarray) -> np.ndarray:
+    """Coordinates of the flat vector x in an orthonormal basis of the
+    space, ``rep.dim`` of them (a stack of rows for a stack of vectors):
+    Re(coords(v) . conj coords(w)) is ``inner_product(rep, v, w)``."""
     index, weight = rep.coordinate_map
-    lead = v.shape[:v.ndim - len(rep.shape)]
-    return v.reshape(lead + (math.prod(rep.shape),))[..., index] * weight
-
-
-def _flat(rep: Representation, v) -> np.ndarray:
-    """All entries of v in one flat array, components in order (a view
-    unless v is a direct-sum tuple)."""
-    if rep.kind == DIRECT_SUM:
-        return np.concatenate([_flat(c, vc) for c, vc in zip(rep.components, v)])
-    return v.reshape(-1)
-
-
-def _unflat(rep: Representation, x: np.ndarray):
-    """The vector whose :func:`_flat` entries are ``x``."""
-    if rep.kind == DIRECT_SUM:
-        out, start = [], 0
-        for c in rep.components:
-            out.append(_unflat(c, x[start:start + c.entries]))
-            start += c.entries
-        return tuple(out)
-    return x.reshape(rep.shape)
-
-
-def _weights(rep: Representation, d: np.ndarray) -> np.ndarray:
-    """Weights of the diagonal algebra element diag(d), in :func:`_flat`
-    order: diag(d) . E_ij = (d_L,i + d_R,j) E_ij before the projection
-    (d_L,i for column vectors), with d_L and d_R the entries of d on the
-    left and right blocks."""
-    if rep.kind == DIRECT_SUM:
-        return np.concatenate([_weights(c, d) for c in rep.components])
-    left = d[rep.left]
-    if rep.right is None:
-        return left
-    return (left[:, None] + d[rep.right]).reshape(-1)
-
-
-def _basis_vectors(rep: Representation):
-    """The orthonormal basis of the space whose coordinates are the unit
-    vectors, in order: each is the projection onto the symmetry class of
-    its coordinate's weight at its position."""
-    if rep.kind == DIRECT_SUM:
-        zeros = [zero_vector(c) for c in rep.components]
-        for i, c in enumerate(rep.components):
-            for unit in _basis_vectors(c):
-                yield tuple(unit if j == i else z for j, z in enumerate(zeros))
-        return
-    size = math.prod(rep.shape)
-    for position, weight in zip(*rep.coordinate_map):
-        unit = np.zeros(size, dtype=rep.group.dtype)
-        unit[position] = weight
-        yield _resymmetrize(rep, unit.reshape(rep.shape))
+    return x[..., index] * weight
 
 
 def _build_orbit_operator(rep: Representation,
@@ -424,13 +423,14 @@ def _build_orbit_operator(rep: Representation,
     """The orbit map v -> (X_1 . v, ..., X_k . v) in isometric coordinates:
     a (k, N, N) stack with N = rep.dim, read as the (k N) x N operator
     whose row block i is the matrix of v -> X_i . v; column j holds the
-    images of basis vector j; a space of dimension 0 gives a (k, 0, 0)
-    stack."""
-    columns = [_coordinates(rep, _differential_act(rep, algebra.matrices, unit))
-               for unit in _basis_vectors(rep)]
-    if not columns:
-        return np.zeros((algebra.dim, 0, 0), dtype=algebra.matrices.dtype)
-    return np.stack(columns, axis=-1)
+    images of basis vector j, the projected unit stack's row j."""
+    index, weight = rep.coordinate_map
+    units = np.zeros((rep.dim, rep.entries), dtype=rep.group.dtype)
+    units[np.arange(rep.dim), index] = weight
+    units = _joined([_resymmetrize(layout, m)
+                     for layout, m in _stacks(rep, units)])
+    images = _differential_act(rep, algebra.matrices[:, None], units)
+    return np.ascontiguousarray(_coordinates(rep, images).swapaxes(-1, -2))
 
 
 def _orbit_operator(rep: Representation, algebra: LieAlgebraBasis) -> np.ndarray:
@@ -439,8 +439,7 @@ def _orbit_operator(rep: Representation, algebra: LieAlgebraBasis) -> np.ndarray
     group when its operator is built."""
     operator = algebra.orbit_operators.get(rep)
     if operator is None:
-        n = rep.group.size
-        field = rep.group.field
+        n, field = rep.group.size, rep.group.field
         if algebra.ambient_size != n or algebra.field != field:
             raise InvalidArgumentError(
                 f"algebra elements must be {n}x{n} over the {field} field")

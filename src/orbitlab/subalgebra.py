@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _linalg
-from .errors import InvalidArgumentError
+from .errors import NotBracketClosedError
 from .groups import (BRACKET_CLOSURE_TOL, COMPLEX, LieAlgebraBasis,
                      bracket_closure_residual, bracket_table,
                      from_orthonormal_coordinates, upper_triangle)
@@ -119,7 +119,7 @@ def structure_report(basis: LieAlgebraBasis,
     table = bracket_table(onb)
     residual = bracket_closure_residual(onb, table)
     if residual > BRACKET_CLOSURE_TOL:
-        raise InvalidArgumentError(
+        raise NotBracketClosedError(
             f"basis is not bracket-closed (residual {residual:.2e})")
     k, n = onb.dim, onb.ambient_size
     real_span = basis.field != COMPLEX

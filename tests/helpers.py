@@ -8,8 +8,8 @@ from orbitlab import _linalg
 
 
 def flatten(rep: ol.Representation, v) -> np.ndarray:
-    """Vector as one flat coordinate array (direct sums concatenated)."""
-    return ol.reps._flat(rep, ol.reps._check_vector(rep, v))
+    """Vector as one flat entry array (direct sums concatenated)."""
+    return ol.reps._check_vector(rep, v)
 
 
 def span_projection_residual(targets: np.ndarray, span: np.ndarray,

@@ -364,6 +364,27 @@ class TestStabilizerDecision:
             assert record.get("stabilizer_verdict",
                               record.get("verdict")) == "inconclusive"
 
+    @pytest.mark.parametrize("kind", ["theorem1", "cor3-intersection"])
+    def test_stabilizer_missing_closure_is_inconclusive(self, kind):
+        # trial 3 of seed 0 at spread 3 reads a 3-dimensional stabilizer
+        # whose bracket residual is about 1e-9, above BRACKET_CLOSURE_TOL:
+        # the structure analysis refuses it, and the trial, not the run,
+        # reads inconclusive
+        sc = get_scenario("sl4-block")
+        config = ExperimentConfig(kind=kind, scenario="sl4-block", seed=0,
+                                  spread=3.0)
+        x = experiments._start_vector(sc, config, trial_seed(0, 3))
+        stab = ol.stabilizer_subalgebra(
+            sc.representation, ol.lie_algebra_basis(sc.subgroup), x)
+        with pytest.raises(ol.NotBracketClosedError):
+            ol.structure_report(stab)
+        record = experiments._run_one(config, 3)
+        assert record.get("stabilizer_verdict",
+                          record.get("verdict")) == "inconclusive"
+        if kind == "cor3-intersection":
+            assert record["derived_dim"] is None
+            assert record["intersection_dim"] == stab.dim
+
 
 class TestDeterminism:
     def test_identical_configs_identical_reports(self):

@@ -9,7 +9,7 @@ from orbitlab import _linalg
 from orbitlab.errors import (ConfigurationError, InvalidArgumentError,
                              NotThetaStableError)
 
-from helpers import subspace_distance
+from helpers import flatten, subspace_distance
 
 
 def oracle_symplectic_nullity(form):
@@ -350,7 +350,7 @@ class TestOrthonormalBasis:
         for rep, v in points:
             decision = ol.orbit_dimension_info(rep, algebra, v)
             svd = _linalg.matrix_rank(
-                ol.reps._differential_matrix(rep, svd_basis, v))
+                ol.reps._differential_matrix(rep, svd_basis, flatten(rep, v)))
             assert ((decision.rank, decision.ambiguous)
                     == (svd.rank, svd.ambiguous))
             stab = ol.stabilizer_subalgebra(rep, algebra, v)

@@ -10,6 +10,8 @@ from orbitlab.errors import InvalidArgumentError
 from orbitlab.experiments import ExperimentConfig, get_scenario
 from orbitlab.kempfness import CLOSED, INCONCLUSIVE, NON_CLOSED, FlowConfig
 
+from helpers import flatten
+
 
 @pytest.fixture(scope="module")
 def cartan6(sl6=None):
@@ -465,7 +467,7 @@ class TestFlowConfig:
 def _relative_hessian_eigenvalues(rep, group, w):
     """Eigenvalues of H = 2 Re(D* D) over the p-basis, divided by |w|^2."""
     p_basis = ol.cartan_decomposition_for(group).p_basis
-    d = ol.reps._differential_matrix(rep, p_basis, w)
+    d = ol.reps._differential_matrix(rep, p_basis, flatten(rep, w))
     hess = 2.0 * np.real(d.conj().T @ d)
     return np.linalg.eigvalsh(hess) / ol.inner_product(rep, w, w)
 
@@ -658,7 +660,8 @@ def test_limit_decision_on_the_flow_matrix_is_the_limit_point_decision(
         algebra = ol.lie_algebra_basis(group)
         for onb in (algebra.orthonormal, ol.groups.orthonormalize(algebra)):
             rebuilt = _linalg.matrix_rank(
-                ol.reps._differential_matrix(rep, onb, trace.limit_point),
+                ol.reps._differential_matrix(rep, onb,
+                                             flatten(rep, trace.limit_point)),
                 floor=kempfness.LIMIT_RANK_FLOOR * residual
                 * verdict.limit_norm, one_sided=True)
             assert ((read.rank, read.ambiguous)

@@ -70,9 +70,9 @@ def test_differential_matrix_matches_elementwise_loop(rep, group):
     algebra = ol.lie_algebra_basis(group)
     v = random_point(rep, 31)
     reference = np.array([
-        ol.reps._coordinates(rep, ol.differential_act(rep, x, v))
+        ol.reps._coordinates(rep, flatten(rep, ol.differential_act(rep, x, v)))
         for x in algebra.matrices]).T
-    batched = ol.reps._differential_matrix(rep, algebra, v)
+    batched = ol.reps._differential_matrix(rep, algebra, flatten(rep, v))
     assert batched.shape == reference.shape
     assert np.linalg.norm(batched - reference) <= 1e-14 * np.linalg.norm(reference)
 
@@ -88,8 +88,8 @@ class TestIsometricCoordinates:
         rng = np.random.default_rng(seed)
         v = ol.random_vector(rep, rng)
         w = ol.random_vector(rep, rng)
-        cv = ol.reps._coordinates(rep, v)
-        cw = ol.reps._coordinates(rep, w)
+        cv = ol.reps._coordinates(rep, flatten(rep, v))
+        cw = ol.reps._coordinates(rep, flatten(rep, w))
         assert cv.shape == (rep.dim,)
         for a, b, ca, cb in ((v, w, cv, cw), (v, v, cv, cv)):
             exact = ol.inner_product(rep, a, b)
@@ -104,7 +104,7 @@ class TestIsometricCoordinates:
         images = np.array([flatten(rep, ol.differential_act(rep, x, v))
                            for x in algebra.matrices])
         gram = images.conj() @ images.T
-        d = ol.reps._differential_matrix(rep, algebra, v)
+        d = ol.reps._differential_matrix(rep, algebra, flatten(rep, v))
         assert d.shape == (rep.dim, algebra.dim)
         assert np.linalg.norm(d.conj().T @ d - gram) <= 1e-13 * np.linalg.norm(
             gram)
@@ -146,9 +146,9 @@ class TestActionAxioms:
         d = np.random.default_rng(7).standard_normal(rep.group.size)
         v = random_point(rep, 8)
         g = np.diag(np.exp(d)).astype(rep.group.dtype)
-        flat = ol.reps._flat(rep, v)
-        expected = np.exp(ol.reps._weights(rep, d)) * flat
-        assert np.allclose(ol.reps._flat(rep, ol.act(rep, g, v)), expected)
+        flat = flatten(rep, v)
+        expected = np.exp(rep.weight_map @ d) * flat
+        assert np.allclose(flatten(rep, ol.act(rep, g, v)), expected)
         back = ol.reps._unflat(rep, flat)
         assert np.array_equal(flatten(rep, back), flat)
 
@@ -176,8 +176,73 @@ def test_direct_sum_reads_the_finest_blocks():
     d = np.arange(5.0)
     v = random_point(rep, 9)
     g = np.diag(np.exp(d)).astype(complex)
-    expected = np.exp(ol.reps._weights(rep, d)) * ol.reps._flat(rep, v)
-    assert np.allclose(ol.reps._flat(rep, ol.act(rep, g, v)), expected)
+    expected = np.exp(rep.weight_map @ d) * flatten(rep, v)
+    assert np.allclose(flatten(rep, ol.act(rep, g, v)), expected)
+
+
+class TestRuns:
+    """A direct sum is read in runs of consecutive components of one
+    layout; every core matches the componentwise result."""
+
+    @pytest.fixture
+    def rep(self):
+        sl3 = ol.special_linear(3, "complex")
+        return ol.direct_sum(ol.sym2(sl3), ol.sym2(sl3), ol.defining(sl3),
+                             ol.direct_sum(ol.sym2(sl3), ol.alt_bilinear(sl3)))
+
+    @staticmethod
+    def leaves(rep):
+        if rep.kind != "direct_sum":
+            return [rep]
+        return [leaf for c in rep.components for leaf in TestRuns.leaves(c)]
+
+    def test_consecutive_components_of_one_layout_share_a_run(self, rep):
+        assert [(layout.kind, stack) for layout, _, stack in rep.runs] == [
+            ("sym2", (2, 3, 3)), ("defining", (1, 3, 1)), ("sym2", (1, 3, 3)),
+            ("alt_bilinear", (1, 3, 3))]
+        assert [span.stop for _, span, _ in rep.runs] == [18, 21, 30, 39]
+        assert rep.entries == 39
+        assert rep.dim == 6 + 6 + 3 + 6 + 3
+
+    def test_cores_match_the_componentwise_results(self, rep):
+        leaves = self.leaves(rep)
+        rng = np.random.default_rng(40)
+        parts = [ol.random_vector(leaf, rng) for leaf in leaves]
+        x = np.concatenate([p.reshape(-1) for p in parts])
+        g = ol.random_group_element(rep.group, 41, 0.5)
+        m = ol.lie_algebra_basis(rep.group).matrices[2]
+        d = rng.standard_normal(3)
+        for core, each in (
+                (lambda: ol.reps._act(rep, g, x),
+                 lambda leaf, p: ol.act(leaf, g, p).reshape(-1)),
+                (lambda: ol.reps._differential_act(rep, m, x),
+                 lambda leaf, p: ol.differential_act(leaf, m, p).reshape(-1)),
+                (lambda: ol.reps._coordinates(rep, x),
+                 lambda leaf, p: ol.reps._coordinates(leaf, p.reshape(-1))),
+                (lambda: rep.weight_map @ d,
+                 lambda leaf, p: leaf.weight_map @ d)):
+            expected = np.concatenate([each(leaf, p)
+                                       for leaf, p in zip(leaves, parts)])
+            np.testing.assert_array_equal(core(), expected)
+
+    def test_random_vector_draws_the_components_in_order(self, rep):
+        rng = np.random.default_rng(42)
+        expected = [ol.random_vector(leaf, rng) for leaf in self.leaves(rep)]
+        drawn = ol.random_vector(rep, np.random.default_rng(42))
+        np.testing.assert_array_equal(
+            flatten(rep, drawn),
+            np.concatenate([e.reshape(-1) for e in expected]))
+
+    def test_point_checks_each_component_at_its_own_scale(self):
+        sl2 = ol.special_linear(2, "complex")
+        rep = ol.direct_sum(ol.sym2(sl2), ol.sym2(sl2))
+        large = 1e6 * np.eye(2, dtype=complex)
+        skewed = np.array([[1.0, 1e-9], [-1e-9, 1.0]], dtype=complex)
+        # the violation is 1.4e-9, far below SYMMETRY_TOL times the whole
+        # vector's norm of 1.4e6, but above it times the component's
+        with pytest.raises(InvalidArgumentError, match="sym2 symmetry"):
+            ol.reps.point(rep, (large, skewed))
+        ol.reps.point(rep, (large, np.eye(2, dtype=complex)))
 
 
 class TestExample1Action:
@@ -389,6 +454,15 @@ class TestValidation:
         data = ol.reps.vector_to_json(rep, v)
         back = ol.reps.vector_from_json(rep, data)
         assert np.allclose(flatten(rep, back), flatten(rep, v))
+
+    def test_vector_json_of_a_real_array_over_the_complex_field(self):
+        # real arrays are valid vectors of a complex representation; their
+        # JSON must still carry [re, im] pairs to be read back
+        sl2 = ol.special_linear(2, "complex")
+        rep = ol.direct_sum(ol.sym2(sl2), ol.defining(sl2))
+        v = (np.array([[1.0, 0.3], [0.3, 2.0]]), np.array([1.0, -2.0]))
+        back = ol.reps.vector_from_json(rep, ol.reps.vector_to_json(rep, v))
+        np.testing.assert_array_equal(flatten(rep, back), flatten(rep, v))
 
     @pytest.mark.parametrize("rep", all_reps(), ids=rep_id)
     def test_point_accepts_its_own_random_vector(self, rep):
