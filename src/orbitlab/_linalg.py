@@ -8,13 +8,12 @@ a constant.  :func:`matrix_rank` is the one rank decision of a matrix:
 one SVD gives the rank, the ambiguity flag, the orthonormal kernel and
 the orthonormal row space.  A decision that lands too close to the
 cutoff is flagged instead of silently guessed, and callers turn that
-flag into an "inconclusive" outcome.  :func:`null_space` (which reads
-only that kernel) and :func:`_orthonormal_rows`, the one orthonormal
-basis of a span (behind :func:`orthonormal_span`), drop the flag and
-take no ``rtol``: they decide at ``RANK_RTOL``, because they build fixed
-bases whose singular values are exact zeros or O(1) (the symplectic
-algebra basis, the Cartan split, the orthonormal basis of an algebra
-that is not theta-stable).
+flag into an "inconclusive" outcome.  :func:`_orthonormal_rows`, the
+one orthonormal basis of a span (behind :func:`orthonormal_span`),
+drops the flag and takes no ``rtol``: it decides at ``RANK_RTOL``,
+because it builds fixed bases whose singular values are exact zeros or
+O(1) (the Cartan split, the orthonormal basis of an algebra that is not
+theta-stable).
 
 Matrices become coordinate rows in one of two ways (:func:`span_rows`):
 flat over their own field, or over the reals by :func:`real_rows`, a
@@ -32,9 +31,7 @@ failed convergence never reads as a silent rank; an empty matrix never
 reaches LAPACK.
 
 The eigendecomposition of a Hermitian matrix, the norm flow's step, is
-one direct LAPACK call as well (:func:`eigh`, ``?heevd``), and
-:func:`hermitian_expm1` gives exp(h) - I from it as U diag(expm1(d)) U*,
-so a small step keeps its full relative precision.
+one direct LAPACK call as well (:func:`eigh`, ``?heevd``).
 """
 
 from __future__ import annotations
@@ -129,13 +126,6 @@ def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, u
 
 
-def hermitian_expm1(h: np.ndarray) -> np.ndarray:
-    """exp(h) - I of a Hermitian (real symmetric) matrix ``h``, as
-    U diag(expm1(d)) U* from one eigendecomposition (:func:`eigh`)."""
-    d, u = eigh(h)
-    return (u * np.expm1(d)) @ u.conj().T
-
-
 def spectral_norm(a: np.ndarray) -> float:
     """Largest singular value of a nonempty matrix."""
     return float(svd(a, vectors=False)[0])
@@ -178,18 +168,17 @@ def rank_from_singular_values(s, rtol: float = RANK_RTOL, floor: float = 0.0,
     return RankDecision(rank, ambiguous)
 
 
-def matrix_rank(a: np.ndarray, rtol: float = RANK_RTOL, floor: float = 0.0,
-                one_sided: bool = False) -> RankDecision:
+def matrix_rank(a: np.ndarray, rtol: float = RANK_RTOL,
+                floor: float = 0.0) -> RankDecision:
     """Rank, ambiguity flag, orthonormal kernel and orthonormal row space
-    of ``a`` from one SVD; ``floor`` and ``one_sided`` as in
-    :func:`rank_from_singular_values`.
+    of ``a`` from one SVD; ``floor`` as in :func:`rank_from_singular_values`.
 
     Only ``vh`` is read, so the full square factor is requested only when
     ``a`` is wide and the thin one would miss kernel directions.
     """
     m, k = a.shape
     _, s, vh = svd(a, full_matrices=m < k)
-    decision = rank_from_singular_values(s, rtol, floor, one_sided)
+    decision = rank_from_singular_values(s, rtol, floor)
     return RankDecision(decision.rank, decision.ambiguous,
                         vh[decision.rank:].conj().T, vh[:decision.rank])
 

@@ -570,8 +570,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     The report is a pure function of the config; ``workers`` (at least
     1) only parallelizes independent trials.
     """
-    if workers < 1:
-        raise ConfigurationError("workers must be >= 1")
+    if not (is_integer(workers) and workers >= 1):
+        raise ConfigurationError("workers must be an integer >= 1")
     start = time.perf_counter()
 
     if config.kind == EXAMPLE1:

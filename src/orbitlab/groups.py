@@ -335,16 +335,14 @@ def _so_matrices(n: int, dtype) -> np.ndarray:
 
 
 def _symplectic_matrices(form: np.ndarray, dtype) -> np.ndarray:
-    # Null space of X -> X v + v X^t over the full matrix space.
+    # X v + v X^t = 0 exactly when X = S v^-1 with S symmetric, since
+    # v^-t = -v^-1: one element per entry S_ij = S_ji, i <= j
     n = form.shape[0]
-    v = form.astype(dtype)
-    eye = np.eye(n * n, dtype=dtype)
-    cols = []
-    for k in range(n * n):
-        X = eye[k].reshape(n, n)
-        cols.append((X @ v + v @ X.T).ravel())
-    kernel = _linalg.null_space(np.array(cols).T)
-    return kernel.T.reshape(-1, n, n)
+    i, j = np.triu_indices(n)
+    sym = np.zeros((len(i), n, n), dtype=dtype)
+    sym[np.arange(len(i)), i, j] = 1.0
+    sym[np.arange(len(i)), j, i] = 1.0
+    return sym @ np.linalg.inv(form.astype(dtype))
 
 
 def _embed_stack(mats: np.ndarray, ambient: int, offset: int, dtype) -> np.ndarray:
@@ -526,13 +524,18 @@ def random_algebra_coefficients(dim: int, seed, spread: float, complex_field: bo
     return spread * rng.standard_normal(dim)
 
 
+def check_spread(spread: float) -> None:
+    """The scale of a Gaussian draw must be finite and positive."""
+    if not (math.isfinite(spread) and spread > 0):
+        raise InvalidArgumentError("spread must be finite and positive")
+
+
 def random_group_element(spec: GroupSpec, seed, spread: float) -> np.ndarray:
     """exp of a Gaussian algebra element; absolutely continuous on the group.
 
     Identical (spec, seed, spread) triples give bitwise-identical draws.
     """
-    if not (math.isfinite(spread) and spread > 0):
-        raise InvalidArgumentError("spread must be finite and positive")
+    check_spread(spread)
     basis = lie_algebra_basis(spec)
     coeff = random_algebra_coefficients(basis.dim, seed, spread,
                                         spec.field == COMPLEX)

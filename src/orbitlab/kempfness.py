@@ -87,7 +87,8 @@ limit, where only the rank and its flag are read.  Both
 read the flow's own D on the Cartan basis, so a verdict builds one orbit
 operator: the start side reads the first, ``FlowTrace.start_orbit_map``
 at v / |v|, with the noise floor ``reps.ORBIT_NOISE`` at that unit
-scale, and its kernel is the stabilizer the verdict carries; the limit
+scale, and its kernel is the stabilizer the verdict carries, built by
+``reps._stabilizer_subalgebra`` as every stabilizer is; the limit
 side reads the last, ``FlowTrace.limit_orbit_map``, at limit / |v|.  A
 subtlety: the final iterate is only within about sqrt(residual) of the
 true limit, so singular values of that size at the limit are artifacts
@@ -106,7 +107,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from . import _linalg, groups, reps
+from . import _linalg, reps
 from .errors import InvalidArgumentError
 from .groups import LieAlgebraBasis, lie_algebra_basis
 from .serialize import is_integer, is_real
@@ -333,20 +334,10 @@ def _newton_direction(d: np.ndarray, coeff: np.ndarray,
 
 
 def matrix_exp(x: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """exp(t x) of a Hermitian matrix x: I plus
-    :func:`_linalg.hermitian_expm1`, from one eigendecomposition.
-
-    A real 1-D ``x`` is a Hermitian operator already on its eigenbasis,
-    given by its eigenvalues; the result is then its change
-    exp(t x) - 1 per eigenvalue, expm1(t x), which keeps a small step's
-    full relative precision.  The norm flow passes the weights of its step
-    on the eigen-coefficients of its iterate, once per trial point.
-    """
-    if x.ndim == 1:
-        return np.expm1(t * x)
-    out = _linalg.hermitian_expm1(t * x)
-    out.flat[::len(out) + 1] += 1.0
-    return out
+    """expm1(t x): the change exp(t X) - I of the Hermitian step X on its
+    eigenbasis, given by its weights ``x``, at full relative precision
+    however small the step.  The norm flow calls it once per trial point."""
+    return np.expm1(t * x)
 
 
 def _eigen_step(rep: reps.Representation,
@@ -572,6 +563,5 @@ def closedness_verdict(rep: reps.Representation, group, v,
         status = NON_CLOSED
     return ClosednessVerdict(status, start.rank, limit.rank, start_norm,
                              limit_norm, trace,
-                             groups.from_orthonormal_coordinates(
-                                 onb, start.kernel.T),
+                             reps._stabilizer_subalgebra(onb, start),
                              start.ambiguous)

@@ -55,7 +55,7 @@ import numpy as np
 from . import _linalg
 from .errors import ConfigurationError, InvalidArgumentError
 from .groups import (COMPLEX, PRODUCT, GroupSpec, LieAlgebraBasis,
-                     from_orthonormal_coordinates)
+                     check_spread, from_orthonormal_coordinates)
 from .serialize import matrix_from_json, matrix_to_json
 
 DEFINING = "defining"
@@ -67,8 +67,8 @@ DIRECT_SUM = "direct_sum"
 SYMMETRY_TOL = 1e-12
 
 # Orbit dimensions floor singular values at ORBIT_NOISE |v|: at a point
-# fixed by the group, D = 0 computes as noise up to about 34 eps |v|
-# (Sp(8) on alt_bilinear at its form), 30 times below the flag band.
+# fixed by the group, D = 0 computes as noise up to about 10 eps |v|
+# (Sp(2n) on alt_bilinear at its form, 2n <= 8), 100 times below the band.
 ORBIT_NOISE = 1e4 * np.finfo(float).eps
 
 
@@ -229,20 +229,11 @@ def direct_sum(*components: Representation) -> Representation:
 
 
 def _coerce_element(rep: Representation, g) -> np.ndarray:
-    """Accept a tuple of factor matrices for product groups."""
-    if isinstance(g, (tuple, list)):
-        if rep.group.family != PRODUCT or len(g) != len(rep.group.members):
-            raise InvalidArgumentError("tuple element does not match the group")
-        out = np.zeros((rep.group.size, rep.group.size), dtype=rep.group.dtype)
-        off = 0
-        for factor, member in zip(g, rep.group.members):
-            factor = np.asarray(factor)
-            if factor.shape != (member.size, member.size):
-                raise InvalidArgumentError("factor has the wrong shape")
-            out[off:off + member.size, off:off + member.size] = factor
-            off += member.size
-        return out
-    g = np.asarray(g)
+    """A group or algebra element as an n x n array."""
+    try:
+        g = np.asarray(g)
+    except ValueError as exc:  # a ragged nested list
+        raise InvalidArgumentError(f"malformed group element: {exc}") from exc
     n = rep.group.size
     if g.shape != (n, n):
         raise InvalidArgumentError(f"group element must be {n}x{n}")
@@ -381,6 +372,7 @@ def random_vector(rep: Representation, rng: np.random.Generator,
 
     The entries are drawn component by component, the real part of each
     before its imaginary part over the complex field."""
+    check_spread(spread)
     parts = 2 if rep.group.field == COMPLEX else 1
     out = []
     for layout, _, (count, *shape) in rep.runs:

@@ -110,7 +110,9 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             ExperimentConfig.from_json({**data, field: "abc"})
 
-    @pytest.mark.parametrize("workers", [0, -3])
+    # 1.5 reached the pool as max_workers and raised TypeError there, and
+    # True counted as one worker
+    @pytest.mark.parametrize("workers", [0, -3, 1.5, True])
     def test_workers_below_one(self, workers):
         config = ExperimentConfig(kind="cor3-intersection",
                                   scenario="sl4-block", trials=1)

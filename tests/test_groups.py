@@ -12,17 +12,22 @@ from orbitlab.errors import (ConfigurationError, InvalidArgumentError,
 from helpers import flatten, subspace_distance
 
 
-def oracle_symplectic_nullity(form):
-    """Rank-nullity on the full matrix space: dim {X : X v + v X^t = 0}."""
+def symplectic_equation(form):
+    """The matrix of X -> X v + v X^t on the full matrix space."""
     n = form.shape[0]
     cols = []
     for i in range(n):
         for j in range(n):
-            e = np.zeros((n, n), dtype=complex)
+            e = np.zeros((n, n), dtype=form.dtype)
             e[i, j] = 1.0
             cols.append((e @ form + form @ e.T).ravel())
-    rank = np.linalg.matrix_rank(np.array(cols).T)
-    return n * n - rank
+    return np.array(cols).T
+
+
+def oracle_symplectic_nullity(form):
+    """Rank-nullity on the full matrix space: dim {X : X v + v X^t = 0}."""
+    n = form.shape[0]
+    return n * n - np.linalg.matrix_rank(symplectic_equation(form))
 
 
 @pytest.mark.parametrize("n,expected", [(2, 3), (3, 8), (6, 35)])
@@ -51,6 +56,21 @@ def test_symplectic_span_does_not_depend_on_the_form_scale(v0):
         basis = ol.lie_algebra_basis(ol.symplectic(form=scale * v0))
         assert basis.dim == 21
         assert subspace_distance(basis.matrices, base.matrices) <= 1e-12
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_symplectic_basis_spans_the_null_space_of_its_equation(n, field):
+    # the closed form S v^-1 against the null space of X v + v X^t, on the
+    # standard form, a scaled one and a generic congruent one
+    std = ol.standard_symplectic_form(n, field)
+    g = np.eye(n) + 0.3 * np.random.default_rng(n).standard_normal((n, n))
+    for form in (std, 3.0 * std, (g @ std @ g.T).astype(std.dtype)):
+        basis = ol.lie_algebra_basis(ol.symplectic(form=form, field=field))
+        kernel = scipy.linalg.null_space(symplectic_equation(form))
+        assert basis.dim == kernel.shape[1] == n * (n + 1) // 2
+        assert subspace_distance(basis.matrices,
+                                 kernel.T.reshape(-1, n, n)) <= 1e-12
 
 
 @pytest.mark.parametrize("form,message", [

@@ -516,6 +516,11 @@ class TestNewtonStep:
         assert verdict.status == NON_CLOSED
         assert verdict.trace.collapsed
 
+    def test_zero_orbit_map_is_not_a_newton_system(self):
+        # H = 0 leaves lam = 0 and a singular system, which dposv reports
+        with pytest.raises(np.linalg.LinAlgError):
+            kempfness._newton_direction(np.zeros((4, 2)), np.ones(2), 1.0)
+
     def test_overflowing_trial_step_is_rejected_not_raised(self, alt6, sl6,
                                                            v0, x_translate):
         # the sp(6) flow from a translate of v0 proposes a full Newton step
@@ -623,6 +628,12 @@ def _edge_case_verdicts(alt6, sl6, sl2_block, x):
             for rep, group, v, config in cases]
 
 
+def _one_sided_rank(d, floor):
+    """The limit-side rank decision: singular values alone, one-sided band."""
+    return _linalg.rank_from_singular_values(
+        _linalg.svd(d, vectors=False), floor=floor, one_sided=True)
+
+
 def test_limit_decision_on_the_flow_matrix_is_the_limit_point_decision(
         seed0_flows, alt6, sl6, sl2_block, x_translate):
     # the verdict reads D at limit / |v| off the trace, with the floor
@@ -652,18 +663,17 @@ def test_limit_decision_on_the_flow_matrix_is_the_limit_point_decision(
         residual = np.sqrt(max(trace.moment_norms[-1], 1e-15))
         scale = (verdict.limit_norm / verdict.start_norm
                  if verdict.start_norm else 0.0)
-        read = _linalg.matrix_rank(
-            trace.limit_orbit_map, floor=kempfness.LIMIT_RANK_FLOOR
-            * residual * scale, one_sided=True)
+        read = _one_sided_rank(
+            trace.limit_orbit_map,
+            kempfness.LIMIT_RANK_FLOOR * residual * scale)
         assert read.rank == verdict.limit_orbit_dim
         # on the Cartan basis, and on the SVD basis the verdict once read
         algebra = ol.lie_algebra_basis(group)
         for onb in (algebra.orthonormal, ol.groups.orthonormalize(algebra)):
-            rebuilt = _linalg.matrix_rank(
+            rebuilt = _one_sided_rank(
                 ol.reps._differential_matrix(rep, onb,
                                              flatten(rep, trace.limit_point)),
-                floor=kempfness.LIMIT_RANK_FLOOR * residual
-                * verdict.limit_norm, one_sided=True)
+                kempfness.LIMIT_RANK_FLOOR * residual * verdict.limit_norm)
             assert ((read.rank, read.ambiguous)
                     == (rebuilt.rank, rebuilt.ambiguous))
 
@@ -746,10 +756,11 @@ class TestExactLineSearch:
             assert abs(a @ (s * e)) <= 1e-8 * (a @ (np.abs(s) * e))
 
 
-def _degenerate_form(kind, n, field, seed):
+def _degenerate_form(kind, n, field, seed, translate=None):
     """A form of SL(n) on the nullcone, moved by a random group element:
     a symmetric form of rank n - 1 (det = 0) or an antisymmetric one of
-    rank n - 2 (Pf = 0), whose orbit closures hold 0."""
+    rank n - 2 (Pf = 0), whose orbit closures hold 0.  The element is
+    drawn with the (seed, spread) ``translate``, by default (seed, 1.0)."""
     rng = np.random.default_rng(seed)
 
     def draw(*shape):
@@ -765,8 +776,8 @@ def _degenerate_form(kind, n, field, seed):
         rep = ol.alt_bilinear(group)
         a = draw(n, n - 2)
         form = a @ np.kron(np.eye((n - 2) // 2), [[0.0, 1.0], [-1.0, 0.0]]) @ a.T
-    return rep, group, ol.act(rep, ol.random_group_element(group, seed, 1.0),
-                              form)
+    g = ol.random_group_element(group, *(translate or (seed, 1.0)))
+    return rep, group, ol.act(rep, g, form)
 
 
 @pytest.mark.parametrize("kind,n,field", [("sym2", 3, "complex"),
@@ -783,6 +794,20 @@ def test_nullcone_forms_collapse(kind, n, field):
         verdict = ol.closedness_verdict(rep, group, x)
         assert verdict.status == NON_CLOSED
         assert verdict.trace.collapsed
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="known defect: the flow stops just above the "
+                   "collapse bar and settles on the translate's rounding")
+@pytest.mark.parametrize("field,index", [("complex", 18), ("complex", 26),
+                                         ("real", 18), ("real", 20)])
+def test_translated_rank3_form_is_not_called_closed(field, index):
+    # det = 0 puts the form in the nullcone, but after a spread-2 translate
+    # the flow reaches norm^2 ~ 5e-12 of the start, above
+    # COLLAPSE_REL_NORM2, and calls what the rounding left closed
+    rep, group, x = _degenerate_form("sym2", 4, field, 5000 + index,
+                                     translate=(7000 + index, 2.0))
+    assert ol.closedness_verdict(rep, group, x).status != CLOSED
 
 
 @pytest.mark.parametrize("seed", [0, 1, 3])

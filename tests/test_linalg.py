@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitlab import _linalg, kempfness
+from orbitlab import _linalg
 
 
 def rank_deficient(m, k, rank, complex_field, seed):
@@ -80,11 +79,12 @@ def test_floor_and_one_sided_band_of_the_rank_decision():
     q = np.linalg.qr(np.random.default_rng(3).standard_normal((5, 5)))[0]
     a = q[:, :3] @ np.diag([1.0, 1e-3, 5e-5])
     two_sided = _linalg.matrix_rank(a, floor=1e-4)
-    one_sided = _linalg.matrix_rank(a, floor=1e-4, one_sided=True)
+    one_sided = _linalg.rank_from_singular_values(
+        _linalg.svd(a, vectors=False), floor=1e-4, one_sided=True)
     assert (two_sided.rank, two_sided.ambiguous) == (2, True)
     assert (one_sided.rank, one_sided.ambiguous) == (2, False)
-    assert one_sided.kernel.shape == (3, 1)
-    assert np.linalg.norm(a @ one_sided.kernel) <= 1e-4
+    assert two_sided.kernel.shape == (3, 1)
+    assert np.linalg.norm(a @ two_sided.kernel) <= 1e-4
 
 
 # --- the direct-LAPACK SVD path -------------------------------------------
@@ -188,56 +188,8 @@ def test_float_list_count_keeps_the_numpy_semantics(case):
         assert type(decision.ambiguous) is bool
 
 
-@st.composite
-def hermitian_matrices(draw):
-    """A complex Hermitian or real symmetric matrix of size 1-6, placed as
-    a diagonal block of a zero matrix of size at most 6 (the support of a
-    step of an embedded group)."""
-    complex_field = draw(st.booleans())
-    size = draw(st.integers(1, 6))
-    ambient = draw(st.integers(size, 6))
-    offset = draw(st.integers(0, ambient - size))
-    scale = draw(st.sampled_from([1e-3, 0.5, 1.0, 3.0]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    a = rng.standard_normal((size, size))
-    if complex_field:
-        a = a + 1j * rng.standard_normal((size, size))
-    h = np.zeros((ambient, ambient), dtype=a.dtype)
-    h[offset:offset + size, offset:offset + size] = scale * (a + a.conj().T) / 2
-    return h, slice(offset, offset + size)
-
-
-HERMITIAN_SETTINGS = settings(derandomize=True, max_examples=150,
-                              deadline=None, database=None)
-
-
-@HERMITIAN_SETTINGS
-@given(hermitian_matrices())
-def test_hermitian_exponential_matches_scipy_expm(case):
-    h, support = case
-    expected = scipy.linalg.expm(h)
-    got = kempfness.matrix_exp(h)
-    assert got.dtype == h.dtype
-    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
-    # off the support the step is the identity
-    outside = np.ones(h.shape, dtype=bool)
-    outside[support, support] = False
-    assert np.array_equal(got[outside], np.eye(len(h))[outside])
-
-
-@HERMITIAN_SETTINGS
-@given(hermitian_matrices())
-def test_hermitian_expm1_keeps_a_tiny_step_exact(case):
-    # exp(eps X) - I = eps X + (eps X)^2 / 2 + O(eps^3): the quadratic term
-    # is about 1e-10 relative, above the bar, so the reference carries it;
-    # forming exp(eps X) first and subtracting I would lose ~6 digits
-    h, _ = case
-    small = 1e-10 * h
-    reference = small + small @ small / 2
-    got = _linalg.hermitian_expm1(small)
-    assert np.linalg.norm(got - reference) <= 1e-12 * np.linalg.norm(small)
-
-
-def test_hermitian_expm1_checks_info():
-    with pytest.raises(np.linalg.LinAlgError):
-        _linalg.hermitian_expm1(np.full((3, 3), np.nan))
+def test_eigh_checks_info():
+    # a NaN entry fails ?heevd and ?syevd with a nonzero info
+    for dtype in (complex, float):
+        with pytest.raises(np.linalg.LinAlgError):
+            _linalg.eigh(np.full((3, 3), np.nan, dtype=dtype))

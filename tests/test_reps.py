@@ -1,4 +1,5 @@
 import gc
+import json
 
 import numpy as np
 import pytest
@@ -203,6 +204,17 @@ class TestRuns:
         assert [span.stop for _, span, _ in rep.runs] == [18, 21, 30, 39]
         assert rep.entries == 39
         assert rep.dim == 6 + 6 + 3 + 6 + 3
+
+    def test_json_round_trip_keeps_the_nested_sum(self, rep):
+        back = ol.Representation.from_json(rep.to_json())
+
+        def runs(r):
+            return [(layout.to_json(), span, stack)
+                    for layout, span, stack in r.runs]
+
+        assert runs(back) == runs(rep)
+        assert back.entries == rep.entries
+        assert json.dumps(back.to_json()) == json.dumps(rep.to_json())
 
     def test_cores_match_the_componentwise_results(self, rep):
         leaves = self.leaves(rep)
@@ -447,6 +459,28 @@ class TestValidation:
         bad = np.array([[np.inf, 0.0], [0.0, 1.0]], dtype=complex)
         with pytest.raises(InvalidArgumentError):
             ol.reps.point(rep, bad)
+
+    def test_group_element_is_read_as_one_array(self):
+        # a nested-list matrix is an element; a ragged list or a tuple of
+        # factor matrices is not one
+        sl2, sl3 = ol.special_linear(2, "real"), ol.special_linear(3, "real")
+        rep = ol.external_tensor(ol.product(sl2, sl3))
+        g = ol.random_group_element(rep.group, 3, 0.5)
+        v = random_point(rep, 21)
+        np.testing.assert_array_equal(ol.act(rep, g.tolist(), v),
+                                      ol.act(rep, g, v))
+        for bad in ([[1.0, 0.0], [0.0]], (g[:2, :2], g[2:, 2:]),
+                    (np.eye(2), np.eye(2))):
+            with pytest.raises(InvalidArgumentError):
+                ol.act(rep, bad, v)
+            with pytest.raises(InvalidArgumentError):
+                ol.differential_act(rep, bad, v)
+
+    @pytest.mark.parametrize("spread", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_random_vector_rejects_a_bad_spread(self, spread):
+        rep = ol.sym2(ol.special_linear(2, "complex"))
+        with pytest.raises(InvalidArgumentError, match="spread"):
+            ol.random_vector(rep, np.random.default_rng(0), spread)
 
     @pytest.mark.parametrize("rep", all_reps(), ids=rep_id)
     def test_vector_json_round_trip(self, rep):
