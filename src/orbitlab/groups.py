@@ -336,13 +336,14 @@ def _so_matrices(n: int, dtype) -> np.ndarray:
 
 def _symplectic_matrices(form: np.ndarray, dtype) -> np.ndarray:
     # X v + v X^t = 0 exactly when X = S v^-1 with S symmetric, since
-    # v^-t = -v^-1: one element per entry S_ij = S_ji, i <= j
+    # v^-t = -v^-1; the elements for S_ij = S_ji, i <= j, are independent,
+    # so their QR factor is orthonormal, the same at every scale of the form
     n = form.shape[0]
     i, j = np.triu_indices(n)
     sym = np.zeros((len(i), n, n), dtype=dtype)
-    sym[np.arange(len(i)), i, j] = 1.0
-    sym[np.arange(len(i)), j, i] = 1.0
-    return sym @ np.linalg.inv(form.astype(dtype))
+    sym[np.arange(len(i)), i, j] = sym[np.arange(len(i)), j, i] = 1.0
+    mats = (sym @ np.linalg.inv(form.astype(dtype))).reshape(len(i), n * n)
+    return np.linalg.qr(mats.T)[0].T.reshape(-1, n, n)
 
 
 def _embed_stack(mats: np.ndarray, ambient: int, offset: int, dtype) -> np.ndarray:

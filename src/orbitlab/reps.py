@@ -67,8 +67,8 @@ DIRECT_SUM = "direct_sum"
 SYMMETRY_TOL = 1e-12
 
 # Orbit dimensions floor singular values at ORBIT_NOISE |v|: at a point
-# fixed by the group, D = 0 computes as noise up to about 10 eps |v|
-# (Sp(2n) on alt_bilinear at its form, 2n <= 8), 100 times below the band.
+# fixed by the group, D = 0 computes as noise up to about 35 eps |v|
+# (Sp(2n) on alt_bilinear at its form, 2n <= 8), 30 times below the flag band.
 ORBIT_NOISE = 1e4 * np.finfo(float).eps
 
 

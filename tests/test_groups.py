@@ -58,6 +58,21 @@ def test_symplectic_span_does_not_depend_on_the_form_scale(v0):
         assert subspace_distance(basis.matrices, base.matrices) <= 1e-12
 
 
+def test_symplectic_draw_does_not_depend_on_the_form_scale(v0):
+    # the basis is orthonormal at every scale of the form, so a draw at
+    # spread 0.5 neither blows up at a small form nor favours directions
+    base = ol.random_group_element(ol.symplectic(form=v0), 3, 0.5)
+    for scale in (1e-7, 1e-3, 3.0):
+        form = scale * v0
+        spec = ol.symplectic(form=form)
+        flat = ol.lie_algebra_basis(spec).matrices.reshape(21, -1)
+        assert np.allclose(flat.conj() @ flat.T, np.eye(21), atol=1e-12)
+        g = ol.random_group_element(spec, 3, 0.5)
+        assert np.all(np.isfinite(g))
+        assert np.allclose(g @ form @ g.T, form, rtol=0, atol=1e-12 * scale)
+        assert np.allclose(g, base, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_symplectic_basis_spans_the_null_space_of_its_equation(n, field):
