@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 
 import click
@@ -82,6 +83,16 @@ def _domain_errors_exit_2(fn):
 def _positive(ctx, param, value: float) -> float:
     if not value > 0:
         _fail_config(f"{param.opts[0]} must be positive")
+    if not math.isfinite(value):
+        _fail_config(f"{param.opts[0]} must be finite")
+    return value
+
+
+def _relative_cutoff(ctx, param, value: float) -> float:
+    """A positive cutoff below 1: at 1 or more even the largest singular
+    value is dropped, so every rank reads 0."""
+    if not _positive(ctx, param, value) < 1:
+        _fail_config(f"{param.opts[0]} must be below 1")
     return value
 
 
@@ -96,7 +107,7 @@ max_iters_option = click.option("--max-iters", type=int, show_default=True,
                                 help="the flow's iteration budget")
 rank_tol_option = click.option("--rank-tol", type=float,
                                default=_linalg.RANK_RTOL, show_default=True,
-                               callback=_positive,
+                               callback=_relative_cutoff,
                                help="relative singular-value threshold for "
                                     "rank decisions")
 

@@ -187,8 +187,11 @@ class FlowConfig:
     max_iterations: int = 20000      # Newton steps before "budget"
 
     def __post_init__(self):
-        if not (is_real(self.moment_tolerance) and self.moment_tolerance > 0):
-            raise InvalidArgumentError("moment_tolerance must be a positive number")
+        if not (is_real(self.moment_tolerance)
+                and math.isfinite(self.moment_tolerance)
+                and self.moment_tolerance > 0):
+            raise InvalidArgumentError(
+                "moment_tolerance must be a finite positive number")
         if not (is_integer(self.max_iterations) and self.max_iterations >= 1):
             raise InvalidArgumentError("max_iterations must be a positive integer")
 

@@ -186,7 +186,9 @@ def test_experiment_zero_trials_is_config_error():
 
 
 @pytest.mark.parametrize("option,value", [
-    ("--spread", "nan"), ("--spread", "inf"), ("--moment-tol", "nan")])
+    ("--spread", "nan"), ("--spread", "inf"), ("--moment-tol", "nan"),
+    ("--moment-tol", "inf"), ("--rank-tol", "inf"), ("--rank-tol", "20"),
+    ("--rank-tol", "1")])
 def test_non_finite_experiment_input_is_config_error(option, value):
     result = run_cli("experiment", "--scenario", "example1", "--kind",
                      "theorem1", "--trials", "2", option, value)
@@ -329,6 +331,22 @@ def test_non_positive_rank_tol_is_config_error(command, value):
     error = json.loads(result.stderr.strip().splitlines()[-1])
     assert error == {"error": "configuration",
                      "message": "--rank-tol must be positive"}
+
+
+# a cutoff of 1 or more drops even the largest singular value, so every
+# rank reads 0; an infinite moment tolerance stops the flow at its start,
+# and an infinite minimality bar passes every vector
+@pytest.mark.parametrize("args", [
+    *([command, "--rank-tol", value]
+      for command in ("closedness", "stabilizer", "orbit-dim")
+      for value in ("inf", "20", "1")),
+    ["closedness", "--moment-tol", "inf"], ["minimal", "--tolerance", "inf"]],
+    ids="-".join)
+def test_tolerance_that_decides_nothing_is_config_error(args, problem_file):
+    result = CliRunner().invoke(main, [*args, "--in", str(problem_file)])
+    assert result.exit_code == 2
+    error = json.loads(result.stderr.strip().splitlines()[-1])
+    assert error["error"] == "configuration"
 
 
 def test_rank_tol_does_not_leak_into_the_process(problem_file):

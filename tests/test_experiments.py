@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -70,7 +71,9 @@ class TestConfigValidation:
             ExperimentConfig(kind="theorem1", scenario="example1",
                              spread=spread)
 
-    @pytest.mark.parametrize("rank_rtol", [0.0, -1e-9, float("nan")])
+    # a cutoff of 1 or more reads every stabilizer as the whole algebra
+    @pytest.mark.parametrize("rank_rtol", [0.0, -1e-9, float("nan"),
+                                           float("inf"), 1.0, 20.0])
     def test_bad_rank_rtol(self, rank_rtol):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(kind="theorem1", scenario="example1",
@@ -251,6 +254,42 @@ class TestStatisticalExperiments:
         assert report.summary["counterexample"] == {
             "intersection_dim": 1, "verdict": "not_reductive",
             "generator_type": "nilpotent"}
+
+    def test_counterexample_is_decided_once_per_scenario_and_cutoff(
+            self, monkeypatch):
+        calls = []
+        intersection = experiments._intersection
+
+        def counting(*args):
+            calls.append(args)
+            return intersection(*args)
+
+        monkeypatch.setattr(experiments, "_intersection", counting)
+        experiments.run_counterexample_trial.cache_clear()
+        config = ExperimentConfig(kind="cor3-intersection",
+                                  scenario="sl4-block", trials=2, seed=0)
+        for seed in (0, 1):
+            run_experiment(replace(config, seed=seed))
+        # one call per trial, and the counterexample once
+        assert len(calls) == 2 * config.trials + 1
+        run_experiment(replace(config, rank_rtol=1e-8))
+        assert len(calls) == 3 * config.trials + 2
+
+    def test_reports_do_not_share_the_counterexample_record(self):
+        config = ExperimentConfig(kind="cor3-intersection",
+                                  scenario="sl4-block", trials=2, seed=0)
+        first = run_experiment(config)
+        first.summary["counterexample"]["verdict"] = "reductive"
+        second = run_experiment(config)
+        assert second.summary["counterexample"] == {
+            "intersection_dim": 1, "verdict": "not_reductive",
+            "generator_type": "nilpotent"}
+
+    def test_cached_counterexample_equals_a_fresh_decision(self):
+        scenario = get_scenario("sl4-block")
+        cached = experiments.run_counterexample_trial(scenario, 1e-9)
+        fresh = experiments.run_counterexample_trial.__wrapped__(scenario, 1e-9)
+        assert cached == fresh
 
     def test_cor2_small_run_no_nonclosed(self):
         config = ExperimentConfig(kind="cor2-normal", scenario="normal-factor",

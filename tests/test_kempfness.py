@@ -429,6 +429,9 @@ class TestFlowConfig:
             FlowConfig(moment_tolerance=0.0)
         with pytest.raises(InvalidArgumentError):
             FlowConfig(moment_tolerance=float("nan"))
+        # an infinite tolerance stops every flow at its start
+        with pytest.raises(InvalidArgumentError):
+            FlowConfig(moment_tolerance=float("inf"))
         with pytest.raises(InvalidArgumentError):
             FlowConfig(max_iterations=0)
 
