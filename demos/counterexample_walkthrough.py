@@ -32,8 +32,9 @@ print("relative moment norm at v0:",
       "-> minimal vector, closed ambient orbit")
 
 algebra = ol.lie_algebra_basis(G)
-print("dim_C SL(6).v0 =", ol.orbit_dimension(rep, algebra, v0),
-      " (stabilizer: the 21-dim symplectic algebra of the form v0)")
+orbit = ol.orbit_dimension_info(rep, algebra, v0)
+print("dim_C SL(6).v0 =", orbit.rank, f"(ambiguous: {orbit.ambiguous})",
+      "(stabilizer: the 21-dim symplectic algebra of the form v0)")
 
 # The special translate: identity plus a single 1 in the (1, 3) entry.
 g = np.eye(6, dtype=complex)

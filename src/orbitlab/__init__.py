@@ -11,20 +11,19 @@ from .errors import (ConfigurationError, InvalidArgumentError,
                      NotBracketClosedError, NotThetaStableError,
                      OrbitLabError)
 from .groups import (CartanDecomposition, GroupSpec, LieAlgebraBasis,
-                     adjoint_conjugate, block_embedding, bracket,
-                     bracket_closure_residual, cartan_decompose,
-                     cartan_decomposition_for, diagonal_embedding,
-                     lie_algebra_basis, matrix_exp, product,
-                     random_group_element, special_linear,
+                     block_embedding, bracket_closure_residual,
+                     cartan_decompose, cartan_decomposition_for,
+                     diagonal_embedding, lie_algebra_basis, matrix_exp,
+                     product, random_group_element, special_linear,
                      special_orthogonal, standard_symplectic_form,
                      symplectic, torus)
 from .reps import (Representation, act, alt_bilinear, defining,
                    differential_act, direct_sum, external_tensor,
-                   inner_product, orbit_dimension, orbit_dimension_info,
-                   random_vector, stabilizer_subalgebra, sym2)
+                   inner_product, orbit_dimension_info, random_vector,
+                   stabilizer_subalgebra, sym2)
 from .kempfness import (ClosednessVerdict, FlowConfig, FlowTrace,
-                        closedness_verdict, is_minimal, moment_vector,
-                        norm_flow, relative_moment_norm)
+                        closedness_verdict, moment_vector, norm_flow,
+                        relative_moment_norm)
 from .subalgebra import (StructureData, SubalgebraReport, element_type,
                          reductivity_verdict, structure_report)
 from .experiments import (ExperimentConfig, ExperimentReport, Scenario,
@@ -36,16 +35,15 @@ __all__ = [
     "ConfigurationError", "InvalidArgumentError", "NotBracketClosedError",
     "NotThetaStableError", "OrbitLabError",
     "CartanDecomposition", "GroupSpec", "LieAlgebraBasis",
-    "adjoint_conjugate", "block_embedding", "bracket",
-    "bracket_closure_residual", "cartan_decompose",
+    "block_embedding", "bracket_closure_residual", "cartan_decompose",
     "cartan_decomposition_for", "diagonal_embedding", "lie_algebra_basis",
     "matrix_exp", "product", "random_group_element", "special_linear",
     "special_orthogonal", "standard_symplectic_form", "symplectic", "torus",
     "Representation", "act", "alt_bilinear", "defining", "differential_act",
-    "direct_sum", "external_tensor", "inner_product", "orbit_dimension",
-    "orbit_dimension_info", "random_vector", "stabilizer_subalgebra", "sym2",
+    "direct_sum", "external_tensor", "inner_product", "orbit_dimension_info",
+    "random_vector", "stabilizer_subalgebra", "sym2",
     "ClosednessVerdict", "FlowConfig", "FlowTrace", "closedness_verdict",
-    "is_minimal", "moment_vector", "norm_flow", "relative_moment_norm",
+    "moment_vector", "norm_flow", "relative_moment_norm",
     "StructureData", "SubalgebraReport", "element_type",
     "reductivity_verdict", "structure_report",
     "ExperimentConfig", "ExperimentReport", "Scenario", "get_scenario",

@@ -43,6 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas, lapack
 
+from .errors import InvalidArgumentError
+
 # Default relative singular-value threshold for rank decisions.
 RANK_RTOL = 1e-9
 
@@ -152,7 +154,14 @@ def rank_from_singular_values(s, rtol: float = RANK_RTOL, floor: float = 0.0,
     a converging flow) and do not taint the decision.  The count runs
     on a Python float list: at a handful of values that is several
     times cheaper than numpy reductions.
+
+    An ``rtol`` outside (0, 1), NaN included, decides nothing (at 1 or
+    more even the largest value falls below the cutoff) and raises
+    ``InvalidArgumentError``.
     """
+    if not 0.0 < rtol < 1.0:
+        raise InvalidArgumentError(
+            f"rank cutoff rtol must lie strictly between 0 and 1, not {rtol!r}")
     s = s.tolist() if isinstance(s, np.ndarray) else [float(x) for x in s]
     top = max(s, default=0.0)
     if top == 0.0:

@@ -576,7 +576,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     """Run all trials of an experiment and aggregate the report.
 
     The report is a pure function of the config; ``workers`` (at least
-    1) only parallelizes independent trials.
+    1) only parallelizes independent trials, and no more workers start
+    than there are trials.
     """
     if not (is_integer(workers) and workers >= 1):
         raise ConfigurationError("workers must be an integer >= 1")
@@ -590,6 +591,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
                                 None if passed else "math", wall)
 
     indices = list(range(config.trials))
+    # a fork pool launches every worker at its first submit
+    workers = min(workers, config.trials)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_one, [config] * len(indices),

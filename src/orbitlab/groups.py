@@ -399,10 +399,6 @@ def lie_algebra_basis(spec: GroupSpec) -> LieAlgebraBasis:
     return basis
 
 
-def bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return x @ y - y @ x
-
-
 def bracket_table(basis: LieAlgebraBasis) -> np.ndarray:
     """Every bracket at once: ``table[i, j] = [X_i, X_j]``, shape (k, k, n, n)."""
     mats = basis.matrices
@@ -542,19 +538,3 @@ def random_group_element(spec: GroupSpec, seed, spread: float) -> np.ndarray:
                                         spec.field == COMPLEX)
     x = np.einsum("i,ijk->jk", coeff, basis.matrices)
     return matrix_exp(x)
-
-
-def adjoint_conjugate(basis: LieAlgebraBasis, g: np.ndarray) -> LieAlgebraBasis:
-    """Conjugated basis {g X_i g^-1}; span properties are preserved."""
-    g = np.asarray(g)
-    if g.shape != (basis.ambient_size, basis.ambient_size):
-        raise InvalidArgumentError("conjugating element has the wrong shape")
-    try:
-        g_inv = np.linalg.inv(g)
-    except np.linalg.LinAlgError as exc:
-        raise InvalidArgumentError("conjugating element is singular") from exc
-    if not np.all(np.isfinite(g_inv)):
-        raise InvalidArgumentError("conjugating element is singular")
-    mats = np.einsum("ab,ibc,cd->iad", g, basis.matrices, g_inv)
-    return LieAlgebraBasis(mats.astype(basis.matrices.dtype), basis.field,
-                           basis.ambient_size)

@@ -76,8 +76,9 @@ The flow's stop state is one field, ``FlowTrace.reason``; whether it
 converged or collapsed, and how many steps it took, are read off it.
 
 Minimality is decided at one bar, ``FlowConfig.moment_tolerance``, where
-the flow stops; ``is_minimal``, the command line's ``minimal`` and the
-example1 pipeline read it.  ``GRAM_TOL`` bars the p-basis, not vectors.
+the flow stops; the command line's ``minimal`` and the example1 pipeline
+compare ``relative_moment_norm`` with it.  ``GRAM_TOL`` bars the p-basis,
+not vectors.
 
 The closedness verdict compares orbit dimensions at the start and at the
 flow limit, each one rank decision of the orbit map between orthonormal
@@ -298,13 +299,6 @@ def relative_moment_norm(rep: reps.Representation, p_basis: LieAlgebraBasis,
     if norm2 == 0.0:
         return 0.0
     return float(np.linalg.norm(moment_vector(rep, p_basis, v))) / norm2
-
-
-def is_minimal(rep: reps.Representation, p_basis: LieAlgebraBasis, v,
-               tol: float = FlowConfig.moment_tolerance) -> bool:
-    """True when the relative moment norm is at most ``tol``, by default
-    the bar at which the norm flow stops."""
-    return relative_moment_norm(rep, p_basis, v) <= tol
 
 
 def _basis(group) -> LieAlgebraBasis:

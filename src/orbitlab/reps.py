@@ -358,10 +358,6 @@ def norm(rep: Representation, v) -> float:
     return out
 
 
-def scale(rep: Representation, c, v):
-    return _unflat(rep, c * _check_vector(rep, v))
-
-
 def zero_vector(rep: Representation):
     return _unflat(rep, np.zeros(rep.entries, dtype=rep.group.dtype))
 
@@ -449,11 +445,6 @@ def _differential_matrix(rep: Representation, algebra: LieAlgebraBasis, v) -> np
     # the threading threshold of numpy's, whose spinning threads then
     # starve the LAPACK calls made through scipy's
     return (_orbit_operator(rep, algebra) @ _coordinates(rep, v)).T
-
-
-def orbit_dimension(rep: Representation, algebra: LieAlgebraBasis, v) -> int:
-    """Dimension (over the group's field) of the identity-component orbit."""
-    return orbit_dimension_info(rep, algebra, v).rank
 
 
 def orbit_dimension_info(rep: Representation, algebra: LieAlgebraBasis, v,

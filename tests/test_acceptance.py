@@ -15,6 +15,8 @@ import orbitlab as ol
 from orbitlab.experiments import ExperimentConfig, get_scenario, run_experiment
 from orbitlab.kempfness import CLOSED, NON_CLOSED
 
+from helpers import orbit_dimension, scale
+
 
 def announce(number, name, detail=""):
     print(f"\nACCEPTANCE {number} PASS: {name}" + (f" ({detail})" if detail else ""))
@@ -190,10 +192,10 @@ class TestCriterion7NumericalProperties:
 
         for rep, group, v in cases:
             algebra = ol.lie_algebra_basis(group)
-            base = ol.orbit_dimension(rep, algebra, v)
+            base = orbit_dimension(rep, algebra, v)
             for seed in range(20):
                 g = ol.random_group_element(group, seed, 0.5)
-                assert ol.orbit_dimension(rep, algebra, ol.act(rep, g, v)) == base
+                assert orbit_dimension(rep, algebra, ol.act(rep, g, v)) == base
 
     @pytest.mark.parametrize("factor", [2.0, -1.0, 1e-3])
     def test_verdict_scale_invariance(self, factor):
@@ -205,7 +207,7 @@ class TestCriterion7NumericalProperties:
         g[0, 2] = 1.0
         x = ol.act(alt6, g, v0)
         for group, expected in ((sl6, CLOSED), (h, NON_CLOSED)):
-            scaled = ol.reps.scale(alt6, factor, x)
+            scaled = scale(alt6, factor, x)
             assert ol.closedness_verdict(alt6, group, scaled).status == expected
 
     def test_closed_orbits_never_have_nonreductive_stabilizers(

@@ -478,6 +478,35 @@ class TestDeterminism:
         assert run_experiment(config, workers=2).to_json_str(
             include_wall_time=False) == expected
 
+    def test_pool_starts_no_more_workers_than_trials(self, monkeypatch):
+        # a fork pool launches every worker at its first submit; the fake
+        # pool runs the trials in this process and records its size
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        config = ExperimentConfig(kind="theorem1", scenario="example1",
+                                  trials=3, seed=4)
+        expected = run_experiment(config).to_json_str(include_wall_time=False)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+        assert run_experiment(config, workers=1000).to_json_str(
+            include_wall_time=False) == expected
+        assert sizes == [3]
+        # one trial leaves one worker, and one worker runs serially
+        run_experiment(replace(config, trials=1), workers=1000)
+        assert sizes == [3]
+
     def test_csv_has_one_row_per_trial(self):
         config = ExperimentConfig(kind="theorem1", scenario="example1",
                                   trials=4, seed=2)

@@ -9,7 +9,8 @@ from orbitlab import _linalg
 from orbitlab.errors import (ConfigurationError, InvalidArgumentError,
                              NotThetaStableError)
 
-from helpers import flatten, subspace_distance
+from helpers import (adjoint_conjugate, flatten, orbit_dimension,
+                     subspace_distance)
 
 
 def symplectic_equation(form):
@@ -217,7 +218,7 @@ class TestCartan:
         rng = np.random.default_rng(7)
         u, _ = np.linalg.qr(rng.standard_normal((6, 6))
                             + 1j * rng.standard_normal((6, 6)))
-        basis = ol.adjoint_conjugate(ol.lie_algebra_basis(sl2_block), u)
+        basis = adjoint_conjugate(ol.lie_algebra_basis(sl2_block), u)
         cartan = ol.cartan_decompose(basis)
         assert (cartan.k_basis.dim, cartan.p_basis.dim) == (3, 3)
 
@@ -225,7 +226,7 @@ class TestCartan:
             self, sl2_block, unipotent_g):
         # I + E_02 moves the block sl(2) off its adjoint: the split counts
         # more than the algebra's six real dimensions
-        basis = ol.adjoint_conjugate(ol.lie_algebra_basis(sl2_block),
+        basis = adjoint_conjugate(ol.lie_algebra_basis(sl2_block),
                                      unipotent_g)
         with pytest.raises(NotThetaStableError,
                            match="conjugate the group into a theta-stable "
@@ -235,7 +236,7 @@ class TestCartan:
     def test_diagonal_conjugate_of_block_sl2_stays_theta_stable(self, sl2_block):
         # diag(2, 1/2, 1, ...) maps the block sl(2) onto itself
         g = np.diag([2.0, 0.5, 1.0, 1.0, 1.0, 1.0]).astype(complex)
-        basis = ol.adjoint_conjugate(ol.lie_algebra_basis(sl2_block), g)
+        basis = adjoint_conjugate(ol.lie_algebra_basis(sl2_block), g)
         cartan = ol.cartan_decompose(basis)
         assert (cartan.k_basis.dim, cartan.p_basis.dim) == (3, 3)
 
@@ -422,7 +423,7 @@ class TestOrthonormalBasis:
         g = ol.random_group_element(sl3, 5, 0.5)
         inner = ol.lie_algebra_basis(ol.block_embedding(
             ol.special_linear(2, "complex"), 3, 0))
-        conjugated = ol.adjoint_conjugate(inner, g)
+        conjugated = adjoint_conjugate(inner, g)
         with pytest.raises(NotThetaStableError):
             conjugated.cartan
         onb = conjugated.orthonormal
@@ -430,24 +431,24 @@ class TestOrthonormalBasis:
                               ol.groups.orthonormalize(conjugated).matrices)
         rep = ol.defining(sl3)
         v = np.array([1.0, 2.0, 3.0], dtype=complex)
-        assert ol.orbit_dimension(rep, conjugated, g @ v) == 2
-        assert ol.orbit_dimension(rep, inner, v) == 2
+        assert orbit_dimension(rep, conjugated, g @ v) == 2
+        assert orbit_dimension(rep, inner, v) == 2
         stab = ol.stabilizer_subalgebra(rep, conjugated, g @ v)
         moved = ol.stabilizer_subalgebra(rep, inner, v)
         assert subspace_distance(
-            stab.matrices, ol.adjoint_conjugate(moved, g).matrices) <= 1e-8
+            stab.matrices, adjoint_conjugate(moved, g).matrices) <= 1e-8
 
 
 class TestAdjointConjugate:
     def test_identity_preserves_span(self, sl2_block):
         basis = ol.lie_algebra_basis(sl2_block)
-        conj = ol.adjoint_conjugate(basis, np.eye(6, dtype=complex))
+        conj = adjoint_conjugate(basis, np.eye(6, dtype=complex))
         assert subspace_distance(conj.matrices, basis.matrices) <= 1e-12
 
     def test_dimension_preserved(self, sl6):
         basis = ol.lie_algebra_basis(ol.special_linear(2, "complex"))
         g = ol.random_group_element(ol.special_linear(2, "complex"), 3, 0.5)
-        conj = ol.adjoint_conjugate(basis, g)
+        conj = adjoint_conjugate(basis, g)
         flat = conj.matrices.reshape(conj.dim, -1)
         assert np.linalg.matrix_rank(flat) == basis.dim
 
@@ -456,7 +457,7 @@ class TestAdjointConjugate:
         spec = ol.special_linear(3, "complex")
         basis = ol.lie_algebra_basis(spec)
         g = ol.random_group_element(spec, 11, 0.4)
-        conj = ol.adjoint_conjugate(basis, g)
+        conj = adjoint_conjugate(basis, g)
         rank = np.linalg.matrix_rank(structure_report(basis).killing_on_derived)
         rank_conj = np.linalg.matrix_rank(structure_report(conj).killing_on_derived)
         assert rank == rank_conj == 8
@@ -464,7 +465,7 @@ class TestAdjointConjugate:
     def test_singular_conjugator_rejected(self, sl6):
         basis = ol.lie_algebra_basis(sl6)
         with pytest.raises(InvalidArgumentError):
-            ol.adjoint_conjugate(basis, np.zeros((6, 6), dtype=complex))
+            adjoint_conjugate(basis, np.zeros((6, 6), dtype=complex))
 
 
 @pytest.mark.parametrize("value", [2.5, True, "2"], ids=repr)

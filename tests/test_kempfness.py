@@ -10,7 +10,8 @@ from orbitlab.errors import InvalidArgumentError
 from orbitlab.experiments import ExperimentConfig, get_scenario
 from orbitlab.kempfness import CLOSED, INCONCLUSIVE, NON_CLOSED, FlowConfig
 
-from helpers import flatten
+from helpers import (adjoint_conjugate, flatten, is_minimal, orbit_dimension,
+                     scale)
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +57,7 @@ class TestMomentVector:
         with pytest.raises(InvalidArgumentError, match="Hermitian"):
             ol.moment_vector(alt6, k_basis, v0)
         with pytest.raises(InvalidArgumentError, match="Hermitian"):
-            ol.is_minimal(alt6, k_basis, v0)
+            is_minimal(alt6, k_basis, v0)
 
 
 def _closed_form_cases():
@@ -123,10 +124,10 @@ def test_flow_entry_rejects_a_vector_whose_norm_overflows(entry):
 
 class TestIsMinimal:
     def test_base_form_minimal(self, alt6, cartan6, v0):
-        assert ol.is_minimal(alt6, cartan6.p_basis, v0)
+        assert is_minimal(alt6, cartan6.p_basis, v0)
 
     def test_unipotent_translate_not_minimal(self, alt6, cartan6, x_translate):
-        assert not ol.is_minimal(alt6, cartan6.p_basis, x_translate)
+        assert not is_minimal(alt6, cartan6.p_basis, x_translate)
 
     def test_compact_group_vacuously_minimal(self):
         so3 = ol.special_orthogonal(3, "real")
@@ -134,10 +135,10 @@ class TestIsMinimal:
         cartan = ol.cartan_decomposition_for(so3)
         assert cartan.p_basis.dim == 0
         v = np.array([1.0, 2.0, 3.0])
-        assert ol.is_minimal(rep, cartan.p_basis, v)
+        assert is_minimal(rep, cartan.p_basis, v)
 
     def test_zero_vector_minimal(self, alt6, cartan6):
-        assert ol.is_minimal(alt6, cartan6.p_basis, np.zeros((6, 6), complex))
+        assert is_minimal(alt6, cartan6.p_basis, np.zeros((6, 6), complex))
 
 
 class TestNormFlow:
@@ -154,7 +155,7 @@ class TestNormFlow:
         # the minimum of the norm over the ambient orbit is |v0| = sqrt(6)
         assert trace.norms[-1] == pytest.approx(np.sqrt(6.0), rel=1e-6)
         algebra = ol.lie_algebra_basis(sl6)
-        assert ol.orbit_dimension(alt6, algebra, trace.limit_point) == 14
+        assert orbit_dimension(alt6, algebra, trace.limit_point) == 14
 
     def test_block_flow_descends_to_smaller_orbit(self, alt6, sl2_block,
                                                   x_translate, v0):
@@ -255,7 +256,7 @@ class TestClosednessVerdict:
     @pytest.mark.parametrize("factor", [2.0, -1.0, 1e-3])
     def test_scale_invariance(self, alt6, sl6, sl2_block, x_translate, factor):
         for group, expected in ((sl6, CLOSED), (sl2_block, NON_CLOSED)):
-            scaled = ol.reps.scale(alt6, factor, x_translate)
+            scaled = scale(alt6, factor, x_translate)
             verdict = ol.closedness_verdict(alt6, group, scaled)
             assert verdict.status == expected
 
@@ -285,7 +286,7 @@ class TestClosednessVerdict:
         u = ol.matrix_exp(np.einsum("i,ijk->jk", coeff.astype(complex),
                                     cartan_g.k_basis.matrices))
         h_basis = ol.lie_algebra_basis(sl2_block)
-        conjugated = ol.adjoint_conjugate(h_basis, u)
+        conjugated = adjoint_conjugate(h_basis, u)
         moved = ol.act(alt6, u, x_translate)
         verdict = ol.closedness_verdict(alt6, conjugated, moved)
         base = ol.closedness_verdict(alt6, sl2_block, x_translate)
@@ -301,7 +302,7 @@ class TestClosednessVerdict:
         coeff = 0.3 * rng.standard_normal(cartan_g.k_basis.dim)
         u = ol.matrix_exp(np.einsum("i,ijk->jk", coeff.astype(complex),
                                     cartan_g.k_basis.matrices))
-        conjugated = ol.adjoint_conjugate(ol.lie_algebra_basis(sl2_block), u)
+        conjugated = adjoint_conjugate(ol.lie_algebra_basis(sl2_block), u)
         moved = ol.act(alt6, u, x_translate)
         split = []
         original = ol.groups.cartan_decompose
@@ -830,5 +831,5 @@ def test_size_one_group_acts_trivially_on_the_zero_space(family):
     verdict = ol.closedness_verdict(rep, group, np.zeros((1, 1), complex))
     assert verdict.status == CLOSED
     assert (verdict.start_orbit_dim, verdict.limit_orbit_dim) == (0, 0)
-    assert ol.orbit_dimension(rep, ol.lie_algebra_basis(group),
+    assert orbit_dimension(rep, ol.lie_algebra_basis(group),
                               np.zeros((1, 1), complex)) == 0

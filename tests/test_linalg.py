@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orbitlab as ol
 from orbitlab import _linalg
+from orbitlab.errors import InvalidArgumentError
 
 
 def rank_deficient(m, k, rank, complex_field, seed):
@@ -193,3 +195,25 @@ def test_eigh_checks_info():
     for dtype in (complex, float):
         with pytest.raises(np.linalg.LinAlgError):
             _linalg.eigh(np.full((3, 3), np.nan, dtype=dtype))
+
+
+@pytest.mark.parametrize("rtol", [0.0, -1e-9, 1.0, 20.0, np.inf, np.nan])
+def test_cutoff_outside_the_unit_interval_is_refused(rtol):
+    # at 1 or more even the largest value falls below the cutoff, and a
+    # NaN cutoff compares false with every value: both read rank 0
+    for s in ([1.0, 1e-3], [0.0]):
+        with pytest.raises(InvalidArgumentError):
+            _linalg.rank_from_singular_values(s, rtol)
+
+
+def test_decision_entry_points_refuse_a_cutoff_that_decides_nothing(
+        alt6, sl6, sl2_block, v0, x_translate):
+    # each passes its cutoff down to the rank count; at the default
+    # cutoff these read 14, non_closed and reductive
+    with pytest.raises(InvalidArgumentError):
+        ol.orbit_dimension_info(alt6, ol.lie_algebra_basis(sl6), v0, 20.0)
+    with pytest.raises(InvalidArgumentError):
+        ol.closedness_verdict(alt6, sl2_block, x_translate, rtol=np.inf)
+    sl2 = ol.lie_algebra_basis(ol.special_linear(2, "complex"))
+    with pytest.raises(InvalidArgumentError):
+        ol.reductivity_verdict(sl2, rtol=1.0)

@@ -15,6 +15,8 @@ import orbitlab as ol
 from orbitlab import kempfness, subalgebra
 from orbitlab.experiments import get_scenario
 
+from helpers import scale
+
 SETTINGS = settings(derandomize=True, max_examples=6, deadline=None,
                     database=None)
 
@@ -80,7 +82,7 @@ def _outcome(verdict):
 def test_verdict_is_invariant_under_scaling(case, expected, seed, factor):
     rep, group, v = case(seed)
     base = ol.closedness_verdict(rep, group, v)
-    scaled = ol.closedness_verdict(rep, group, ol.reps.scale(rep, factor, v))
+    scaled = ol.closedness_verdict(rep, group, scale(rep, factor, v))
     assert base.status == expected
     assert _outcome(scaled) == _outcome(base)
 

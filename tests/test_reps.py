@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import orbitlab as ol
 from orbitlab.errors import InvalidArgumentError
 
-from helpers import flatten, subspace_distance
+from helpers import (adjoint_conjugate, flatten, orbit_dimension,
+                     subspace_distance)
 
 
 def random_point(rep, seed, spread=1.0):
@@ -309,22 +310,22 @@ class TestOrbitDimension:
     def test_zero_vector_has_zero_dimensional_orbit(self, alt6, sl6):
         algebra = ol.lie_algebra_basis(sl6)
         zero = np.zeros((6, 6), dtype=complex)
-        assert ol.orbit_dimension(alt6, algebra, zero) == 0
+        assert orbit_dimension(alt6, algebra, zero) == 0
 
     def test_base_orbit_dimension_against_rank_oracle(self, alt6, sl6, v0):
         algebra = ol.lie_algebra_basis(sl6)
         images = np.array([(m @ v0 + v0 @ m.T).ravel() for m in algebra.matrices])
         oracle_rank = np.linalg.matrix_rank(images)
-        assert ol.orbit_dimension(alt6, algebra, v0) == oracle_rank == 14
+        assert orbit_dimension(alt6, algebra, v0) == oracle_rank == 14
         assert 35 - oracle_rank == 21  # rank + nullity
 
     def test_invariance_under_group_translation(self, alt6, sl6, v0):
         algebra = ol.lie_algebra_basis(sl6)
-        base = ol.orbit_dimension(alt6, algebra, v0)
+        base = orbit_dimension(alt6, algebra, v0)
         for seed in range(5):
             g = ol.random_group_element(sl6, seed, 0.5)
             moved = ol.act(alt6, g, v0)
-            assert ol.orbit_dimension(alt6, algebra, moved) == base
+            assert orbit_dimension(alt6, algebra, moved) == base
 
     def test_fresh_representations_are_not_kept_alive(self, sl6, v0):
         # orbit operators are keyed weakly on their representation, so the
@@ -333,7 +334,7 @@ class TestOrbitDimension:
         operators = algebra.orthonormal.orbit_operators
         before = len(operators)
         for _ in range(20):
-            assert ol.orbit_dimension(ol.alt_bilinear(sl6), algebra, v0) == 14
+            assert orbit_dimension(ol.alt_bilinear(sl6), algebra, v0) == 14
         gc.collect()
         assert len(operators) <= before
 
@@ -342,8 +343,8 @@ class TestOrbitDimension:
         rep = ol.direct_sum(ol.sym2(sl2), ol.sym2(sl2))
         algebra = ol.lie_algebra_basis(sl2)
         v = random_point(rep, 14)
-        total = ol.orbit_dimension(rep, algebra, v)
-        parts = sum(ol.orbit_dimension(ol.sym2(sl2), algebra, vc) for vc in v)
+        total = orbit_dimension(rep, algebra, v)
+        parts = sum(orbit_dimension(ol.sym2(sl2), algebra, vc) for vc in v)
         assert total <= parts
 
 
@@ -378,7 +379,7 @@ class TestStabilizer:
         for seed in range(3):
             g = ol.random_group_element(sl6, seed, 0.5)
             x = ol.act(alt6, g, v0)
-            orbit = ol.orbit_dimension(alt6, algebra, x)
+            orbit = orbit_dimension(alt6, algebra, x)
             stab = ol.stabilizer_subalgebra(alt6, algebra, x).dim
             assert orbit + stab == algebra.dim
 
@@ -403,7 +404,7 @@ class TestStabilizer:
         stab_v = ol.stabilizer_subalgebra(alt6, algebra, v0)
         moved = ol.act(alt6, g, v0)
         stab_moved = ol.stabilizer_subalgebra(alt6, algebra, moved)
-        conjugated = ol.adjoint_conjugate(stab_v, g)
+        conjugated = adjoint_conjugate(stab_v, g)
         assert stab_moved.dim == conjugated.dim
         assert subspace_distance(stab_moved.matrices, conjugated.matrices) <= 1e-8
 
@@ -432,14 +433,14 @@ class TestValidation:
     def test_algebra_of_another_size_rejected(self, alt6, v0):
         sl4 = ol.lie_algebra_basis(ol.special_linear(4, "complex"))
         with pytest.raises(InvalidArgumentError):
-            ol.orbit_dimension(alt6, sl4, v0)
+            orbit_dimension(alt6, sl4, v0)
         with pytest.raises(InvalidArgumentError):
             ol.stabilizer_subalgebra(alt6, sl4, v0)
 
     def test_algebra_over_the_other_field_rejected(self, alt6, v0):
         real_torus = ol.lie_algebra_basis(ol.torus(6, "real"))
         with pytest.raises(InvalidArgumentError, match="complex field"):
-            ol.orbit_dimension(alt6, real_torus, v0)
+            orbit_dimension(alt6, real_torus, v0)
         with pytest.raises(InvalidArgumentError, match="complex field"):
             ol.stabilizer_subalgebra(alt6, real_torus, v0)
 

@@ -11,7 +11,8 @@ from orbitlab.subalgebra import (AMBIGUOUS, INCONCLUSIVE, MIXED, NILPOTENT,
                                  element_type, reductivity_verdict,
                                  structure_report)
 
-from helpers import span_projection_residual, subspace_distance
+from helpers import (adjoint_conjugate, bracket, span_projection_residual,
+                     subspace_distance)
 
 
 def span(matrices, field="complex", size=None):
@@ -77,19 +78,19 @@ def loop_structure(basis):
     """
     mats = basis.matrices
     k, n = basis.dim, basis.ambient_size
-    pairs = [ol.bracket(mats[i], mats[j])
+    pairs = [bracket(mats[i], mats[j])
              for i in range(k) for j in range(i + 1, k)]
     upper = np.array(pairs).reshape(len(pairs), n, n)
     derived = _linalg.orthonormal_span(upper, real_span=basis.field == "real")
     residual = span_projection_residual(upper, mats)
-    columns = [np.concatenate([ol.bracket(mats[i], mats[j]).ravel()
+    columns = [np.concatenate([bracket(mats[i], mats[j]).ravel()
                                for j in range(k)]) for i in range(k)]
     kernel = _linalg.null_space(np.array(columns).reshape(k, k * n * n).T)
     center = np.einsum("ik,ijl->kjl", kernel, mats)
     flat_basis = mats.reshape(k, n * n).T
 
     def ad(d):
-        return np.array([np.linalg.lstsq(flat_basis, ol.bracket(d, x).ravel(),
+        return np.array([np.linalg.lstsq(flat_basis, bracket(d, x).ravel(),
                                          rcond=None)[0] for x in mats]).T
 
     def killing(elements):
@@ -196,7 +197,7 @@ def test_structure_numbers_do_not_depend_on_the_basis(name, seed):
     assert _structure_numbers(mixed) == expected
     g = ol.random_group_element(
         ol.special_linear(basis.ambient_size, basis.field), seed, 0.5)
-    assert _structure_numbers(ol.adjoint_conjugate(basis, g)) == expected
+    assert _structure_numbers(adjoint_conjugate(basis, g)) == expected
 
 
 def sl2_beside_a_slow_algebra(eps):
@@ -460,7 +461,7 @@ class TestReductivityVerdict:
         basis = ol.lie_algebra_basis(spec)
         g = ol.random_group_element(spec, seed, 0.4)
         base = reductivity_verdict(basis).verdict
-        conj = reductivity_verdict(ol.adjoint_conjugate(basis, g)).verdict
+        conj = reductivity_verdict(adjoint_conjugate(basis, g)).verdict
         assert conj in (base, "inconclusive")
 
     def test_report_serialization(self):
