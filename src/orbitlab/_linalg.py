@@ -57,10 +57,12 @@ AMBIGUITY_BAND = 10.0
 class RankDecision:
     rank: int
     ambiguous: bool
-    # orthonormal kernel basis (columns) and orthonormal basis of the row
-    # space (rows); None when decided from the singular values alone
+    # orthonormal kernel basis (columns), orthonormal basis of the row
+    # space (rows) and the singular values, descending; None when decided
+    # from the singular values alone
     kernel: np.ndarray | None = None
     row_space: np.ndarray | None = None
+    singular_values: np.ndarray | None = None
 
 
 @functools.lru_cache(maxsize=None)
@@ -179,8 +181,9 @@ def rank_from_singular_values(s, rtol: float = RANK_RTOL, floor: float = 0.0,
 
 def matrix_rank(a: np.ndarray, rtol: float = RANK_RTOL,
                 floor: float = 0.0) -> RankDecision:
-    """Rank, ambiguity flag, orthonormal kernel and orthonormal row space
-    of ``a`` from one SVD; ``floor`` as in :func:`rank_from_singular_values`.
+    """Rank, ambiguity flag, orthonormal kernel, orthonormal row space and
+    singular values of ``a`` from one SVD; ``floor`` as in
+    :func:`rank_from_singular_values`.
 
     Only ``vh`` is read, so the full square factor is requested only when
     ``a`` is wide and the thin one would miss kernel directions.
@@ -189,7 +192,7 @@ def matrix_rank(a: np.ndarray, rtol: float = RANK_RTOL,
     _, s, vh = svd(a, full_matrices=m < k)
     decision = rank_from_singular_values(s, rtol, floor)
     return RankDecision(decision.rank, decision.ambiguous,
-                        vh[decision.rank:].conj().T, vh[:decision.rank])
+                        vh[decision.rank:].conj().T, vh[:decision.rank], s)
 
 
 def null_space(a: np.ndarray) -> np.ndarray:

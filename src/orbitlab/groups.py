@@ -250,9 +250,23 @@ class LieAlgebraBasis:
         return weakref.WeakKeyDictionary()
 
     @functools.cached_property
+    def real_rows(self) -> np.ndarray:
+        """The matrices as real coordinate rows (``_linalg.real_rows``):
+        sum_i c_i X_i for real c is c @ real_rows, read back over the field."""
+        return _linalg.span_rows(self.matrices, real_span=True)
+
+    @functools.cached_property
+    def zero_subalgebra(self) -> "LieAlgebraBasis":
+        """The zero subalgebra, one per basis and shared by every caller:
+        its empty stack of matrices is read-only."""
+        mats = np.zeros((0,) + self.matrices.shape[1:], self.matrices.dtype)
+        mats.flags.writeable = False
+        return orthonormal_basis(mats, self.field, self.ambient_size)
+
+    @functools.cached_property
     def gram_residual(self) -> float:
         """Distance of the Gram matrix under Re tr(A B*) from the identity."""
-        flat = _linalg.span_rows(self.matrices, real_span=True)
+        flat = self.real_rows
         return float(np.linalg.norm(flat @ flat.T - np.eye(self.dim)))
 
     @functools.cached_property
@@ -491,7 +505,10 @@ def from_orthonormal_coordinates(onb: LieAlgebraBasis,
     """The elements whose coordinates over the orthonormal basis ``onb``
     are the rows of ``coords`` (real ones for a real algebra).  Orthonormal
     rows over an orthonormal basis give an orthonormal basis, so the
-    result is recorded as its own orthonormalization."""
+    result is recorded as its own orthonormalization; no rows give the
+    basis's shared ``zero_subalgebra``."""
+    if not len(coords):
+        return onb.zero_subalgebra
     mats = coords @ _linalg.stack_flat(onb.matrices)
     return orthonormal_basis(mats.reshape((-1,) + onb.matrices.shape[1:]),
                              onb.field, onb.ambient_size)
@@ -516,8 +533,9 @@ def random_algebra_coefficients(dim: int, seed, spread: float, complex_field: bo
     """Deterministic Gaussian coefficient draw for a given seed."""
     rng = np.random.default_rng(seed)
     if complex_field:
-        draw = rng.standard_normal((2, dim))
-        return spread * (draw[0] + 1j * draw[1])
+        # the real parts, then the imaginary parts, interleaved by a view
+        draw = spread * rng.standard_normal((2, dim))
+        return np.ascontiguousarray(draw.T).view(np.complex128)[:, 0]
     return spread * rng.standard_normal(dim)
 
 
@@ -536,5 +554,5 @@ def random_group_element(spec: GroupSpec, seed, spread: float) -> np.ndarray:
     basis = lie_algebra_basis(spec)
     coeff = random_algebra_coefficients(basis.dim, seed, spread,
                                         spec.field == COMPLEX)
-    x = np.einsum("i,ijk->jk", coeff, basis.matrices)
-    return matrix_exp(x)
+    x = coeff @ _linalg.stack_flat(basis.matrices)
+    return matrix_exp(x.reshape(basis.matrices.shape[1:]))

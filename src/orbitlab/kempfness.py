@@ -68,12 +68,16 @@ small products for W and one per trial point.  ``moment_vector`` and
 looked up on this module at every step, so a tracer that wraps them
 sees each call.
 
-``norm_flow`` validates its vector once on entry (``reps.norm`` rejects
-a norm that overflows) and holds its iterate as the flat entry array;
-the line search runs on the unchecked core of the action, and the
-public form is rebuilt only for ``moment_vector`` and the limit point.
-The flow's stop state is one field, ``FlowTrace.reason``; whether it
-converged or collapsed, and how many steps it took, are read off it.
+``norm_flow`` is the one place a verdict validates and norms its input:
+it reads v's flat entries once and norms them by the core of
+``reps.norm``, which rejects a norm that overflows.  It holds its iterate
+as the flat entry array; the line search runs on the unchecked core of
+the action, and the public form is rebuilt only for ``moment_vector``
+and the limit point.  The trace carries |v| and |limit| (bitwise
+``reps.norm``'s values) and the orbit maps at both ends, all four read
+by the verdict.  The flow's stop state is one field, ``FlowTrace.reason``;
+whether it converged or collapsed, and how many steps it took, are read
+off it.
 
 Minimality is decided at one bar, ``FlowConfig.moment_tolerance``, where
 the flow stops; the command line's ``minimal`` and the example1 pipeline
@@ -95,8 +99,10 @@ subtlety: the final iterate is only within about sqrt(residual) of the
 true limit, so singular values of that size at the limit are artifacts
 of finite convergence.  The limit-side decision therefore passes an
 absolute floor of LIMIT_RANK_FLOOR * sqrt(relative moment norm) *
-|limit| / |v| on top of the package rank policy, and is flagged only by
-singular values just above that floor.
+|limit| / |v| on top of the package rank policy, and is flagged by
+singular values just above that floor, and by a floor that reaches the
+smallest singular value the start decision kept: after a loose moment
+tolerance it no longer tells a dying direction from a live one.
 Inconclusive is a first-class outcome, never an exception.
 """
 
@@ -216,10 +222,13 @@ class FlowTrace:
     limit_point: object
     reason: str                # "moment", "collapse", "budget", "stalled"
     # D on algebra.cartan.basis at v / |v| and at limit_point / |v| (zero
-    # after a collapse); they decide the start and the limit orbit
-    # dimensions and are left out of to_json
+    # after a collapse), which decide the start and the limit orbit
+    # dimensions, and |v| and |limit_point|, bitwise what reps.norm gives;
+    # all four are left out of to_json
     start_orbit_map: np.ndarray
     limit_orbit_map: np.ndarray
+    start_norm: float
+    limit_norm: float
 
     @property
     def iterations_used(self) -> int:
@@ -442,10 +451,10 @@ def norm_flow(rep: reps.Representation, group, v,
     # the p-basis is the trailing part of the Cartan basis (all of it for
     # a complex group)
     p_first = onb.dim - p_basis.dim
-    start_norm = reps.norm(rep, v)
-    # v is validated once here; the flow runs on the unchecked cores, with
-    # its iterate held flat
+    # v is validated and normed once here; the flow runs on the unchecked
+    # cores, with its iterate held flat
     flat = reps._check_vector(rep, v)
+    start_norm = reps._norm(flat)
     w = flat if start_norm == 0.0 else (1.0 / start_norm) * flat
     # one orbit-map matrix per iterate: the moment vector, the tolerance
     # test and the Newton system all read its p columns
@@ -453,10 +462,11 @@ def norm_flow(rep: reps.Representation, group, v,
     if start_norm == 0.0 or p_basis.dim == 0:
         # the zero vector and every point of a compact group are minimal
         return FlowTrace(np.array([start_norm]), np.array([0.0]),
-                         reps._unflat(rep, flat), "moment", start_map, start_map)
+                         reps._unflat(rep, flat), "moment", start_map,
+                         start_map, start_norm, start_norm)
 
     # the step matrix sum_i c_i X_i is one real product with these rows
-    p_rows = _linalg.real_rows(_linalg.stack_flat(p_basis.matrices))
+    p_rows = p_basis.real_rows
     p_shape = p_basis.matrices.shape[1:]
     norm2 = float(np.vdot(w, w).real)
     norms = [np.sqrt(norm2)]
@@ -507,12 +517,13 @@ def norm_flow(rep: reps.Representation, group, v,
         d = reps._differential_matrix(rep, onb, w)
 
     if reason == "collapse":
-        limit = reps.zero_vector(rep)
+        limit, limit_norm = reps.zero_vector(rep), 0.0
         d = np.zeros_like(d)
     else:
-        limit = reps._unflat(rep, start_norm * w)
+        flat = start_norm * w
+        limit, limit_norm = reps._unflat(rep, flat), reps._norm(flat)
     return FlowTrace(start_norm * np.array(norms), np.array(moment_norms),
-                     limit, reason, start_map, d)
+                     limit, reason, start_map, d, start_norm, limit_norm)
 
 
 def closedness_verdict(rep: reps.Representation, group, v,
@@ -540,25 +551,26 @@ def closedness_verdict(rep: reps.Representation, group, v,
     # dying in the true limit; they are floored to zero, and only values
     # just *above* the floor make the decision ambiguous.  The flow's
     # matrix is taken at the limit over |v|, so the floor is too.
-    start_norm = reps.norm(rep, v)
-    limit_norm = reps.norm(rep, trace.limit_point)
-    floor = (LIMIT_RANK_FLOOR * np.sqrt(max(trace.moment_norms[-1], 1e-15))
-             * (limit_norm / start_norm if start_norm else 0.0))
+    floor = (LIMIT_RANK_FLOOR * math.sqrt(max(trace.moment_norms[-1], 1e-15))
+             * (trace.limit_norm / trace.start_norm if trace.start_norm
+                else 0.0))
     # only the rank and its flag are read: singular values alone
     limit = _linalg.rank_from_singular_values(
         _linalg.svd(trace.limit_orbit_map, vectors=False), rtol, floor=floor,
         one_sided=True)
+    # a floor as large as a kept start direction decides nothing
+    blind = start.rank > 0 and floor >= start.singular_values[start.rank - 1]
 
     if trace.collapsed:
         status = NON_CLOSED
-    elif (not trace.converged or start.ambiguous or limit.ambiguous
+    elif (not trace.converged or start.ambiguous or limit.ambiguous or blind
           or limit.rank > start.rank):
         status = INCONCLUSIVE
     elif limit.rank == start.rank:
         status = CLOSED
     else:
         status = NON_CLOSED
-    return ClosednessVerdict(status, start.rank, limit.rank, start_norm,
-                             limit_norm, trace,
+    return ClosednessVerdict(status, start.rank, limit.rank, trace.start_norm,
+                             trace.limit_norm, trace,
                              reps._stabilizer_subalgebra(onb, start),
                              start.ambiguous)

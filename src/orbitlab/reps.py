@@ -350,9 +350,13 @@ def inner_product(rep: Representation, v, w) -> float:
 
 def norm(rep: Representation, v) -> float:
     """sqrt(inner_product(v, v)); a norm that overflows is an error."""
+    return _norm(_check_vector(rep, v))
+
+
+def _norm(x: np.ndarray) -> float:
     # overflow is what the check below catches, so it is not warned about
     with np.errstate(over="ignore"):
-        out = float(np.sqrt(max(inner_product(rep, v, v), 0.0)))
+        out = float(np.sqrt(max(float((x * np.conj(x)).sum().real), 0.0)))
     if not math.isfinite(out):
         raise InvalidArgumentError("the vector's norm overflows")
     return out

@@ -279,8 +279,12 @@ class TestRandomElements:
 
     @pytest.mark.parametrize("spec", [
         ol.special_linear(6, "complex"), ol.special_linear(3, "real"),
-        ol.block_embedding(ol.special_linear(2, "complex"), 6, 0)],
-        ids=["sl6-complex", "sl3-real", "sl2-block"])
+        ol.block_embedding(ol.special_linear(2, "complex"), 6, 0),
+        ol.product(ol.special_linear(2, "complex"),
+                   ol.special_linear(2, "complex")),
+        ol.special_linear(2, "real"), ol.special_linear(2, "complex")],
+        ids=["sl6-complex", "sl3-real", "sl2-block", "normal-factor",
+             "sl2-real", "sl2-complex"])
     def test_bitwise_scipy_expm_of_the_algebra_element(self, spec):
         # sampled inputs are scipy's general expm of the Gaussian algebra
         # element, not the flow's Hermitian exponential, so they never drift

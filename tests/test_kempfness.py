@@ -567,6 +567,44 @@ def test_trial_that_exhausted_a_first_order_budget_is_decided():
     assert verdict.status == CLOSED
 
 
+def test_empty_stabilizers_share_one_read_only_zero_subalgebra():
+    # generic example1 points have a 0-dimensional block stabilizer; over
+    # the reals, so has a point of R^2 off the axes under the diagonal torus
+    torus = ol.torus(2, "real")
+    real = [ol.closedness_verdict(ol.defining(torus), torus, np.array(v))
+            for v in ([1.0, 2.0], [-3.0, 0.5])]
+    block = ol.block_embedding(ol.special_linear(2, "complex"), 6, 0)
+    complex_ = [_trial_verdict("theorem1", "example1", 0, index)
+                for index in range(2)]
+    for (a, b), group in ((complex_, block), (real, torus)):
+        zero = a.stabilizer
+        assert b.stabilizer is zero
+        n = group.size
+        assert zero.matrices.shape == (0, n, n)
+        assert zero.matrices.dtype == group.dtype
+        assert not zero.matrices.flags.writeable
+        assert (zero.field, zero.ambient_size) == (group.field, n)
+        report = ol.reductivity_verdict(zero)
+        assert report.verdict == "reductive"
+
+
+@pytest.mark.parametrize("tolerance", [1e-6, 1e-3, 0.1, 0.3, 0.5, 0.99])
+def test_a_loose_moment_tolerance_never_reads_non_closed(tolerance):
+    # every example1 orbit is closed.  A stop at a loose tolerance leaves a
+    # limit floor LIMIT_RANK_FLOOR sqrt(rel) |limit| / |v| of unit scale,
+    # which would drop live orbit directions; once it reaches the smallest
+    # singular value the start decision kept, the verdict is inconclusive
+    report = experiments.run_experiment(ExperimentConfig(
+        kind="theorem1", scenario="example1", trials=20,
+        flow=FlowConfig(moment_tolerance=tolerance)))
+    statuses = [trial["status"] for trial in report.trials]
+    assert NON_CLOSED not in statuses
+    if tolerance <= 0.1:
+        assert statuses == [CLOSED] * 20
+    else:
+        assert INCONCLUSIVE in statuses
+
+
 @pytest.fixture(scope="module")
 def seed0_flows():
     """(rep, group, verdict) of every seed-0 trial of four flow experiments."""
@@ -612,12 +650,12 @@ def test_limit_rank_margin_stays_two_decades(seed0_flows):
     assert min(margins) >= 2.0
 
 
-def _edge_case_verdicts(alt6, sl6, sl2_block, x):
-    """(rep, group, verdict) of the limit decision's edge cases."""
+def _edge_cases(alt6, sl6, sl2_block, x):
+    """(rep, group, v, config) of the limit decision's edge cases."""
     so3 = ol.special_orthogonal(3, "real")
     sl2c = ol.special_linear(2, "complex")
     sl2r = ol.special_linear(2, "real")
-    cases = [
+    return [
         (ol.sym2(so3), so3, np.diag([1.0, 2.0, -3.0]), FlowConfig()),  # p = 0
         (ol.sym2(sl2c), sl2c, np.array([[1.0, 0.0], [0.0, 0.0]], complex),
          FlowConfig()),                                               # collapse
@@ -628,8 +666,40 @@ def _edge_case_verdicts(alt6, sl6, sl2_block, x):
         (alt6, sl6, 1e6 * x, FlowConfig()),                           # scaled
         (alt6, sl2_block, 1e6 * x, FlowConfig()),
     ]
+
+
+def _edge_case_verdicts(alt6, sl6, sl2_block, x):
+    """(rep, group, verdict) of the limit decision's edge cases."""
     return [(rep, group, ol.closedness_verdict(rep, group, v, config))
-            for rep, group, v, config in cases]
+            for rep, group, v, config in _edge_cases(alt6, sl6, sl2_block, x)]
+
+
+def test_verdict_norms_come_off_the_flow_bit_for_bit(alt6, sl6, sl2_block,
+                                                      x_translate):
+    # the flow norms v and its limit once; the verdict reads both off the
+    # trace, equal to reps.norm to the last bit: on theorem1, cor2 and cor5
+    # trials and on the edge cases (a compact group's early return, a
+    # collapse to zero, the zero vector)
+    cases = _edge_cases(alt6, sl6, sl2_block, x_translate)
+    for kind, name in (("theorem1", "example1"), ("theorem1", "sl4-block"),
+                       ("cor2-normal", "normal-factor"),
+                       ("cor5-direct-sum", "sym2-sum")):
+        scenario = get_scenario(name)
+        config = ExperimentConfig(kind=kind, scenario=name)
+        for index in range(10):
+            x = experiments._start_vector(scenario, config,
+                                          experiments.trial_seed(0, index))
+            cases.append((scenario.representation, scenario.subgroup, x,
+                          config.flow))
+    reasons = set()
+    for rep, group, v, config in cases:
+        verdict = ol.closedness_verdict(rep, group, v, config)
+        trace = verdict.trace
+        reasons.add(trace.reason)
+        assert verdict.start_norm == trace.start_norm == ol.reps.norm(rep, v)
+        assert (verdict.limit_norm == trace.limit_norm
+                == ol.reps.norm(rep, trace.limit_point))
+    assert {"moment", "collapse", "budget"} <= reasons
 
 
 def _one_sided_rank(d, floor):
