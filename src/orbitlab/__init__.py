@@ -13,8 +13,8 @@ from .errors import (ConfigurationError, InvalidArgumentError,
 from .groups import (CartanDecomposition, GroupSpec, LieAlgebraBasis,
                      block_embedding, bracket_closure_residual,
                      cartan_decompose, cartan_decomposition_for,
-                     diagonal_embedding, lie_algebra_basis, matrix_exp,
-                     product, random_group_element, special_linear,
+                     diagonal_embedding, lie_algebra_basis, product,
+                     random_group_element, special_linear,
                      special_orthogonal, standard_symplectic_form,
                      symplectic, torus)
 from .reps import (Representation, act, alt_bilinear, defining,
@@ -37,7 +37,7 @@ __all__ = [
     "CartanDecomposition", "GroupSpec", "LieAlgebraBasis",
     "block_embedding", "bracket_closure_residual", "cartan_decompose",
     "cartan_decomposition_for", "diagonal_embedding", "lie_algebra_basis",
-    "matrix_exp", "product", "random_group_element", "special_linear",
+    "product", "random_group_element", "special_linear",
     "special_orthogonal", "standard_symplectic_form", "symplectic", "torus",
     "Representation", "act", "alt_bilinear", "defining", "differential_act",
     "direct_sum", "external_tensor", "inner_product", "orbit_dimension_info",

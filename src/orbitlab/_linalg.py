@@ -130,11 +130,6 @@ def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, u
 
 
-def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value of a nonempty matrix."""
-    return float(svd(a, vectors=False)[0])
-
-
 def vector_norm(x: np.ndarray) -> float:
     """Euclidean norm of a flat vector by BLAS ``?nrm2``, which scales as
     it sums, so a finite norm never overflows on the way; an empty vector,

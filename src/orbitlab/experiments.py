@@ -259,24 +259,18 @@ class ExperimentConfig:
             "rank_rtol": self.rank_rtol,
         }
 
-    @staticmethod
-    def from_json(data: dict) -> "ExperimentConfig":
-        flow = FlowConfig.from_json(data.get("flow", {}))
-        return ExperimentConfig(
-            kind=data["kind"], scenario=data["scenario"],
-            trials=data.get("trials", 100), seed=data.get("seed", 0),
-            spread=data.get("spread", 0.5), flow=flow,
-            rank_rtol=data.get("rank_rtol", _linalg.RANK_RTOL))
-
 
 @dataclass(frozen=True, eq=False)
 class ExperimentReport:
     config: ExperimentConfig
     trials: list
     summary: dict
-    passed: bool
     failure: str | None
     wall_time_ms: float
+
+    @property
+    def passed(self) -> bool:
+        return self.failure is None
 
     def to_json(self, include_wall_time: bool = True) -> dict:
         out = {
@@ -539,7 +533,7 @@ def _run_one(config: ExperimentConfig, index: int) -> dict:
     return run_trial(get_scenario(config.scenario), config, index)
 
 
-def _summarize_flow(records: list, require_all_closed: bool) -> tuple[dict, bool, str | None]:
+def _summarize_flow(records: list, require_all_closed: bool) -> tuple[dict, str | None]:
     counts = Counter(r["status"] for r in records)
     # a closed orbit never has a non-reductive stabilizer
     closed_but_not_reductive = sum(
@@ -558,18 +552,19 @@ def _summarize_flow(records: list, require_all_closed: bool) -> tuple[dict, bool
         "closed_but_not_reductive": closed_but_not_reductive,
     }
     if closed_but_not_reductive:
-        return summary, False, "math"
+        return summary, "math"
     return _accept(summary, counts[NON_CLOSED] == 0 if require_all_closed
                    else prevalence >= PREVALENCE_BAR)
 
 
-def _accept(summary: dict, bar_met: bool) -> tuple[dict, bool, str | None]:
+def _accept(summary: dict, bar_met: bool) -> tuple[dict, str | None]:
     """The acceptance rule of every statistical kind: an inconclusive rate
     above INCONCLUSIVE_CAP fails as "inconclusive", else the kind's bar
-    decides ("math").  Under the cap at least one trial is decided."""
+    decides ("math").  Under the cap at least one trial is decided.
+    Returns the summary and the failure, None when the kind passed."""
     if summary["inconclusive_rate"] > INCONCLUSIVE_CAP:
-        return summary, False, "inconclusive"
-    return summary, bar_met, None if bar_met else "math"
+        return summary, "inconclusive"
+    return summary, None if bar_met else "math"
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
@@ -585,10 +580,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
 
     if config.kind == EXAMPLE1:
         assertions, summary = run_example1_pipeline(config)
-        passed = summary["all_passed"]
         wall = (time.perf_counter() - start) * 1000.0
-        return ExperimentReport(config, assertions, summary, passed,
-                                None if passed else "math", wall)
+        return ExperimentReport(config, assertions, summary,
+                                None if summary["all_passed"] else "math",
+                                wall)
 
     indices = list(range(config.trials))
     # a fork pool launches every worker at its first submit
@@ -602,13 +597,13 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     records.sort(key=lambda r: r["index"])
 
     _, summarize = _KINDS[config.kind]
-    summary, passed, failure = summarize(config, records)
+    summary, failure = summarize(config, records)
     wall = (time.perf_counter() - start) * 1000.0
-    return ExperimentReport(config, records, summary, passed, failure, wall)
+    return ExperimentReport(config, records, summary, failure, wall)
 
 
 def _summarize_cor3(config: ExperimentConfig,
-                    records: list) -> tuple[dict, bool, str | None]:
+                    records: list) -> tuple[dict, str | None]:
     """Prevalence of reductive stabilizers over the trials, with the
     counterexample record as the non-reductive witness the bar requires.
     That record is decided once per (scenario, ``rank_rtol``) and reused,
@@ -641,7 +636,7 @@ def _summarize_cor3(config: ExperimentConfig,
 
 
 def _summarize_real_complex(config: ExperimentConfig,
-                            records: list) -> tuple[dict, bool, str | None]:
+                            records: list) -> tuple[dict, str | None]:
     agreements = sum(1 for r in records if r["agree"] is True)
     disagreements = sum(1 for r in records if r["agree"] is False)
     inconclusive_pairs = sum(1 for r in records if r["agree"] is None)

@@ -142,11 +142,8 @@ class GroupSpec:
             kwargs["copies"] = data["copies"]
         return GroupSpec(**kwargs)
 
-    def cache_key(self) -> str:
-        return self._cache_key
-
     @functools.cached_property
-    def _cache_key(self) -> str:
+    def cache_key(self) -> str:
         # the spec is frozen, so its JSON text is computed once
         return json.dumps(self.to_json(), sort_keys=True)
 
@@ -375,7 +372,7 @@ def lie_algebra_basis(spec: GroupSpec) -> LieAlgebraBasis:
 
     Embedded families come back already sized to the ambient space.
     """
-    key = spec.cache_key()
+    key = spec.cache_key
     cached = _BASIS_CACHE.get(key)
     if cached is not None:
         return cached
@@ -524,11 +521,6 @@ def orthonormalize(basis: LieAlgebraBasis) -> LieAlgebraBasis:
         basis.field, basis.ambient_size)
 
 
-def matrix_exp(x: np.ndarray) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring Pade, via scipy)."""
-    return scipy.linalg.expm(x)
-
-
 def random_algebra_coefficients(dim: int, seed, spread: float, complex_field: bool):
     """Deterministic Gaussian coefficient draw for a given seed."""
     rng = np.random.default_rng(seed)
@@ -555,4 +547,4 @@ def random_group_element(spec: GroupSpec, seed, spread: float) -> np.ndarray:
     coeff = random_algebra_coefficients(basis.dim, seed, spread,
                                         spec.field == COMPLEX)
     x = coeff @ _linalg.stack_flat(basis.matrices)
-    return matrix_exp(x.reshape(basis.matrices.shape[1:]))
+    return scipy.linalg.expm(x.reshape(basis.matrices.shape[1:]))

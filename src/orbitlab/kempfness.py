@@ -208,12 +208,6 @@ class FlowConfig:
             "max_iterations": self.max_iterations,
         }
 
-    @staticmethod
-    def from_json(data: dict) -> "FlowConfig":
-        """Reads the known keys only, so reports with older fields load."""
-        return FlowConfig(**{k: data[k] for k in (
-            "moment_tolerance", "max_iterations") if k in data})
-
 
 @dataclass(frozen=True, eq=False)
 class FlowTrace:
@@ -303,8 +297,9 @@ def moment_vector(rep: reps.Representation, p_basis: LieAlgebraBasis,
 
 def relative_moment_norm(rep: reps.Representation, p_basis: LieAlgebraBasis,
                          v) -> float:
-    reps.norm(rep, v)  # raises when the norm overflows
-    norm2 = reps.inner_product(rep, v, v)
+    """|mu(v)| / |v|^2, 0.0 at the zero vector; a norm that overflows is
+    an error.  v is validated here and once more by ``moment_vector``."""
+    norm2 = reps._squared_norm(reps._check_vector(rep, v))
     if norm2 == 0.0:
         return 0.0
     return float(np.linalg.norm(moment_vector(rep, p_basis, v))) / norm2

@@ -125,7 +125,7 @@ class Representation:
             if not self.components:
                 raise ConfigurationError("direct sum needs components")
             for c in self.components:
-                if c.group.cache_key() != self.group.cache_key():
+                if c.group.cache_key != self.group.cache_key:
                     raise ConfigurationError(
                         "direct sum components must share the group")
             # the components share the group, so an external tensor's two
@@ -354,9 +354,15 @@ def norm(rep: Representation, v) -> float:
 
 
 def _norm(x: np.ndarray) -> float:
+    return float(np.sqrt(_squared_norm(x)))
+
+
+def _squared_norm(x: np.ndarray) -> float:
+    """|x|^2 of flat entries, bitwise ``inner_product(x, x)``; a square
+    that overflows is an error."""
     # overflow is what the check below catches, so it is not warned about
     with np.errstate(over="ignore"):
-        out = float(np.sqrt(max(float((x * np.conj(x)).sum().real), 0.0)))
+        out = float((x * np.conj(x)).sum().real)
     if not math.isfinite(out):
         raise InvalidArgumentError("the vector's norm overflows")
     return out
@@ -465,10 +471,11 @@ def orbit_dimension_info(rep: Representation, algebra: LieAlgebraBasis, v,
     which only ``LieAlgebraBasis.from_json`` requires to be independent);
     the flag marks a rank too close to the cutoff to call.
     """
-    v = _check_vector(rep, v)
+    # D as _differential_matrix builds it, on coordinates also normed here
+    coords = _coordinates(rep, _check_vector(rep, v))
     return _linalg.matrix_rank(
-        _differential_matrix(rep, algebra.orthonormal, v), rtol,
-        floor=ORBIT_NOISE * _linalg.vector_norm(_coordinates(rep, v)))
+        (_orbit_operator(rep, algebra.orthonormal) @ coords).T, rtol,
+        floor=ORBIT_NOISE * _linalg.vector_norm(coords))
 
 
 def stabilizer_subalgebra(rep: Representation, algebra: LieAlgebraBasis,

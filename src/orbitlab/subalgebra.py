@@ -176,12 +176,12 @@ def element_type(x: np.ndarray) -> str:
     """
     x = np.asarray(x)
     n = x.shape[0]
-    opnorm = _linalg.spectral_norm(x)
+    opnorm = _linalg.svd(x, vectors=False)[0]
     if opnorm == 0.0:
         return NILPOTENT
     xn = x / opnorm
     nilpotent = _linalg.rank_from_singular_values(
-        [_linalg.spectral_norm(np.linalg.matrix_power(xn, n))],
+        [_linalg.svd(np.linalg.matrix_power(xn, n), vectors=False)[0]],
         floor=_linalg.RANK_RTOL)
     if nilpotent.ambiguous or nilpotent.rank == 0:
         return AMBIGUOUS if nilpotent.ambiguous else NILPOTENT

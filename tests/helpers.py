@@ -87,4 +87,5 @@ def subspace_distance(a: np.ndarray, b: np.ndarray,
         return 1.0
     qa = _linalg._orthonormal_rows(fa)
     qb = _linalg._orthonormal_rows(fb)
-    return _linalg.spectral_norm(qa.conj().T @ qa - qb.conj().T @ qb)
+    return float(_linalg.svd(qa.conj().T @ qa - qb.conj().T @ qb,
+                             vectors=False)[0])

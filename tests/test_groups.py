@@ -152,7 +152,7 @@ def test_groupspec_json_round_trip(v0):
     ]
     for spec in specs:
         back = ol.GroupSpec.from_json(spec.to_json())
-        assert back.cache_key() == spec.cache_key()
+        assert back.cache_key == spec.cache_key
         assert ol.lie_algebra_basis(back).dim == ol.lie_algebra_basis(spec).dim
         if spec.form is not None:
             assert back.form.dtype == spec.form.dtype
@@ -299,7 +299,7 @@ class TestRandomElements:
     def test_small_spread_limit_is_the_identity(self, sl6):
         g = ol.random_group_element(sl6, 0, 1e-12)
         assert np.linalg.norm(g - np.eye(6)) <= 1e-10
-        assert np.array_equal(ol.matrix_exp(np.zeros((6, 6))), np.eye(6))
+        assert np.array_equal(scipy.linalg.expm(np.zeros((6, 6))), np.eye(6))
 
     def test_nonpositive_spread_rejected(self, sl6):
         with pytest.raises(InvalidArgumentError):
@@ -542,7 +542,7 @@ def test_cache_key_is_computed_once_per_spec(monkeypatch):
             return json.dumps(data, **kwargs)
 
     monkeypatch.setattr(ol.groups, "json", CountingJson)
-    keys = {spec.cache_key() for _ in range(3)}
+    keys = {spec.cache_key for _ in range(3)}
     ol.lie_algebra_basis(spec)
     ol.lie_algebra_basis(spec)
     assert len(dumped) == 1

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import orbitlab as ol
 from orbitlab import _linalg, experiments, kempfness
@@ -38,7 +39,7 @@ class TestMomentVector:
             x = cartan6.p_basis.matrices[idx]
             v = ol.random_vector(alt6, rng)
             v = v / ol.reps.norm(alt6, v)
-            plus = ol.act(alt6, ol.matrix_exp(t * x), v)
+            plus = ol.act(alt6, scipy.linalg.expm(t * x), v)
             fd = (ol.inner_product(alt6, plus, plus)
                   - ol.inner_product(alt6, v, v)) / (2 * t)
             exact = ol.inner_product(alt6, ol.differential_act(alt6, x, v), v)
@@ -120,6 +121,65 @@ def test_flow_entry_rejects_a_vector_whose_norm_overflows(entry):
     sl2 = ol.special_linear(2, "complex")
     with pytest.raises(InvalidArgumentError, match="overflows"):
         entry(ol.defining(sl2), sl2, np.array([1e308, 1e308], dtype=complex))
+
+
+def _relative_moment_norm_inputs():
+    """(rep, p-basis, vector): example1's base point under the ambient
+    group, and the starts and flow limits of theorem1 and cor5 trials."""
+    example1 = get_scenario("example1")
+    out = [(example1.representation,
+            ol.lie_algebra_basis(example1.group).cartan.p_basis,
+            example1.base_point)]
+    for kind, name in (("theorem1", "example1"),
+                       ("cor5-direct-sum", "sym2-sum")):
+        scenario = get_scenario(name)
+        config = ExperimentConfig(kind=kind, scenario=name, seed=1)
+        p_basis = ol.lie_algebra_basis(scenario.subgroup).cartan.p_basis
+        for index in range(5):
+            x = experiments._start_vector(scenario, config,
+                                          experiments.trial_seed(1, index))
+            limit = ol.closedness_verdict(scenario.representation,
+                                          scenario.subgroup, x).trace.limit_point
+            out += [(scenario.representation, p_basis, x),
+                    (scenario.representation, p_basis, limit)]
+    return out
+
+
+class TestRelativeMomentNorm:
+    def test_bitwise_the_norm_then_inner_product_formula(self):
+        for rep, p_basis, v in _relative_moment_norm_inputs():
+            ol.reps.norm(rep, v)
+            norm2 = ol.inner_product(rep, v, v)
+            expected = float(np.linalg.norm(
+                ol.moment_vector(rep, p_basis, v))) / norm2
+            assert ol.relative_moment_norm(rep, p_basis, v) == expected
+
+    def test_validates_its_vector_once_besides_moment_vector(self, monkeypatch,
+                                                              alt6, sl6,
+                                                              x_translate):
+        p_basis = ol.cartan_decomposition_for(sl6).p_basis
+        calls = []
+        original = ol.reps._check_vector
+
+        def counting(rep, v):
+            calls.append(v)
+            return original(rep, v)
+
+        monkeypatch.setattr(ol.reps, "_check_vector", counting)
+        ol.relative_moment_norm(alt6, p_basis, x_translate)
+        assert len(calls) == 2
+
+    def test_zero_vector_reads_zero(self, alt6, sl6):
+        p_basis = ol.cartan_decomposition_for(sl6).p_basis
+        zero = np.zeros((6, 6), dtype=complex)
+        assert ol.relative_moment_norm(alt6, p_basis, zero) == 0.0
+
+    def test_a_norm_that_overflows_is_refused(self):
+        sl2 = ol.special_linear(2, "complex")
+        p_basis = ol.cartan_decomposition_for(sl2).p_basis
+        with pytest.raises(InvalidArgumentError, match="overflows"):
+            ol.relative_moment_norm(ol.defining(sl2), p_basis,
+                                    np.array([1e308, 1e308], dtype=complex))
 
 
 class TestIsMinimal:
@@ -269,8 +329,8 @@ class TestClosednessVerdict:
         rng = np.random.default_rng(3)
         for _ in range(3):
             coeff = rng.standard_normal(cartan.k_basis.dim)
-            u = ol.matrix_exp(np.einsum("i,ijk->jk", coeff.astype(complex),
-                                        cartan.k_basis.matrices))
+            u = scipy.linalg.expm(np.einsum(
+                "i,ijk->jk", coeff.astype(complex), cartan.k_basis.matrices))
             moved = ol.act(alt6, u, x_translate)
             verdict = ol.closedness_verdict(alt6, sl2_block, moved)
             assert verdict.status == base.status
@@ -283,8 +343,8 @@ class TestClosednessVerdict:
         cartan_g = ol.cartan_decomposition_for(sl6)
         rng = np.random.default_rng(4)
         coeff = 0.3 * rng.standard_normal(cartan_g.k_basis.dim)
-        u = ol.matrix_exp(np.einsum("i,ijk->jk", coeff.astype(complex),
-                                    cartan_g.k_basis.matrices))
+        u = scipy.linalg.expm(np.einsum(
+            "i,ijk->jk", coeff.astype(complex), cartan_g.k_basis.matrices))
         h_basis = ol.lie_algebra_basis(sl2_block)
         conjugated = adjoint_conjugate(h_basis, u)
         moved = ol.act(alt6, u, x_translate)
@@ -300,8 +360,8 @@ class TestClosednessVerdict:
         cartan_g = ol.cartan_decomposition_for(sl6)
         rng = np.random.default_rng(5)
         coeff = 0.3 * rng.standard_normal(cartan_g.k_basis.dim)
-        u = ol.matrix_exp(np.einsum("i,ijk->jk", coeff.astype(complex),
-                                    cartan_g.k_basis.matrices))
+        u = scipy.linalg.expm(np.einsum(
+            "i,ijk->jk", coeff.astype(complex), cartan_g.k_basis.matrices))
         conjugated = adjoint_conjugate(ol.lie_algebra_basis(sl2_block), u)
         moved = ol.act(alt6, u, x_translate)
         split = []
@@ -448,17 +508,6 @@ class TestFlowConfig:
     def test_boolean_moment_tolerance_rejected(self):
         with pytest.raises(InvalidArgumentError):
             FlowConfig(moment_tolerance=True)
-
-    def test_json_round_trip(self):
-        config = FlowConfig(moment_tolerance=1e-9, max_iterations=50)
-        back = FlowConfig.from_json(config.to_json())
-        assert back == config
-
-    def test_json_with_dropped_step_fields_still_loads(self):
-        # older reports carry three line-search fields the config dropped
-        data = {"initial_step": 0.1, "moment_tolerance": 1e-9,
-                "max_iterations": 50, "step_shrink": 0.5, "min_step": 1e-14}
-        assert FlowConfig.from_json(data) == FlowConfig(1e-9, 50)
 
     def test_verdict_serialization(self, alt6, sl2_block, x_translate):
         import json

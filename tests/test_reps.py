@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -137,7 +138,7 @@ class TestActionAxioms:
         x /= np.linalg.norm(x)  # truncation error of the one-sided quotient is O(t |X|^2)
         v = random_point(rep, 5)
         t = 1e-6
-        moved = ol.act(rep, ol.matrix_exp(t * x), v)
+        moved = ol.act(rep, scipy.linalg.expm(t * x), v)
         fd = (flatten(rep, moved) - flatten(rep, v)) / t
         exact = flatten(rep, ol.differential_act(rep, x, v))
         assert np.linalg.norm(fd - exact) <= 1e-6 * max(np.linalg.norm(exact), 1.0)
@@ -346,6 +347,33 @@ class TestOrbitDimension:
         total = orbit_dimension(rep, algebra, v)
         parts = sum(orbit_dimension(ol.sym2(sl2), algebra, vc) for vc in v)
         assert total <= parts
+
+    def test_coordinates_are_read_once_per_decision(self, monkeypatch, alt6,
+                                                    sl6, x_translate):
+        # D and the noise floor are read off one coordinate array, and the
+        # decision is bitwise the one made from two reads
+        algebra = ol.lie_algebra_basis(sl6)
+        onb = algebra.orthonormal
+        flat = flatten(alt6, x_translate)
+        expected = ol._linalg.matrix_rank(
+            ol.reps._differential_matrix(alt6, onb, flat), 1e-9,
+            floor=ol.reps.ORBIT_NOISE * ol._linalg.vector_norm(
+                ol.reps._coordinates(alt6, flat)))
+        calls = []
+        original = ol.reps._coordinates
+
+        def counting(rep, x):
+            calls.append(x)
+            return original(rep, x)
+
+        monkeypatch.setattr(ol.reps, "_coordinates", counting)
+        decision = ol.orbit_dimension_info(alt6, algebra, x_translate)
+        assert len(calls) == 1
+        assert (decision.rank, decision.ambiguous) == (expected.rank,
+                                                       expected.ambiguous)
+        for name in ("kernel", "row_space", "singular_values"):
+            assert np.array_equal(getattr(decision, name),
+                                  getattr(expected, name))
 
 
 class TestStabilizer:
