@@ -22,8 +22,7 @@ from .reps import (Representation, act, alt_bilinear, defining,
                    inner_product, orbit_dimension_info, random_vector,
                    stabilizer_subalgebra, sym2)
 from .kempfness import (ClosednessVerdict, FlowConfig, FlowTrace,
-                        closedness_verdict, moment_vector, norm_flow,
-                        relative_moment_norm)
+                        closedness_verdict, norm_flow, relative_moment_norm)
 from .subalgebra import (StructureData, SubalgebraReport, element_type,
                          reductivity_verdict, structure_report)
 from .experiments import (ExperimentConfig, ExperimentReport, Scenario,
@@ -43,7 +42,7 @@ __all__ = [
     "direct_sum", "external_tensor", "inner_product", "orbit_dimension_info",
     "random_vector", "stabilizer_subalgebra", "sym2",
     "ClosednessVerdict", "FlowConfig", "FlowTrace", "closedness_verdict",
-    "moment_vector", "norm_flow", "relative_moment_norm",
+    "norm_flow", "relative_moment_norm",
     "StructureData", "SubalgebraReport", "element_type",
     "reductivity_verdict", "structure_report",
     "ExperimentConfig", "ExperimentReport", "Scenario", "get_scenario",

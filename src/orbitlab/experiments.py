@@ -339,23 +339,18 @@ def _stabilizer_verdict(stab: groups.LieAlgebraBasis, ambiguous: bool,
     return report.verdict, report
 
 
-def _stabilizer_record(stab: groups.LieAlgebraBasis, ambiguous: bool,
-                       rtol: float) -> tuple[dict, subalgebra.SubalgebraReport | None]:
-    """A stabilizer as the record cor3 reports: its dimension, its
-    reductivity verdict and, for a line, the type of its generator."""
-    verdict, report = _stabilizer_verdict(stab, ambiguous, rtol)
+def _intersection(rep, algebra, v,
+                  rtol: float) -> tuple[dict, subalgebra.SubalgebraReport | None]:
+    """The stabilizer of v in the algebra, decided once, as the record
+    cor3 reports: its dimension, its reductivity verdict and, for a line,
+    the type of its generator."""
+    decision = reps.orbit_dimension_info(rep, algebra, v, rtol)
+    stab = reps._stabilizer_subalgebra(algebra, decision)
+    verdict, report = _stabilizer_verdict(stab, decision.ambiguous, rtol)
     generator_type = (subalgebra.element_type(stab.matrices[0])
                       if stab.dim == 1 else None)
     return {"intersection_dim": stab.dim, "verdict": verdict,
             "generator_type": generator_type}, report
-
-
-def _intersection(rep, algebra, v,
-                  rtol: float) -> tuple[dict, subalgebra.SubalgebraReport | None]:
-    """The stabilizer of v in the algebra, decided once, as a record."""
-    decision = reps.orbit_dimension_info(rep, algebra, v, rtol)
-    return _stabilizer_record(reps._stabilizer_subalgebra(algebra, decision),
-                              decision.ambiguous, rtol)
 
 
 def _start_vector(scenario: Scenario, config: ExperimentConfig, seed: int):
@@ -466,13 +461,9 @@ def run_example1_pipeline(config: ExperimentConfig) -> tuple[list, dict]:
     check("base_stabilizer_dim_21", base_stabilizer_dim == 21,
           {"dim": base_stabilizer_dim})
 
-    # the block stabilizer of x is the start decision of the block-orbit
-    # verdict, recorded as cor3 records its counterexample
-    x = reps.act(rep, scenario.fixed_element, v0)
-    h_verdict = closedness_verdict(rep, scenario.subgroup, x, config.flow,
-                                   rtol=rtol)
-    block, _ = _stabilizer_record(h_verdict.stabilizer,
-                                  h_verdict.start_ambiguous, rtol)
+    # the block stabilizer of x is cor3's counterexample record, decided
+    # once per (scenario, cutoff)
+    block = run_counterexample_trial(scenario, rtol)
     check("block_stabilizer_dim_1", block["intersection_dim"] == 1,
           {"dim": block["intersection_dim"]})
     check("block_stabilizer_nilpotent",
@@ -482,6 +473,9 @@ def run_example1_pipeline(config: ExperimentConfig) -> tuple[list, dict]:
           block["verdict"] == subalgebra.NOT_REDUCTIVE,
           {"verdict": block["verdict"]})
 
+    x = reps.act(rep, scenario.fixed_element, v0)
+    h_verdict = closedness_verdict(rep, scenario.subgroup, x, config.flow,
+                                   rtol=rtol)
     check("block_orbit_non_closed", h_verdict.status == NON_CLOSED,
           {"status": h_verdict.status,
            "start_orbit_dim": h_verdict.start_orbit_dim,

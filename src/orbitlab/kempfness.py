@@ -33,8 +33,8 @@ stays exactly on the starting orbit.
 Convexity along each one-parameter subgroup also makes the ray exactly
 solvable, as in geodesically convex scaling (Burgisser et al.,
 arXiv:1910.12375).  The step matrix X = sum_i c_i X_i is Hermitian,
-because the p-basis is (checked once per basis, with its
-orthonormality), so one eigendecomposition X = U diag(d) U* per
+because the Cartan split builds the p-basis Hermitian (and
+orthonormal), so one eigendecomposition X = U diag(d) U* per
 diagonal block the representation reads (``_linalg.eigh``) diagonalizes
 its action: with coefficients W = U* . w, f(t) = |exp(-tX) . w|^2 is
 sum_m |W_m|^2 exp(-2 t s_m), s_m the weight of entry m
@@ -56,33 +56,33 @@ ray's slope: an example1 flow takes one step, and its search one
 evaluation of the model.
 
 Each step costs a few calls that each do real work, around one matrix.
-D is one product of the iterate's coordinates with the orbit-map
-operator that the Cartan basis keeps per representation
-(``reps._differential_matrix``).  The moment vector is read off D_p,
-mu_i = <X_i . w, w> = Re(D_p^t conj(coords w))_i (Kempf-Ness),
-and so is H + lam I, symmetric positive definite whenever mu != 0 and
-solved by one Cholesky factorization (LAPACK ``dposv``, whose ``info``
-is checked).  The ray then costs one eigendecomposition per block, two
-small products for W and one per trial point.  ``moment_vector`` and
-``matrix_exp`` (which gives every trial point its expm1(-t s)) are
-looked up on this module at every step, so a tracer that wraps them
-sees each call.
+D is one product of the iterate's coordinates, read once, with the
+orbit-map operator that the Cartan basis keeps per representation
+(``reps._differential_matrix``).  ``moment_vector`` reads mu off D_p and
+the same coordinates, mu_i = <X_i . w, w> = Re(D_p^t conj(coords w))_i
+(Kempf-Ness), and so is H + lam I read off D_p, symmetric positive
+definite whenever mu != 0 and solved by one Cholesky factorization
+(LAPACK ``dposv``, whose ``info`` is checked).  The ray then costs one
+eigendecomposition per block, two small products for W and one per
+trial point.  ``moment_vector`` and ``matrix_exp`` (which gives every
+trial point its expm1(-t s)) are looked up on this module at every
+step, so a tracer that wraps them sees each call.
 
 ``norm_flow`` is the one place a verdict validates and norms its input:
 it reads v's flat entries once and norms them by the core of
 ``reps.norm``, which rejects a norm that overflows.  It holds its iterate
-as the flat entry array; the line search runs on the unchecked core of
-the action, and the public form is rebuilt only for ``moment_vector``
-and the limit point.  The trace carries |v| and |limit| (bitwise
-``reps.norm``'s values) and the orbit maps at both ends, all four read
-by the verdict.  The flow's stop state is one field, ``FlowTrace.reason``;
-whether it converged or collapsed, and how many steps it took, are read
-off it.
+as the flat entry array and checks nothing per step (its p-basis is the
+Cartan split's own): the line search moves it by the unchecked core of
+the action, and the public form is rebuilt only for the limit point.
+The trace carries |v| and |limit| (bitwise ``reps.norm``'s values) and
+the orbit maps at both ends, all four read by the verdict.  The flow's
+stop state is one field, ``FlowTrace.reason``; whether it converged or
+collapsed, and how many steps it took, are read off it.
 
 Minimality is decided at one bar, ``FlowConfig.moment_tolerance``, where
 the flow stops; the command line's ``minimal`` and the example1 pipeline
-compare ``relative_moment_norm`` with it.  ``GRAM_TOL`` bars the p-basis,
-not vectors.
+compare ``relative_moment_norm`` with it.  ``GRAM_TOL`` bars the p-basis
+that ``relative_moment_norm`` is handed, not vectors.
 
 The closedness verdict compares orbit dimensions at the start and at the
 flow limit, each one rank decision of the orbit map between orthonormal
@@ -123,7 +123,7 @@ CLOSED = "closed"
 NON_CLOSED = "non_closed"
 INCONCLUSIVE = "inconclusive"
 
-# Orthonormality and Hermitian bar on the p-basis fed to the moment map.
+# Orthonormality and Hermitian bar on the p-basis of relative_moment_norm.
 GRAM_TOL = 1e-8
 
 # Multiplier on sqrt(moment residual) * |limit| for the limit-side rank
@@ -271,38 +271,35 @@ class ClosednessVerdict:
         }
 
 
-def moment_vector(rep: reps.Representation, p_basis: LieAlgebraBasis,
-                  v, d: np.ndarray | None = None) -> np.ndarray:
-    """Coefficients <X_i . v, v> over the orthonormal Hermitian basis.
-
-    This is the gradient of t -> |exp(tX) . v|^2 / 2 at t = 0 in the
-    direction X; it vanishes exactly at minimal vectors.  It is read off
-    the orbit-map matrix D of the basis at v (columns X_i . v) as
-    Re(D^t conj(flat v)); ``d`` is that matrix when the caller holds it
-    already, as the norm flow does.  The basis's Gram and Hermitian
-    residuals are kept on the basis, so validating it costs two
-    attribute reads after the first call.
-    """
-    if p_basis.gram_residual > GRAM_TOL:
-        raise InvalidArgumentError(
-            "p-basis must be orthonormal for the real trace pairing")
-    if p_basis.hermitian_residual > GRAM_TOL:
-        raise InvalidArgumentError("p-basis matrices must be Hermitian")
-    v = reps._check_vector(rep, v)
-    if d is None:
-        d = reps._differential_matrix(rep, p_basis, v)
-    coords = reps._coordinates(rep, v).astype(d.dtype, copy=False)
+def moment_vector(d: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """mu_i = <X_i . v, v> over an orthonormal Hermitian basis, the
+    gradient of t -> |exp(tX) . v|^2 / 2 at t = 0, zero exactly at minimal
+    vectors: Re(D^t conj(coords)) of the orbit-map matrix D of the basis
+    at v (``reps._differential_matrix``) and the coordinates of v.  Nothing
+    is checked; ``relative_moment_norm`` checks its basis and vector."""
+    coords = coords.astype(d.dtype, copy=False)
     return _linalg.real_rows(d.T) @ _linalg.real_rows(coords)
 
 
 def relative_moment_norm(rep: reps.Representation, p_basis: LieAlgebraBasis,
                          v) -> float:
-    """|mu(v)| / |v|^2, 0.0 at the zero vector; a norm that overflows is
-    an error.  v is validated here and once more by ``moment_vector``."""
-    norm2 = reps._squared_norm(reps._check_vector(rep, v))
+    """|mu(v)| / |v|^2, 0.0 at the zero vector.  A p-basis that is not
+    orthonormal and Hermitian is an error, checked first (two attribute
+    reads after the first call), and so are a basis of another group and
+    a norm that overflows; v is validated and its coordinates read once."""
+    if p_basis.gram_residual > GRAM_TOL:
+        raise InvalidArgumentError(
+            "p-basis must be orthonormal for the real trace pairing")
+    if p_basis.hermitian_residual > GRAM_TOL:
+        raise InvalidArgumentError("p-basis matrices must be Hermitian")
+    flat = reps._check_vector(rep, v)
+    norm2 = reps._squared_norm(flat)
+    coords = reps._coordinates(rep, flat)
+    # D checks the basis's fit to the group, also at the zero vector
+    d = reps._differential_matrix(rep, p_basis, coords)
     if norm2 == 0.0:
         return 0.0
-    return float(np.linalg.norm(moment_vector(rep, p_basis, v))) / norm2
+    return float(np.linalg.norm(moment_vector(d, coords))) / norm2
 
 
 def _basis(group) -> LieAlgebraBasis:
@@ -451,9 +448,10 @@ def norm_flow(rep: reps.Representation, group, v,
     flat = reps._check_vector(rep, v)
     start_norm = reps._norm(flat)
     w = flat if start_norm == 0.0 else (1.0 / start_norm) * flat
-    # one orbit-map matrix per iterate: the moment vector, the tolerance
-    # test and the Newton system all read its p columns
-    start_map = d = reps._differential_matrix(rep, onb, w)
+    # one coordinate read and one orbit-map matrix per iterate: the moment
+    # vector, the tolerance test and the Newton system all read its p columns
+    coords = reps._coordinates(rep, w)
+    start_map = d = reps._differential_matrix(rep, onb, coords)
     if start_norm == 0.0 or p_basis.dim == 0:
         # the zero vector and every point of a compact group are minimal
         return FlowTrace(np.array([start_norm]), np.array([0.0]),
@@ -469,8 +467,7 @@ def norm_flow(rep: reps.Representation, group, v,
     reason = "budget"
 
     for iteration in range(config.max_iterations + 1):
-        coeff = moment_vector(rep, p_basis, reps._unflat(rep, w),
-                              d[:, p_first:])
+        coeff = moment_vector(d[:, p_first:], coords)
         rel = math.sqrt(coeff @ coeff) / norm2
         moment_norms.append(rel)
         if iteration == config.max_iterations:
@@ -509,7 +506,8 @@ def norm_flow(rep: reps.Representation, group, v,
         if norm2 <= COLLAPSE_REL_NORM2:
             reason = "collapse"
             break
-        d = reps._differential_matrix(rep, onb, w)
+        coords = reps._coordinates(rep, w)
+        d = reps._differential_matrix(rep, onb, coords)
 
     if reason == "collapse":
         limit, limit_norm = reps.zero_vector(rep), 0.0

@@ -34,7 +34,9 @@ the ``rep.dim`` x k matrix of the map between orthonormal bases when the
 algebra basis is orthonormal: column i holds the coordinates of X_i . v.
 D is one product of the coordinates of v with an operator built once per
 (representation, basis) from the images of one stack of the basis
-vectors of the space and kept on the basis.  ``orbit_dimension_info``
+vectors of the space and kept on the basis; ``_differential_matrix``
+takes the coordinates, so a caller that reads them too (the moment map,
+a noise floor) reads them once.  ``orbit_dimension_info``
 reads D on ``algebra.orthonormal``, the Cartan basis of a theta-stable
 algebra, so the kernel of a decision is an orthonormal basis of the
 stabilizer; the norm flow reads D on the Cartan basis too.
@@ -249,7 +251,10 @@ def _check_vector(rep: Representation, v) -> np.ndarray:
                 "direct-sum vector must be a tuple of components")
         return np.concatenate([_check_vector(c, vc)
                                for c, vc in zip(rep.components, v)])
-    v = np.asarray(v)
+    try:
+        v = np.asarray(v)
+    except ValueError as exc:  # a ragged nested list
+        raise InvalidArgumentError(f"malformed vector: {exc}") from exc
     if v.shape != rep.shape:
         raise InvalidArgumentError(f"vector must have shape {rep.shape}")
     return v.reshape(-1)
@@ -446,15 +451,16 @@ def _orbit_operator(rep: Representation, algebra: LieAlgebraBasis) -> np.ndarray
     return operator
 
 
-def _differential_matrix(rep: Representation, algebra: LieAlgebraBasis, v) -> np.ndarray:
+def _differential_matrix(rep: Representation, algebra: LieAlgebraBasis,
+                         coords: np.ndarray) -> np.ndarray:
     """The ``rep.dim`` x k matrix D whose column i holds the coordinates of
     X_i . v over the algebra basis: one product of the basis's cached
-    orbit-map operator with the coordinates of v."""
+    orbit-map operator with ``coords``, the coordinates of v."""
     # one N x N product per block: numpy and scipy each load their own
     # OpenBLAS, and a single (k N) x N product of a large algebra crosses
     # the threading threshold of numpy's, whose spinning threads then
     # starve the LAPACK calls made through scipy's
-    return (_orbit_operator(rep, algebra) @ _coordinates(rep, v)).T
+    return (_orbit_operator(rep, algebra) @ coords).T
 
 
 def orbit_dimension_info(rep: Representation, algebra: LieAlgebraBasis, v,
@@ -471,10 +477,10 @@ def orbit_dimension_info(rep: Representation, algebra: LieAlgebraBasis, v,
     which only ``LieAlgebraBasis.from_json`` requires to be independent);
     the flag marks a rank too close to the cutoff to call.
     """
-    # D as _differential_matrix builds it, on coordinates also normed here
+    # D and the floor read one coordinate array
     coords = _coordinates(rep, _check_vector(rep, v))
     return _linalg.matrix_rank(
-        (_orbit_operator(rep, algebra.orthonormal) @ coords).T, rtol,
+        _differential_matrix(rep, algebra.orthonormal, coords), rtol,
         floor=ORBIT_NOISE * _linalg.vector_norm(coords))
 
 

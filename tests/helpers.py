@@ -1,19 +1,25 @@
-"""Helpers that only the tests use: flat vectors, residuals and
-distances between spans, and oracles the program itself never calls
-(the bracket of two matrices, a conjugated algebra basis, a scaled
-vector, minimality at a bar and an orbit dimension without its
-ambiguity flag)."""
+"""Helpers that only the tests use: flat vectors and their coordinates,
+residuals and distances between spans, and oracles the program itself
+never calls (the bracket of two matrices, a conjugated algebra basis, a
+scaled vector, the moment vector of a vector in its public form,
+minimality at a bar and an orbit dimension without its ambiguity
+flag)."""
 
 import numpy as np
 
 import orbitlab as ol
-from orbitlab import _linalg
+from orbitlab import _linalg, kempfness
 from orbitlab.errors import InvalidArgumentError
 
 
 def flatten(rep: ol.Representation, v) -> np.ndarray:
     """Vector as one flat entry array (direct sums concatenated)."""
     return ol.reps._check_vector(rep, v)
+
+
+def coordinates(rep: ol.Representation, v) -> np.ndarray:
+    """Isometric coordinates of a vector given in its public form."""
+    return ol.reps._coordinates(rep, flatten(rep, v))
 
 
 def bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -40,6 +46,15 @@ def adjoint_conjugate(basis: ol.LieAlgebraBasis,
 def scale(rep: ol.Representation, c, v):
     """The vector c * v in its public form."""
     return ol.reps._unflat(rep, c * ol.reps._check_vector(rep, v))
+
+
+def moment_vector(rep: ol.Representation, p_basis: ol.LieAlgebraBasis,
+                  v) -> np.ndarray:
+    """The moment vector mu(v) over the p-basis, by the package's formula
+    on the orbit-map matrix of the basis at v; nothing is checked."""
+    coords = coordinates(rep, v)
+    return kempfness.moment_vector(
+        ol.reps._differential_matrix(rep, p_basis, coords), coords)
 
 
 def is_minimal(rep: ol.Representation, p_basis: ol.LieAlgebraBasis, v,

@@ -9,7 +9,7 @@ from orbitlab import _linalg
 from orbitlab.errors import (ConfigurationError, InvalidArgumentError,
                              NotThetaStableError)
 
-from helpers import (adjoint_conjugate, flatten, orbit_dimension,
+from helpers import (adjoint_conjugate, coordinates, orbit_dimension,
                      subspace_distance)
 
 
@@ -390,7 +390,8 @@ class TestOrthonormalBasis:
         for rep, v in points:
             decision = ol.orbit_dimension_info(rep, algebra, v)
             svd = _linalg.matrix_rank(
-                ol.reps._differential_matrix(rep, svd_basis, flatten(rep, v)))
+                ol.reps._differential_matrix(rep, svd_basis,
+                                             coordinates(rep, v)))
             assert ((decision.rank, decision.ambiguous)
                     == (svd.rank, svd.ambiguous))
             stab = ol.stabilizer_subalgebra(rep, algebra, v)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from orbitlab.errors import InvalidArgumentError
 from orbitlab.experiments import ExperimentConfig, get_scenario
 from orbitlab.kempfness import CLOSED, INCONCLUSIVE, NON_CLOSED, FlowConfig
 
-from helpers import (adjoint_conjugate, flatten, is_minimal, orbit_dimension,
-                     scale)
+from helpers import (adjoint_conjugate, coordinates, is_minimal, moment_vector,
+                     orbit_dimension, scale)
 
 
 @pytest.fixture(scope="module")
@@ -23,10 +24,10 @@ def cartan6(sl6=None):
 class TestMomentVector:
     def test_zero_vector_has_zero_moment(self, alt6, cartan6):
         zero = np.zeros((6, 6), dtype=complex)
-        assert np.allclose(ol.moment_vector(alt6, cartan6.p_basis, zero), 0.0)
+        assert np.allclose(moment_vector(alt6, cartan6.p_basis, zero), 0.0)
 
     def test_base_form_is_minimal(self, alt6, cartan6, v0):
-        coeff = ol.moment_vector(alt6, cartan6.p_basis, v0)
+        coeff = moment_vector(alt6, cartan6.p_basis, v0)
         assert np.max(np.abs(coeff)) <= 1e-10
 
     def test_directional_derivative_oracle(self, alt6, cartan6):
@@ -47,8 +48,8 @@ class TestMomentVector:
 
     def test_non_orthonormal_basis_rejected(self, alt6, sl6, v0):
         algebra = ol.lie_algebra_basis(sl6)
-        with pytest.raises(InvalidArgumentError):
-            ol.moment_vector(alt6, algebra, v0)
+        with pytest.raises(InvalidArgumentError, match="orthonormal"):
+            ol.relative_moment_norm(alt6, algebra, v0)
 
     def test_non_hermitian_basis_rejected(self, alt6, cartan6, v0):
         # the skew-Hermitian half of the split is orthonormal, but the
@@ -56,7 +57,7 @@ class TestMomentVector:
         k_basis = cartan6.k_basis
         assert k_basis.gram_residual <= kempfness.GRAM_TOL
         with pytest.raises(InvalidArgumentError, match="Hermitian"):
-            ol.moment_vector(alt6, k_basis, v0)
+            ol.relative_moment_norm(alt6, k_basis, v0)
         with pytest.raises(InvalidArgumentError, match="Hermitian"):
             is_minimal(alt6, k_basis, v0)
 
@@ -96,7 +97,7 @@ def test_closed_form_moment_matches_differential_loop(rep, group):
             v = list(v)
         loop = np.array([ol.inner_product(rep, ol.differential_act(rep, x, v), v)
                          for x in p_basis.matrices])
-        closed = ol.moment_vector(rep, p_basis, v)
+        closed = moment_vector(rep, p_basis, v)
         assert closed.shape == loop.shape == (p_basis.dim,)
         assert np.linalg.norm(closed - loop) <= 1e-12 * np.linalg.norm(loop)
 
@@ -106,10 +107,13 @@ def test_closed_form_moment_matches_differential_loop(rep, group):
 def test_flow_entry_rejects_malformed_vectors(entry, alt6, sl6):
     with pytest.raises(InvalidArgumentError):
         entry(alt6, sl6, np.ones((5, 5), dtype=complex))
+    # a ragged nested list is refused as malformed, not by numpy
+    with pytest.raises(InvalidArgumentError, match="malformed"):
+        entry(alt6, sl6, [[1, 2], [3]])
     sl2 = ol.special_linear(2, "complex")
     pair = ol.direct_sum(ol.sym2(sl2), ol.sym2(sl2))
     m = np.array([[1.0, 0.5], [0.5, -2.0]], dtype=complex)
-    for wrong in ((m,), (m, m, m)):
+    for wrong in ((m,), (m, m, m), (m, [[1, 2], [3]])):
         with pytest.raises(InvalidArgumentError):
             entry(pair, sl2, wrong)
 
@@ -151,12 +155,11 @@ class TestRelativeMomentNorm:
             ol.reps.norm(rep, v)
             norm2 = ol.inner_product(rep, v, v)
             expected = float(np.linalg.norm(
-                ol.moment_vector(rep, p_basis, v))) / norm2
+                moment_vector(rep, p_basis, v))) / norm2
             assert ol.relative_moment_norm(rep, p_basis, v) == expected
 
-    def test_validates_its_vector_once_besides_moment_vector(self, monkeypatch,
-                                                              alt6, sl6,
-                                                              x_translate):
+    def test_validates_its_vector_once(self, monkeypatch, alt6, sl6,
+                                       x_translate):
         p_basis = ol.cartan_decomposition_for(sl6).p_basis
         calls = []
         original = ol.reps._check_vector
@@ -167,12 +170,29 @@ class TestRelativeMomentNorm:
 
         monkeypatch.setattr(ol.reps, "_check_vector", counting)
         ol.relative_moment_norm(alt6, p_basis, x_translate)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_zero_vector_reads_zero(self, alt6, sl6):
         p_basis = ol.cartan_decomposition_for(sl6).p_basis
         zero = np.zeros((6, 6), dtype=complex)
         assert ol.relative_moment_norm(alt6, p_basis, zero) == 0.0
+
+    def test_a_bad_basis_is_refused_at_the_zero_vector(self):
+        # the zero vector's early 0.0 lets neither a non-orthonormal basis
+        # nor the p-basis of another group through
+        sl2 = ol.special_linear(2, "complex")
+        zero = np.zeros((2, 2), dtype=complex)
+        with pytest.raises(InvalidArgumentError, match="orthonormal"):
+            ol.relative_moment_norm(ol.sym2(sl2), ol.lie_algebra_basis(sl2),
+                                    zero)
+        sl3 = ol.cartan_decomposition_for(ol.special_linear(3, "complex"))
+        with pytest.raises(InvalidArgumentError, match="2x2"):
+            ol.relative_moment_norm(ol.sym2(sl2), sl3.p_basis, zero)
+
+    def test_a_ragged_vector_is_refused(self, alt6, sl6):
+        p_basis = ol.cartan_decomposition_for(sl6).p_basis
+        with pytest.raises(InvalidArgumentError, match="malformed"):
+            ol.relative_moment_norm(alt6, p_basis, [[1, 2], [3]])
 
     def test_a_norm_that_overflows_is_refused(self):
         sl2 = ol.special_linear(2, "complex")
@@ -180,6 +200,33 @@ class TestRelativeMomentNorm:
         with pytest.raises(InvalidArgumentError, match="overflows"):
             ol.relative_moment_norm(ol.defining(sl2), p_basis,
                                     np.array([1e308, 1e308], dtype=complex))
+
+
+def test_every_point_is_read_once(monkeypatch):
+    # theorem1 on example1, seed 1, trial 0: a one-step flow.  With warm
+    # caches a verdict validates its input once and reads the coordinates
+    # of its start and of its one iterate; relative_moment_norm reads its
+    # vector once each way.
+    scenario = get_scenario("example1")
+    config = ExperimentConfig(kind="theorem1", scenario="example1", seed=1)
+    x = experiments._start_vector(scenario, config,
+                                  experiments.trial_seed(1, 0))
+    rep, group = scenario.representation, scenario.subgroup
+    p_basis = ol.lie_algebra_basis(group).cartan.p_basis
+    assert ol.closedness_verdict(rep, group, x).trace.iterations_used == 1
+    ol.relative_moment_norm(rep, p_basis, x)
+    counts = Counter()
+    for name in ("_coordinates", "_check_vector"):
+        def counting(*args, name=name, original=getattr(ol.reps, name)):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(ol.reps, name, counting)
+    ol.closedness_verdict(rep, group, x)
+    assert dict(counts) == {"_coordinates": 2, "_check_vector": 1}
+    counts.clear()
+    ol.relative_moment_norm(rep, p_basis, x)
+    assert dict(counts) == {"_coordinates": 1, "_check_vector": 1}
 
 
 class TestIsMinimal:
@@ -520,7 +567,7 @@ class TestFlowConfig:
 def _relative_hessian_eigenvalues(rep, group, w):
     """Eigenvalues of H = 2 Re(D* D) over the p-basis, divided by |w|^2."""
     p_basis = ol.cartan_decomposition_for(group).p_basis
-    d = ol.reps._differential_matrix(rep, p_basis, flatten(rep, w))
+    d = ol.reps._differential_matrix(rep, p_basis, coordinates(rep, w))
     hess = 2.0 * np.real(d.conj().T @ d)
     return np.linalg.eigvalsh(hess) / ol.inner_product(rep, w, w)
 
@@ -794,8 +841,8 @@ def test_limit_decision_on_the_flow_matrix_is_the_limit_point_decision(
         algebra = ol.lie_algebra_basis(group)
         for onb in (algebra.orthonormal, ol.groups.orthonormalize(algebra)):
             rebuilt = _one_sided_rank(
-                ol.reps._differential_matrix(rep, onb,
-                                             flatten(rep, trace.limit_point)),
+                ol.reps._differential_matrix(
+                    rep, onb, coordinates(rep, trace.limit_point)),
                 kempfness.LIMIT_RANK_FLOOR * residual * verdict.limit_norm)
             assert ((read.rank, read.ambiguous)
                     == (rebuilt.rank, rebuilt.ambiguous))

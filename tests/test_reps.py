@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import orbitlab as ol
 from orbitlab.errors import InvalidArgumentError
 
-from helpers import (adjoint_conjugate, flatten, orbit_dimension,
-                     subspace_distance)
+from helpers import (adjoint_conjugate, coordinates, flatten,
+                     orbit_dimension, subspace_distance)
 
 
 def random_point(rep, seed, spread=1.0):
@@ -73,9 +73,9 @@ def test_differential_matrix_matches_elementwise_loop(rep, group):
     algebra = ol.lie_algebra_basis(group)
     v = random_point(rep, 31)
     reference = np.array([
-        ol.reps._coordinates(rep, flatten(rep, ol.differential_act(rep, x, v)))
+        coordinates(rep, ol.differential_act(rep, x, v))
         for x in algebra.matrices]).T
-    batched = ol.reps._differential_matrix(rep, algebra, flatten(rep, v))
+    batched = ol.reps._differential_matrix(rep, algebra, coordinates(rep, v))
     assert batched.shape == reference.shape
     assert np.linalg.norm(batched - reference) <= 1e-14 * np.linalg.norm(reference)
 
@@ -91,8 +91,8 @@ class TestIsometricCoordinates:
         rng = np.random.default_rng(seed)
         v = ol.random_vector(rep, rng)
         w = ol.random_vector(rep, rng)
-        cv = ol.reps._coordinates(rep, flatten(rep, v))
-        cw = ol.reps._coordinates(rep, flatten(rep, w))
+        cv = coordinates(rep, v)
+        cw = coordinates(rep, w)
         assert cv.shape == (rep.dim,)
         for a, b, ca, cb in ((v, w, cv, cw), (v, v, cv, cv)):
             exact = ol.inner_product(rep, a, b)
@@ -107,7 +107,7 @@ class TestIsometricCoordinates:
         images = np.array([flatten(rep, ol.differential_act(rep, x, v))
                            for x in algebra.matrices])
         gram = images.conj() @ images.T
-        d = ol.reps._differential_matrix(rep, algebra, flatten(rep, v))
+        d = ol.reps._differential_matrix(rep, algebra, coordinates(rep, v))
         assert d.shape == (rep.dim, algebra.dim)
         assert np.linalg.norm(d.conj().T @ d - gram) <= 1e-13 * np.linalg.norm(
             gram)
@@ -350,15 +350,12 @@ class TestOrbitDimension:
 
     def test_coordinates_are_read_once_per_decision(self, monkeypatch, alt6,
                                                     sl6, x_translate):
-        # D and the noise floor are read off one coordinate array, and the
-        # decision is bitwise the one made from two reads
+        # D and the noise floor are read off one coordinate array
         algebra = ol.lie_algebra_basis(sl6)
-        onb = algebra.orthonormal
-        flat = flatten(alt6, x_translate)
+        coords = coordinates(alt6, x_translate)
         expected = ol._linalg.matrix_rank(
-            ol.reps._differential_matrix(alt6, onb, flat), 1e-9,
-            floor=ol.reps.ORBIT_NOISE * ol._linalg.vector_norm(
-                ol.reps._coordinates(alt6, flat)))
+            ol.reps._differential_matrix(alt6, algebra.orthonormal, coords),
+            1e-9, floor=ol.reps.ORBIT_NOISE * ol._linalg.vector_norm(coords))
         calls = []
         original = ol.reps._coordinates
 
@@ -504,6 +501,29 @@ class TestValidation:
                 ol.act(rep, bad, v)
             with pytest.raises(InvalidArgumentError):
                 ol.differential_act(rep, bad, v)
+
+    @pytest.mark.parametrize("entry", [
+        lambda rep, algebra, v: ol.act(rep, np.eye(2), v),
+        lambda rep, algebra, v: ol.differential_act(rep, algebra.matrices[0],
+                                                    v),
+        lambda rep, algebra, v: ol.inner_product(rep, v, v),
+        lambda rep, algebra, v: ol.reps.norm(rep, v),
+        lambda rep, algebra, v: ol.reps.point(rep, v),
+        lambda rep, algebra, v: ol.orbit_dimension_info(rep, algebra, v),
+        lambda rep, algebra, v: ol.stabilizer_subalgebra(rep, algebra, v),
+    ], ids=["act", "differential_act", "inner_product", "norm", "point",
+            "orbit_dimension_info", "stabilizer_subalgebra"])
+    def test_a_ragged_vector_is_refused(self, entry):
+        # numpy cannot read a ragged nested list as an array; the entry
+        # refuses it as malformed, alone or as a direct-sum component
+        sl2 = ol.special_linear(2, "complex")
+        algebra = ol.lie_algebra_basis(sl2)
+        ragged = [[1.0, 2.0], [3.0]]
+        pair = ol.direct_sum(ol.sym2(sl2), ol.sym2(sl2))
+        for rep, v in ((ol.sym2(sl2), ragged),
+                       (pair, (np.eye(2, dtype=complex), ragged))):
+            with pytest.raises(InvalidArgumentError, match="malformed"):
+                entry(rep, algebra, v)
 
     @pytest.mark.parametrize("spread", [float("nan"), float("inf"), 0.0, -1.0])
     def test_random_vector_rejects_a_bad_spread(self, spread):
