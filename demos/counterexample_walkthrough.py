@@ -24,11 +24,11 @@ v0 = ol.standard_symplectic_form(6, "complex")
 
 print("base point v0 = diag(J, J, J), |v0|^2 =", ol.inner_product(rep, v0, v0))
 
-# v0 is a minimal vector: the moment map vanishes there, so its ambient
-# orbit is closed without running any flow.
-cartan = ol.cartan_decomposition_for(G)
+# v0 is a minimal vector: the moment map on the Hermitian part of G's
+# Cartan split vanishes there, so its ambient orbit is closed without
+# running any flow.
 print("relative moment norm at v0:",
-      f"{ol.relative_moment_norm(rep, cartan.p_basis, v0):.2e}",
+      f"{ol.relative_moment_norm(rep, G, v0):.2e}",
       "-> minimal vector, closed ambient orbit")
 
 algebra = ol.lie_algebra_basis(G)

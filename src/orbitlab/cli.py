@@ -19,8 +19,7 @@ import click
 from . import _linalg, experiments, kempfness, reps, subalgebra
 from .errors import OrbitLabError
 from .experiments import ExperimentConfig
-from .groups import (GroupSpec, LieAlgebraBasis, cartan_decomposition_for,
-                     lie_algebra_basis)
+from .groups import GroupSpec, LieAlgebraBasis, lie_algebra_basis
 from .kempfness import FlowConfig
 
 EXIT_OK = 0
@@ -148,8 +147,7 @@ def closedness(input_path, out, moment_tol, max_iters, rank_tol):
 def minimal(input_path, out, tolerance):
     """Test whether a vector is minimal, optionally under a subgroup."""
     rep, vector, group = _load(input_path, _problem)
-    decomposition = cartan_decomposition_for(group)
-    rel = kempfness.relative_moment_norm(rep, decomposition.p_basis, vector)
+    rel = kempfness.relative_moment_norm(rep, group, vector)
     _emit({
         "minimal": rel <= tolerance,
         "relative_moment_norm": rel,

@@ -379,8 +379,8 @@ def _flow_trial(scenario: Scenario, config: ExperimentConfig, index: int) -> dic
         "status": verdict.status,
         "start_orbit_dim": verdict.start_orbit_dim,
         "limit_orbit_dim": verdict.limit_orbit_dim,
-        "start_norm": verdict.start_norm,
-        "limit_norm": verdict.limit_norm,
+        "start_norm": verdict.trace.start_norm,
+        "limit_norm": verdict.trace.limit_norm,
         "iterations": verdict.trace.iterations_used,
         "flow_reason": verdict.trace.reason,
         "relative_moment_norm": float(verdict.trace.moment_norms[-1]),
@@ -450,7 +450,7 @@ def run_example1_pipeline(config: ExperimentConfig) -> tuple[list, dict]:
         assertions.append({"name": name, "passed": bool(passed),
                            "detail": detail})
 
-    rel = relative_moment_norm(rep, g_algebra.cartan.p_basis, v0)
+    rel = relative_moment_norm(rep, scenario.group, v0)
     check("base_point_minimal", rel <= config.flow.moment_tolerance,
           {"relative_moment_norm": rel})
 

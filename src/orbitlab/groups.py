@@ -206,10 +206,10 @@ class LieAlgebraBasis:
     :func:`bracket_closure_residual`.
 
     Data derived from the basis alone (its Cartan split, its orthonormal
-    basis, its Gram residual and its Hermitian residual) is
-    computed on first use and kept on the instance, and so is the
-    orbit-map operator of each representation the basis acts through;
-    the matrices must not change afterwards.
+    basis and its real coordinate rows) is computed on first use and
+    kept on the instance, and so is the orbit-map operator of each
+    representation the basis acts through; the matrices must not change
+    afterwards.
     """
 
     matrices: np.ndarray  # (dim, n, n)
@@ -259,19 +259,6 @@ class LieAlgebraBasis:
         mats = np.zeros((0,) + self.matrices.shape[1:], self.matrices.dtype)
         mats.flags.writeable = False
         return orthonormal_basis(mats, self.field, self.ambient_size)
-
-    @functools.cached_property
-    def gram_residual(self) -> float:
-        """Distance of the Gram matrix under Re tr(A B*) from the identity."""
-        flat = self.real_rows
-        return float(np.linalg.norm(flat @ flat.T - np.eye(self.dim)))
-
-    @functools.cached_property
-    def hermitian_residual(self) -> float:
-        """Distance of the matrices from their conjugate transposes,
-        |X_i - X_i*| summed in quadrature over the basis."""
-        mats = self.matrices
-        return float(np.linalg.norm(mats - np.conj(mats.swapaxes(1, 2))))
 
     def to_json(self) -> dict:
         return {
@@ -367,11 +354,15 @@ def _embed_stack(mats: np.ndarray, ambient: int, offset: int, dtype) -> np.ndarr
 _BASIS_CACHE: dict[str, LieAlgebraBasis] = {}
 
 
-def lie_algebra_basis(spec: GroupSpec) -> LieAlgebraBasis:
+def lie_algebra_basis(spec: GroupSpec | LieAlgebraBasis) -> LieAlgebraBasis:
     """Explicit matrix basis of the Lie algebra of the identity component.
 
-    Embedded families come back already sized to the ambient space.
+    Embedded families come back already sized to the ambient space.  A
+    ``LieAlgebraBasis`` is returned unchanged, so every entry point that
+    takes a group takes a spec or a basis the same way.
     """
+    if isinstance(spec, LieAlgebraBasis):
+        return spec
     key = spec.cache_key
     cached = _BASIS_CACHE.get(key)
     if cached is not None:

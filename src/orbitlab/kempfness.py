@@ -81,28 +81,33 @@ collapsed, and how many steps it took, are read off it.
 
 Minimality is decided at one bar, ``FlowConfig.moment_tolerance``, where
 the flow stops; the command line's ``minimal`` and the example1 pipeline
-compare ``relative_moment_norm`` with it.  ``GRAM_TOL`` bars the p-basis
-that ``relative_moment_norm`` is handed, not vectors.
+compare ``relative_moment_norm`` with it.  Every entry point here takes
+its group as a GroupSpec or a theta-stable LieAlgebraBasis
+(``groups.lie_algebra_basis`` reads either) and reads the p-basis off
+that group's own Cartan split, which is orthonormal and Hermitian by
+construction, so no p-basis from outside is checked.
 
 The closedness verdict compares orbit dimensions at the start and at the
 flow limit, each one rank decision of the orbit map between orthonormal
-bases, whose rank is the same on any of them: ``_linalg.matrix_rank`` at
+bases, whose rank is the same on any of them: ``reps._orbit_rank`` at
 the start, whose kernel is kept, and the singular values alone at the
-limit, where only the rank and its flag are read.  Both
-read the flow's own D on the Cartan basis, so a verdict builds one orbit
-operator: the start side reads the first, ``FlowTrace.start_orbit_map``
-at v / |v|, with the noise floor ``reps.ORBIT_NOISE`` at that unit
-scale, and its kernel is the stabilizer the verdict carries, built by
-``reps._stabilizer_subalgebra`` as every stabilizer is; the limit
-side reads the last, ``FlowTrace.limit_orbit_map``, at limit / |v|.  A
+limit, where only the rank and its flag are read.  Both read the flow's
+own D on the Cartan basis, so a verdict builds one orbit operator: the
+start side reads the first, ``FlowTrace.start_orbit_map`` at v / |v|,
+by the rule and noise floor of every orbit dimension at unit norm, and
+its kernel is the stabilizer the verdict carries, built by
+``reps._stabilizer_subalgebra`` as every stabilizer is; the limit side
+reads the last, ``FlowTrace.limit_orbit_map``, at limit / |v|.  A
 subtlety: the final iterate is only within about sqrt(residual) of the
 true limit, so singular values of that size at the limit are artifacts
 of finite convergence.  The limit-side decision therefore passes an
 absolute floor of LIMIT_RANK_FLOOR * sqrt(relative moment norm) *
 |limit| / |v| on top of the package rank policy, and is flagged by
-singular values just above that floor, and by a floor that reaches the
-smallest singular value the start decision kept: after a loose moment
-tolerance it no longer tells a dying direction from a live one.
+singular values just above that floor.  The floor can only lower the
+limit rank, so it decides the verdict only when the limit rank drops;
+such a drop is inconclusive when the floor reaches the smallest
+singular value the start decision kept: after a loose moment tolerance
+it no longer tells a dying direction from a live one.
 Inconclusive is a first-class outcome, never an exception.
 """
 
@@ -122,9 +127,6 @@ from .serialize import is_integer, is_real
 CLOSED = "closed"
 NON_CLOSED = "non_closed"
 INCONCLUSIVE = "inconclusive"
-
-# Orthonormality and Hermitian bar on the p-basis of relative_moment_norm.
-GRAM_TOL = 1e-8
 
 # Multiplier on sqrt(moment residual) * |limit| for the limit-side rank
 # floor; calibrated so the residual cluster sits one order below it.
@@ -254,9 +256,7 @@ class ClosednessVerdict:
     status: str
     start_orbit_dim: int
     limit_orbit_dim: int
-    start_norm: float
-    limit_norm: float
-    trace: FlowTrace
+    trace: FlowTrace             # carries |v| and |limit| as well
     stabilizer: LieAlgebraBasis  # kernel of the start orbit map
     start_ambiguous: bool        # flag of the start orbit and stabilizer dims
 
@@ -265,8 +265,8 @@ class ClosednessVerdict:
             "status": self.status,
             "start_orbit_dim": self.start_orbit_dim,
             "limit_orbit_dim": self.limit_orbit_dim,
-            "start_norm": self.start_norm,
-            "limit_norm": self.limit_norm,
+            "start_norm": self.trace.start_norm,
+            "limit_norm": self.trace.limit_norm,
             "trace": self.trace.to_json(rep),
         }
 
@@ -276,22 +276,18 @@ def moment_vector(d: np.ndarray, coords: np.ndarray) -> np.ndarray:
     gradient of t -> |exp(tX) . v|^2 / 2 at t = 0, zero exactly at minimal
     vectors: Re(D^t conj(coords)) of the orbit-map matrix D of the basis
     at v (``reps._differential_matrix``) and the coordinates of v.  Nothing
-    is checked; ``relative_moment_norm`` checks its basis and vector."""
+    is checked; ``relative_moment_norm`` checks its vector."""
     coords = coords.astype(d.dtype, copy=False)
     return _linalg.real_rows(d.T) @ _linalg.real_rows(coords)
 
 
-def relative_moment_norm(rep: reps.Representation, p_basis: LieAlgebraBasis,
-                         v) -> float:
-    """|mu(v)| / |v|^2, 0.0 at the zero vector.  A p-basis that is not
-    orthonormal and Hermitian is an error, checked first (two attribute
-    reads after the first call), and so are a basis of another group and
-    a norm that overflows; v is validated and its coordinates read once."""
-    if p_basis.gram_residual > GRAM_TOL:
-        raise InvalidArgumentError(
-            "p-basis must be orthonormal for the real trace pairing")
-    if p_basis.hermitian_residual > GRAM_TOL:
-        raise InvalidArgumentError("p-basis matrices must be Hermitian")
+def relative_moment_norm(rep: reps.Representation, group, v) -> float:
+    """|mu(v)| / |v|^2 over the p-basis of ``group``'s Cartan split, 0.0 at
+    the zero vector.  ``group`` may be a GroupSpec or a theta-stable
+    LieAlgebraBasis, as for ``closedness_verdict``.  A group of another
+    size or field and a norm that overflows are errors; v is validated and
+    its coordinates read once."""
+    p_basis = lie_algebra_basis(group).cartan.p_basis
     flat = reps._check_vector(rep, v)
     norm2 = reps._squared_norm(flat)
     coords = reps._coordinates(rep, flat)
@@ -300,15 +296,6 @@ def relative_moment_norm(rep: reps.Representation, p_basis: LieAlgebraBasis,
     if norm2 == 0.0:
         return 0.0
     return float(np.linalg.norm(moment_vector(d, coords))) / norm2
-
-
-def _basis(group) -> LieAlgebraBasis:
-    """The algebra basis of a ``group`` argument: a GroupSpec's cached
-    basis, or the theta-stable basis itself.  Either way its Cartan split
-    and its Cartan basis are derived once and kept on the basis."""
-    if isinstance(group, LieAlgebraBasis):
-        return group
-    return lie_algebra_basis(group)
 
 
 def _newton_direction(d: np.ndarray, coeff: np.ndarray,
@@ -437,7 +424,7 @@ def norm_flow(rep: reps.Representation, group, v,
     scaling), which keeps the regularization and the stopping tests
     scale-free.  Budget exhaustion is reported on the trace, not raised.
     """
-    cartan = _basis(group).cartan
+    cartan = lie_algebra_basis(group).cartan
     p_basis = cartan.p_basis
     onb = cartan.basis
     # the p-basis is the trailing part of the Cartan basis (all of it for
@@ -528,17 +515,17 @@ def closedness_verdict(rep: reps.Representation, group, v,
     dimension (the zero vector is its own closed orbit, 0 = 0).
     NonClosed: the flow collapsed onto zero from a nonzero start, or
     converged onto a strictly smaller orbit.  Inconclusive: budget or
-    stall, any rank decision too close to its threshold, or a limit
+    stall, any rank decision too close to its threshold, a limit
     dimension above the start dimension, which no in-orbit iterate can
-    reach.  ``rtol`` is the relative cutoff of both orbit-dimension
+    reach, or a drop under a limit floor that reaches a kept start
+    singular value.  ``rtol`` is the relative cutoff of both orbit-dimension
     decisions.  The start decision's kernel is the stabilizer of v,
     carried on the verdict with that decision's ambiguity flag.
     """
-    onb = _basis(group).cartan.basis
+    onb = lie_algebra_basis(group).cartan.basis
     trace = norm_flow(rep, onb, v, config)
-    # D is taken at v / |v|: the floor ORBIT_NOISE |v| at unit scale
-    start = _linalg.matrix_rank(trace.start_orbit_map, rtol,
-                                floor=reps.ORBIT_NOISE)
+    # D is taken at v / |v|, so at unit norm
+    start = reps._orbit_rank(trace.start_orbit_map, 1.0, rtol)
     # Directions whose singular value is below the position uncertainty
     # of the limit point (about sqrt(residual) * |limit|) are the ones
     # dying in the true limit; they are floored to zero, and only values
@@ -551,8 +538,10 @@ def closedness_verdict(rep: reps.Representation, group, v,
     limit = _linalg.rank_from_singular_values(
         _linalg.svd(trace.limit_orbit_map, vectors=False), rtol, floor=floor,
         one_sided=True)
-    # a floor as large as a kept start direction decides nothing
-    blind = start.rank > 0 and floor >= start.singular_values[start.rank - 1]
+    # a rank drop under a floor as large as a kept start direction
+    # decides nothing; without a drop the floor decided nothing either
+    blind = (limit.rank < start.rank
+             and floor >= start.singular_values[start.rank - 1])
 
     if trace.collapsed:
         status = NON_CLOSED
@@ -563,7 +552,6 @@ def closedness_verdict(rep: reps.Representation, group, v,
         status = CLOSED
     else:
         status = NON_CLOSED
-    return ClosednessVerdict(status, start.rank, limit.rank, trace.start_norm,
-                             trace.limit_norm, trace,
+    return ClosednessVerdict(status, start.rank, limit.rank, trace,
                              reps._stabilizer_subalgebra(onb, start),
                              start.ambiguous)

@@ -68,9 +68,10 @@ DIRECT_SUM = "direct_sum"
 
 SYMMETRY_TOL = 1e-12
 
-# Orbit dimensions floor singular values at ORBIT_NOISE |v|: at a point
-# fixed by the group, D = 0 computes as noise up to about 35 eps |v|
-# (Sp(2n) on alt_bilinear at its form, 2n <= 8), 30 times below the flag band.
+# Orbit dimensions floor singular values at ORBIT_NOISE |v| (_orbit_rank):
+# at a point fixed by the group, D = 0 computes as noise up to about
+# 35 eps |v| (Sp(2n) on alt_bilinear at its form, 2n <= 8), 30 times below
+# the flag band.
 ORBIT_NOISE = 1e4 * np.finfo(float).eps
 
 
@@ -479,9 +480,16 @@ def orbit_dimension_info(rep: Representation, algebra: LieAlgebraBasis, v,
     """
     # D and the floor read one coordinate array
     coords = _coordinates(rep, _check_vector(rep, v))
-    return _linalg.matrix_rank(
-        _differential_matrix(rep, algebra.orthonormal, coords), rtol,
-        floor=ORBIT_NOISE * _linalg.vector_norm(coords))
+    return _orbit_rank(_differential_matrix(rep, algebra.orthonormal, coords),
+                       _linalg.vector_norm(coords), rtol)
+
+
+def _orbit_rank(d: np.ndarray, norm: float,
+                rtol: float) -> _linalg.RankDecision:
+    """The rank decision of an orbit-map matrix D taken at a point of norm
+    ``norm``, with the noise floor ``ORBIT_NOISE * norm``: the one rule
+    every orbit dimension is decided by."""
+    return _linalg.matrix_rank(d, rtol, floor=ORBIT_NOISE * norm)
 
 
 def stabilizer_subalgebra(rep: Representation, algebra: LieAlgebraBasis,

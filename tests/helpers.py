@@ -57,11 +57,11 @@ def moment_vector(rep: ol.Representation, p_basis: ol.LieAlgebraBasis,
         ol.reps._differential_matrix(rep, p_basis, coords), coords)
 
 
-def is_minimal(rep: ol.Representation, p_basis: ol.LieAlgebraBasis, v,
+def is_minimal(rep: ol.Representation, group, v,
                tol: float = ol.FlowConfig.moment_tolerance) -> bool:
-    """True when the relative moment norm is at most ``tol``, by default
-    the bar at which the norm flow stops."""
-    return ol.relative_moment_norm(rep, p_basis, v) <= tol
+    """True when the relative moment norm under ``group`` is at most
+    ``tol``, by default the bar at which the norm flow stops."""
+    return ol.relative_moment_norm(rep, group, v) <= tol
 
 
 def orbit_dimension(rep: ol.Representation, algebra: ol.LieAlgebraBasis,
