@@ -23,12 +23,11 @@ and an orthonormal basis of real rows reads back as complex matrices
 through the inverse view.
 
 Every SVD of the package is one call of :func:`svd`, which calls
-LAPACK's ``?gesdd`` directly: the routine numpy's SVD runs, with the same
-optimal workspace and numpy's C-ordered layout of the factors, but
-without numpy's per-call overhead.  It checks ``info`` and raises
-``numpy.linalg.LinAlgError`` on a nonzero value, so a NaN entry or a
-failed convergence never reads as a silent rank; an empty matrix never
-reaches LAPACK.
+LAPACK's ``?gesdd`` directly, at the wrapper's default workspace and
+without numpy's per-call overhead, and hands the factors out C-ordered.
+It checks ``info`` and raises ``numpy.linalg.LinAlgError`` on a nonzero
+value, so a NaN entry or a failed convergence never reads as a silent
+rank; an empty matrix never reaches LAPACK.
 
 The eigendecomposition of a Hermitian matrix, the norm flow's step, is
 one direct LAPACK call as well (:func:`eigh`, ``?heevd``).
@@ -36,7 +35,6 @@ one direct LAPACK call as well (:func:`eigh`, ``?heevd``).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -65,21 +63,6 @@ class RankDecision:
     singular_values: np.ndarray | None = None
 
 
-@functools.lru_cache(maxsize=None)
-def _gesdd_lwork(complex_field: bool, m: int, n: int, vectors: bool,
-                 full_matrices: bool) -> int:
-    """Optimal ``?gesdd`` workspace for one shape (a LAPACK query).
-
-    numpy's SVD runs with this workspace; the wrapper's default, the
-    minimum, takes other code paths and rounds differently.  The package
-    meets a handful of shapes, so the cache stays small."""
-    query = lapack.zgesdd_lwork if complex_field else lapack.dgesdd_lwork
-    work, info = query(m, n, compute_uv=vectors, full_matrices=full_matrices)
-    if info:
-        raise np.linalg.LinAlgError(f"?gesdd workspace query failed ({info})")
-    return int(work.real)
-
-
 def svd(a: np.ndarray, vectors: bool = True, full_matrices: bool = False):
     """Singular values of ``a`` in descending order, and with ``vectors``
     the factors: ``(u, s, vh)`` with ``a = u @ diag(s) @ vh``, else ``s``.
@@ -99,17 +82,15 @@ def svd(a: np.ndarray, vectors: bool = True, full_matrices: bool = False):
         vh = np.eye(n if full_matrices else 0, n, dtype=a.dtype)
         return u, s, vh
     gesdd = lapack.zgesdd if complex_field else lapack.dgesdd
-    u, s, vh, info = gesdd(
-        a, compute_uv=vectors, full_matrices=full_matrices,
-        lwork=_gesdd_lwork(complex_field, m, n, vectors, full_matrices))
+    u, s, vh, info = gesdd(a, compute_uv=vectors, full_matrices=full_matrices)
     if info:
         # info < 0 flags a NaN entry, info > 0 a failed convergence
         raise np.linalg.LinAlgError(f"SVD did not converge (?gesdd info {info})")
     if not vectors:
         return s
-    # LAPACK's factors are Fortran-ordered; numpy's C order keeps every
-    # downstream product on the memory order, and so the rounding, that
-    # numpy's SVD gave it
+    # LAPACK's factors are Fortran-ordered; C-ordered copies keep every
+    # downstream product on one memory order, and so one rounding, and
+    # let orthonormal_span view real rows as complex ones
     return np.ascontiguousarray(u), s, np.ascontiguousarray(vh)
 
 
@@ -139,6 +120,15 @@ def vector_norm(x: np.ndarray) -> float:
     return float((blas.dznrm2 if np.iscomplexobj(x) else blas.dnrm2)(x))
 
 
+def check_rtol(rtol: float) -> None:
+    """The one rule on a relative cutoff: an ``rtol`` outside (0, 1), NaN
+    included, decides nothing (at 1 or more even the largest singular
+    value falls below the cutoff) and raises ``InvalidArgumentError``."""
+    if not 0.0 < rtol < 1.0:
+        raise InvalidArgumentError(
+            f"rank cutoff rtol must lie strictly between 0 and 1, not {rtol!r}")
+
+
 def rank_from_singular_values(s, rtol: float = RANK_RTOL, floor: float = 0.0,
                               one_sided: bool = False) -> RankDecision:
     """Count singular values above the cutoff.
@@ -150,15 +140,10 @@ def rank_from_singular_values(s, rtol: float = RANK_RTOL, floor: float = 0.0,
     just below the cutoff are expected there (they are the residual of
     a converging flow) and do not taint the decision.  The count runs
     on a Python float list: at a handful of values that is several
-    times cheaper than numpy reductions.
-
-    An ``rtol`` outside (0, 1), NaN included, decides nothing (at 1 or
-    more even the largest value falls below the cutoff) and raises
-    ``InvalidArgumentError``.
+    times cheaper than numpy reductions.  ``rtol`` obeys
+    :func:`check_rtol`.
     """
-    if not 0.0 < rtol < 1.0:
-        raise InvalidArgumentError(
-            f"rank cutoff rtol must lie strictly between 0 and 1, not {rtol!r}")
+    check_rtol(rtol)
     s = s.tolist() if isinstance(s, np.ndarray) else [float(x) for x in s]
     top = max(s, default=0.0)
     if top == 0.0:

@@ -20,16 +20,21 @@ into a reproducible statistical (or deterministic) check:
 
 Genericity is operationalized as prevalence under Gaussian sampling in
 Lie-algebra coordinates: a dense Zariski-open set has full measure under
-any absolutely continuous law, so 100 trials with a >= 99% success rate
-is the acceptance bar.  Inconclusive trials are excluded from prevalence
-denominators but hard-capped at 5% so numerical failure cannot
-masquerade as genericity.
+any absolutely continuous law.  Each trial-based kind passes when the
+prevalence over its decided trials reaches its bar: ``PREVALENCE_BAR``
+(99%) for the generic statements (theorem1, cor3, cor5) and 1 for the
+statements about every point (cor2-normal, real-complex-agreement).
+The bar is part of the kind's row in ``_KINDS``, and the report echoes
+it; example1 has no prevalence bar and echoes null.  Inconclusive
+trials are excluded from prevalence denominators but hard-capped at 5%
+so numerical failure cannot masquerade as genericity.
 
-Per-trial seeds derive from (config.seed, trial index), so reports are
-pure functions of their config, independent of worker count: serial and
-pooled runs enter each trial through ``_run_one``, which the process
-pool maps over the pickled config.  Example1 checks its base point's
-minimality at ``config.flow.moment_tolerance``, the bar it echoes.
+Per-trial seeds are derived once, in ``_run_one``, from (config.seed,
+trial index), so reports are pure functions of their config,
+independent of worker count: serial and pooled runs enter each trial
+through ``_run_one``, which the process pool maps over the pickled
+config.  Example1 checks its base point's minimality at
+``config.flow.moment_tolerance``, the bar it echoes.
 """
 
 from __future__ import annotations
@@ -63,7 +68,8 @@ REAL_COMPLEX = "real-complex-agreement"
 ALL_KINDS = (THEOREM1, COR2_NORMAL, COR3_INTERSECTION, COR5_DIRECT_SUM,
              EXAMPLE1, REAL_COMPLEX)
 
-# Acceptance bars for the statistical experiments.
+# Acceptance bars for the statistical experiments: the prevalence bar of
+# the generic statements and the cap on the inconclusive rate of every kind.
 PREVALENCE_BAR = 0.99
 INCONCLUSIVE_CAP = 0.05
 
@@ -313,7 +319,8 @@ def tolerance_echo(config: ExperimentConfig) -> dict:
         "moment_tolerance": config.flow.moment_tolerance,
         "limit_rank_floor_factor": kempfness.LIMIT_RANK_FLOOR,
         "eigen_merge_rtol": subalgebra.EIGEN_MERGE_RTOL,
-        "prevalence_bar": PREVALENCE_BAR,
+        "prevalence_bar": (_KINDS[config.kind][2] if config.kind in _KINDS
+                           else None),
         "inconclusive_cap": INCONCLUSIVE_CAP,
     }
 
@@ -363,10 +370,9 @@ def _start_vector(scenario: Scenario, config: ExperimentConfig, seed: int):
     return reps.act(scenario.representation, g, scenario.base_point)
 
 
-def _flow_trial(scenario: Scenario, config: ExperimentConfig, index: int) -> dict:
+def _flow_trial(scenario: Scenario, config: ExperimentConfig, seed: int) -> dict:
     """One closedness trial, with the verdict on the stabilizer that the
     closedness verdict's start decision gives at the same point."""
-    seed = trial_seed(config.seed, index)
     x = _start_vector(scenario, config, seed)
     verdict = closedness_verdict(scenario.representation, scenario.subgroup,
                                  x, config.flow, rtol=config.rank_rtol)
@@ -374,8 +380,6 @@ def _flow_trial(scenario: Scenario, config: ExperimentConfig, index: int) -> dic
                                           verdict.start_ambiguous,
                                           config.rank_rtol)
     return {
-        "index": index,
-        "seed": seed,
         "status": verdict.status,
         "start_orbit_dim": verdict.start_orbit_dim,
         "limit_orbit_dim": verdict.limit_orbit_dim,
@@ -389,16 +393,13 @@ def _flow_trial(scenario: Scenario, config: ExperimentConfig, index: int) -> dic
     }
 
 
-def _cor3_trial(scenario: Scenario, config: ExperimentConfig, index: int) -> dict:
+def _cor3_trial(scenario: Scenario, config: ExperimentConfig, seed: int) -> dict:
     """One stabilizer-reductivity trial at a random ambient translate."""
-    seed = trial_seed(config.seed, index)
     x = _start_vector(scenario, config, seed)
     h_algebra = lie_algebra_basis(scenario.subgroup)
     record, report = _intersection(scenario.representation, h_algebra, x,
                                    config.rank_rtol)
     return {
-        "index": index,
-        "seed": seed,
         **record,
         # an ambiguous stabilizer is not analysed: no structure data
         "derived_dim": report.derived_dim if report else None,
@@ -408,9 +409,8 @@ def _cor3_trial(scenario: Scenario, config: ExperimentConfig, index: int) -> dic
 
 
 def _real_complex_trial(scenario: Scenario, config: ExperimentConfig,
-                        index: int) -> dict:
+                        seed: int) -> dict:
     """The same real starting point flowed over R and over C."""
-    seed = trial_seed(config.seed, index)
     rng = np.random.default_rng(seed)
     m_real = reps.random_vector(scenario.real_representation, rng, config.spread)
     real_verdict = closedness_verdict(scenario.real_representation,
@@ -424,8 +424,6 @@ def _real_complex_trial(scenario: Scenario, config: ExperimentConfig,
     if INCONCLUSIVE not in (real_verdict.status, complex_verdict.status):
         agree = real_verdict.status == complex_verdict.status
     return {
-        "index": index,
-        "seed": seed,
         "real_status": real_verdict.status,
         "complex_status": complex_verdict.status,
         "real_orbit_dim": real_verdict.start_orbit_dim,
@@ -521,13 +519,17 @@ def run_counterexample_trial(scenario: Scenario, rtol: float) -> dict:
 
 
 def _run_one(config: ExperimentConfig, index: int) -> dict:
-    """One trial of a trial-based kind; also the process pool's entry
-    point, to which the frozen config travels pickled."""
-    run_trial, _ = _KINDS[config.kind]
-    return run_trial(get_scenario(config.scenario), config, index)
+    """Trial ``index`` of a trial-based kind, run at the seed derived from
+    (config.seed, index); also the process pool's entry point, to which
+    the frozen config travels pickled."""
+    seed = trial_seed(config.seed, index)
+    run_trial = _KINDS[config.kind][0]
+    return {"index": index, "seed": seed,
+            **run_trial(get_scenario(config.scenario), config, seed)}
 
 
-def _summarize_flow(records: list, require_all_closed: bool) -> tuple[dict, str | None]:
+def _summarize_flow(config: ExperimentConfig, records: list,
+                    bar: float) -> tuple[dict, str | None]:
     counts = Counter(r["status"] for r in records)
     # a closed orbit never has a non-reductive stabilizer
     closed_but_not_reductive = sum(
@@ -547,14 +549,14 @@ def _summarize_flow(records: list, require_all_closed: bool) -> tuple[dict, str 
     }
     if closed_but_not_reductive:
         return summary, "math"
-    return _accept(summary, counts[NON_CLOSED] == 0 if require_all_closed
-                   else prevalence >= PREVALENCE_BAR)
+    return _accept(summary, prevalence >= bar)
 
 
 def _accept(summary: dict, bar_met: bool) -> tuple[dict, str | None]:
     """The acceptance rule of every statistical kind: an inconclusive rate
     above INCONCLUSIVE_CAP fails as "inconclusive", else the kind's bar
-    decides ("math").  Under the cap at least one trial is decided.
+    decides ("math").  Under the cap at least one trial is decided, so a
+    bar of 1 fails on the first decided failure and on nothing else.
     Returns the summary and the failure, None when the kind passed."""
     if summary["inconclusive_rate"] > INCONCLUSIVE_CAP:
         return summary, "inconclusive"
@@ -571,33 +573,28 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     if not (is_integer(workers) and workers >= 1):
         raise ConfigurationError("workers must be an integer >= 1")
     start = time.perf_counter()
-
     if config.kind == EXAMPLE1:
-        assertions, summary = run_example1_pipeline(config)
-        wall = (time.perf_counter() - start) * 1000.0
-        return ExperimentReport(config, assertions, summary,
-                                None if summary["all_passed"] else "math",
-                                wall)
-
-    indices = list(range(config.trials))
-    # a fork pool launches every worker at its first submit
-    workers = min(workers, config.trials)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_one, [config] * len(indices),
-                                    indices))
+        records, summary = run_example1_pipeline(config)
+        failure = None if summary["all_passed"] else "math"
     else:
-        records = [_run_one(config, i) for i in indices]
-    records.sort(key=lambda r: r["index"])
-
-    _, summarize = _KINDS[config.kind]
-    summary, failure = summarize(config, records)
+        indices = range(config.trials)
+        # a fork pool launches every worker at its first submit; map
+        # returns the records in trial order
+        workers = min(workers, config.trials)
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                records = list(pool.map(_run_one, [config] * config.trials,
+                                        indices))
+        else:
+            records = [_run_one(config, i) for i in indices]
+        _, summarize, bar = _KINDS[config.kind]
+        summary, failure = summarize(config, records, bar)
     wall = (time.perf_counter() - start) * 1000.0
     return ExperimentReport(config, records, summary, failure, wall)
 
 
-def _summarize_cor3(config: ExperimentConfig,
-                    records: list) -> tuple[dict, str | None]:
+def _summarize_cor3(config: ExperimentConfig, records: list,
+                    bar: float) -> tuple[dict, str | None]:
     """Prevalence of reductive stabilizers over the trials, with the
     counterexample record as the non-reductive witness the bar requires.
     That record is decided once per (scenario, ``rank_rtol``) and reused,
@@ -625,12 +622,12 @@ def _summarize_cor3(config: ExperimentConfig,
         "dim1_generators_semisimple": dim1_semisimple,
         "counterexample": counterexample,
     }
-    return _accept(summary, prevalence >= PREVALENCE_BAR and dim1_semisimple
+    return _accept(summary, prevalence >= bar and dim1_semisimple
                    and counterexample["verdict"] == subalgebra.NOT_REDUCTIVE)
 
 
-def _summarize_real_complex(config: ExperimentConfig,
-                            records: list) -> tuple[dict, str | None]:
+def _summarize_real_complex(config: ExperimentConfig, records: list,
+                            bar: float) -> tuple[dict, str | None]:
     agreements = sum(1 for r in records if r["agree"] is True)
     disagreements = sum(1 for r in records if r["agree"] is False)
     inconclusive_pairs = sum(1 for r in records if r["agree"] is None)
@@ -640,18 +637,20 @@ def _summarize_real_complex(config: ExperimentConfig,
         "inconclusive_pairs": inconclusive_pairs,
         "inconclusive_rate": inconclusive_pairs / len(records),
     }
-    return _accept(summary, disagreements == 0)
+    decided = agreements + disagreements
+    prevalence = agreements / decided if decided else 0.0
+    return _accept(summary, prevalence >= bar)
 
 
-# Each trial-based kind: (trial runner, summarizer of its records).  The
-# example1 kind is one deterministic pipeline and has no entry.
+# Each trial-based kind: (trial runner, summarizer of its records, the
+# prevalence bar its summarizer applies).  A generic statement holds on
+# PREVALENCE_BAR of the decided trials, a statement about every point on
+# all of them.  The example1 kind is one deterministic pipeline and has
+# no entry.
 _KINDS = {
-    THEOREM1: (_flow_trial, lambda config, records: _summarize_flow(
-        records, require_all_closed=False)),
-    COR2_NORMAL: (_flow_trial, lambda config, records: _summarize_flow(
-        records, require_all_closed=True)),
-    COR3_INTERSECTION: (_cor3_trial, _summarize_cor3),
-    COR5_DIRECT_SUM: (_flow_trial, lambda config, records: _summarize_flow(
-        records, require_all_closed=False)),
-    REAL_COMPLEX: (_real_complex_trial, _summarize_real_complex),
+    THEOREM1: (_flow_trial, _summarize_flow, PREVALENCE_BAR),
+    COR2_NORMAL: (_flow_trial, _summarize_flow, 1.0),
+    COR3_INTERSECTION: (_cor3_trial, _summarize_cor3, PREVALENCE_BAR),
+    COR5_DIRECT_SUM: (_flow_trial, _summarize_flow, PREVALENCE_BAR),
+    REAL_COMPLEX: (_real_complex_trial, _summarize_real_complex, 1.0),
 }

@@ -160,9 +160,11 @@ def standard_symplectic_form(n: int, field: str = COMPLEX) -> np.ndarray:
     """Block-diagonal form diag(J, ..., J) with J = [[0, 1], [-1, 0]]."""
     if n % 2:
         raise ConfigurationError("symplectic forms need even size")
-    J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    v = scipy.linalg.block_diag(*([J] * (n // 2)))
-    return v.astype(np.complex128 if field == COMPLEX else np.float64)
+    v = np.zeros((n, n), dtype=np.complex128 if field == COMPLEX else np.float64)
+    i = np.arange(0, n, 2)
+    v[i, i + 1] = 1.0
+    v[i + 1, i] = -1.0
+    return v
 
 
 def symplectic(form: np.ndarray | None = None, size: int | None = None,

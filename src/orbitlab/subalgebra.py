@@ -224,10 +224,12 @@ def reductivity_verdict(basis: LieAlgebraBasis,
                         rtol: float = _linalg.RANK_RTOL) -> SubalgebraReport:
     """Algebraic reductivity: center + derived split, Cartan criterion,
     semisimple center.  The zero algebra is reductive.  ``rtol`` is the
-    relative cutoff of every rank decision of the analysis.  A failed
-    check is a definite "not reductive" only when neither the derived
-    and center dimensions nor its own rank decision was flagged; else
-    the verdict is inconclusive."""
+    relative cutoff of every rank decision of the analysis; one that
+    ``_linalg.check_rtol`` refuses is refused for the zero algebra too.
+    A failed check is a definite "not reductive" only when neither the
+    derived and center dimensions nor its own rank decision was flagged;
+    else the verdict is inconclusive."""
+    _linalg.check_rtol(rtol)
     if basis.dim == 0:
         return SubalgebraReport(0, 0, 0, 0, True, True, REDUCTIVE, [])
 

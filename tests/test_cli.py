@@ -456,13 +456,18 @@ def _problem(group, vector, **extra):
         "family": "torus", "size": 2, "field": "real"})),
     (["orbit-dim"], _problem(_SL2, _pairs([1.0, 0.0]), subgroup={
         "family": "torus", "size": 2, "field": "real"})),
+    (["orbit-dim"], _problem(_SL2, [["1", "0.3"], [0.3, 0.0]])),
+    (["orbit-dim"], _problem(_SL2, [[1.0, 0.3], [0.3, True]])),
+    (["reductive"], {"algebra": {"field": "real", "size": 2, "matrices": [
+        [[float("nan"), 0.0], [0.0, 0.0]]]}}),
 ], ids=["matrices-not-a-list", "algebra-input-a-list", "quaternion-field",
         "identity-twice", "nearly-dependent-basis", "string-subgroup-size",
         "subgroup-a-list", "boolean-size", "fractional-size", "string-size",
         "fractional-offset", "float-copies", "complex-vector-without-pairs",
         "nan-tolerance", "negative-tolerance", "norm-overflow",
         "minimal-norm-overflow",
-        "real-subgroup-stabilizer", "real-subgroup-orbit-dim"])
+        "real-subgroup-stabilizer", "real-subgroup-orbit-dim",
+        "string-entry", "boolean-entry", "nan-algebra-entry"])
 def test_malformed_input_exits_2(args, payload):
     result = CliRunner().invoke(main, [*args, "--in", "-"],
                                 input=json.dumps(payload))

@@ -11,10 +11,11 @@ import pytest
 import orbitlab as ol
 from orbitlab import experiments
 from orbitlab.errors import ConfigurationError, InvalidArgumentError
-from orbitlab.experiments import (ExperimentConfig, _summarize_flow,
-                                  get_scenario, run_experiment,
-                                  scenario_catalog, trial_seed)
-from orbitlab.kempfness import CLOSED
+from orbitlab.experiments import (PREVALENCE_BAR, ExperimentConfig,
+                                  _summarize_flow, get_scenario,
+                                  run_experiment, scenario_catalog,
+                                  trial_seed)
+from orbitlab.kempfness import CLOSED, NON_CLOSED
 
 from helpers import subspace_distance
 
@@ -168,6 +169,15 @@ class TestExample1Experiment:
         assert "wall_time_ms" in payload
 
 
+def _flow_record(status):
+    return {"status": status, "iterations": 3,
+            "stabilizer_verdict": "reductive"}
+
+
+def _cor3_record(verdict):
+    return {"verdict": verdict, "intersection_dim": 0, "generator_type": None}
+
+
 class TestStatisticalExperiments:
     def test_theorem1_small_run(self):
         config = ExperimentConfig(kind="theorem1", scenario="example1",
@@ -250,15 +260,48 @@ class TestStatisticalExperiments:
         assert report.summary["non_closed"] == 0
 
     def test_closed_orbit_with_nonreductive_stabilizer_fails_report(self):
+        config = ExperimentConfig(kind="theorem1", scenario="example1")
         record = {"status": CLOSED, "iterations": 3,
                   "stabilizer_verdict": "not_reductive"}
-        summary, failure = _summarize_flow([record], require_all_closed=False)
+        summary, failure = _summarize_flow(config, [record], PREVALENCE_BAR)
         assert summary["closed_but_not_reductive"] == 1
         assert failure == "math"
         record["stabilizer_verdict"] = "reductive"
-        summary, failure = _summarize_flow([record], require_all_closed=False)
+        summary, failure = _summarize_flow(config, [record], PREVALENCE_BAR)
         assert summary["closed_but_not_reductive"] == 0
         assert failure is None
+
+    @pytest.mark.parametrize("kind,scenario,success,failure,bar,verdict", [
+        ("theorem1", "example1", _flow_record(CLOSED),
+         _flow_record(NON_CLOSED), 0.99, None),
+        ("cor2-normal", "normal-factor", _flow_record(CLOSED),
+         _flow_record(NON_CLOSED), 1.0, "math"),
+        ("cor3-intersection", "sl4-block", _cor3_record("reductive"),
+         _cor3_record("not_reductive"), 0.99, None),
+        ("cor5-direct-sum", "sym2-sum", _flow_record(CLOSED),
+         _flow_record(NON_CLOSED), 0.99, None),
+        ("real-complex-agreement", "sl2-real-complex", {"agree": True},
+         {"agree": False}, 1.0, "math"),
+    ], ids=["theorem1", "cor2-normal", "cor3", "cor5", "real-complex"])
+    def test_one_failure_in_100_decided_trials_meets_the_kinds_bar(
+            self, monkeypatch, kind, scenario, success, failure, bar,
+            verdict):
+        # generic statements allow 1 failure in 100 decided trials,
+        # statements about every point allow none; the report echoes the
+        # bar the summary applied
+        records = [failure] + [success] * 99
+        monkeypatch.setattr(experiments, "_run_one",
+                            lambda config, index: records[index])
+        report = run_experiment(ExperimentConfig(kind=kind, scenario=scenario,
+                                                 trials=100))
+        assert report.failure == verdict
+        echoed = report.to_json()["tolerances"]["prevalence_bar"]
+        assert echoed == bar
+        assert report.passed == (99 / 100 >= echoed)
+
+    def test_example1_echoes_no_prevalence_bar(self):
+        config = ExperimentConfig(kind="example1", scenario="example1")
+        assert experiments.tolerance_echo(config)["prevalence_bar"] is None
 
     def test_real_complex_small_run(self):
         config = ExperimentConfig(kind="real-complex-agreement",

@@ -141,6 +141,25 @@ def test_spec_validation_errors(v0):
         ol.symplectic(form=degenerate)
 
 
+@pytest.mark.parametrize("leaf", ["1", True, None, float("nan"),
+                                  float("inf")])
+def test_json_matrix_entries_must_be_finite_numbers(leaf):
+    # a symplectic form, an algebra matrix and a vector read their entries
+    # through one reader, which converts no string or bool and refuses
+    # the non-finite floats Python's JSON reader accepts
+    form = {"family": "symplectic", "size": 2, "field": "real",
+            "form": [[0.0, leaf], [-1.0, 0.0]]}
+    algebra = {"field": "real", "size": 2,
+               "matrices": [[[leaf, 0.0], [0.0, 0.0]]]}
+    rep = ol.defining(ol.special_linear(2, "complex"))
+    with pytest.raises(InvalidArgumentError):
+        ol.GroupSpec.from_json(form)
+    with pytest.raises(InvalidArgumentError):
+        ol.LieAlgebraBasis.from_json(algebra)
+    with pytest.raises(InvalidArgumentError):
+        ol.reps.vector_from_json(rep, [[leaf, 0.0], [0.3, 0.0]])
+
+
 def test_groupspec_json_round_trip(v0):
     specs = [
         ol.special_linear(6, "complex"),

@@ -374,6 +374,20 @@ class TestReductivityVerdict:
                                    "complex", 4)
         assert reductivity_verdict(empty).verdict == REDUCTIVE
 
+    @pytest.mark.parametrize("rtol", [20.0, float("nan")])
+    def test_zero_algebra_refuses_a_cutoff_sl2_refuses(self, rtol):
+        # the zero algebra decides no rank, but a cutoff that decides
+        # nothing is refused whatever the dimension, with one message
+        empty = ol.LieAlgebraBasis(np.zeros((0, 2, 2), dtype=complex),
+                                   "complex", 2)
+        sl2 = ol.lie_algebra_basis(ol.special_linear(2, "complex"))
+        messages = []
+        for basis in (empty, sl2):
+            with pytest.raises(InvalidArgumentError) as info:
+                reductivity_verdict(basis, rtol=rtol)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
     def test_nilpotent_line_not_reductive(self):
         report = reductivity_verdict(span([embedded_e12()]))
         assert report.verdict == NOT_REDUCTIVE
